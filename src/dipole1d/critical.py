@@ -24,9 +24,9 @@ from .eigensolver import (
     GridAlignmentError,
     discretize,
     find_alpha_crit,
-    lowest_eigenvalues,
 )
 from .potentials import PhysicalDipole, PointDipole
+from .tridiag import sturm_count
 from .units import ConstantSet, bohr_radius, dipole_atomic_to_si
 
 __all__ = [
@@ -247,9 +247,15 @@ class DipoleScanResult:
 
 
 def _binds(spec, grid: Grid, bind_threshold: float) -> bool:
+    """Whether ``spec`` has a level below ``bind_threshold`` on ``grid``.
+
+    The discrete oscillation theorem: the Sturm count of the operator at
+    ``bind_threshold`` is the number of levels strictly below it, so binding
+    is that count being >= 1.  One Sturm pass, and exact on the discrete
+    operator, with no eigenvalue bisected.
+    """
     H = discretize(spec, grid)
-    sp = lowest_eigenvalues(H, 1, want_vectors=False)
-    return float(sp.energies[0]) < bind_threshold
+    return sturm_count(H.diagonal, H.offdiagonal, bind_threshold) >= 1
 
 
 def _bisect_p(predicate, p_lo: float, p_hi: float, tol_p: float):

@@ -33,18 +33,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-try:  # pragma: no cover
-    from numba import njit
-except ImportError:  # pragma: no cover
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 from .potentials import (
     InverseSquare,
     PointDipole,
@@ -556,11 +544,15 @@ def cutoff_sweep(
     )
 
 
-@njit(cache=True)
 def _rk4_node_count(coef, v0, span, nsteps):
     # u'' = coef * u in s = ln y, with coef = 1/4 - alpha.  The quadratic
     # Q = u'^2 - coef u^2 is exactly conserved; its drift flags step failure.
+    # The loop runs over the full span even after the first node, so the
+    # drift check covers every step.
     h = span / nsteps
+    hh = 0.5 * h  # 0.5 * h * k evaluates as (0.5 * h) * k
+    h6 = h / 6.0
+    acoef = abs(coef)
     u = 0.0
     v = v0
     q0 = v * v - coef * u * u
@@ -568,28 +560,26 @@ def _rk4_node_count(coef, v0, span, nsteps):
     count = 0
     last_sign = 0
     for _ in range(nsteps):
-        k1u = v
         k1v = coef * u
-        k2u = v + 0.5 * h * k1v
-        k2v = coef * (u + 0.5 * h * k1u)
-        k3u = v + 0.5 * h * k2v
-        k3v = coef * (u + 0.5 * h * k2u)
+        k2u = v + hh * k1v
+        k2v = coef * (u + hh * v)
+        k3u = v + hh * k2v
+        k3v = coef * (u + hh * k2u)
         k4u = v + h * k3v
         k4v = coef * (u + h * k3u)
-        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        mag = v * v + abs(coef) * u * u
+        u = u + h6 * (v + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        mag = v * v + acoef * u * u
         if mag > scale:
             scale = mag
-        s = 0
         if u > 0.0:
-            s = 1
-        elif u < 0.0:
-            s = -1
-        if s != 0:
-            if last_sign != 0 and s != last_sign:
+            if last_sign < 0:
                 count += 1
-            last_sign = s
+            last_sign = 1
+        elif u < 0.0:
+            if last_sign > 0:
+                count += 1
+            last_sign = -1
     drift = abs((v * v - coef * u * u) - q0)
     return count, drift, scale
 

@@ -15,7 +15,16 @@ from dipole1d.critical import (
     p_crit_numeric,
     physical_dipole_scan,
 )
-from dipole1d.eigensolver import AlphaCritEstimate, find_alpha_crit, window_bias
+from dipole1d.eigensolver import (
+    AlphaCritEstimate,
+    Grid,
+    _rk4_node_count,
+    discretize,
+    find_alpha_crit,
+    lowest_eigenvalues,
+    window_bias,
+)
+from dipole1d.potentials import PhysicalDipole, PointDipole
 from dipole1d.units import ATOMIC_UNITS, CODATA, ConstantSet, alpha_from_p, bohr_radius
 
 
@@ -156,3 +165,82 @@ def test_dipole_scan_validation():
         physical_dipole_scan(d_list=(1.0,), epsilon=-1.0)
     with pytest.raises(ValueError):
         physical_dipole_scan(d_list=(1.0,), epsilon=1e-3, domain=(1.0, 2.0))
+
+
+def _bisection_binds(spec, grid, bind_threshold):
+    # the binding predicate as a bisected ground state: E0 < threshold
+    sp = lowest_eigenvalues(discretize(spec, grid), 1, want_vectors=False)
+    return float(sp.energies[0]) < bind_threshold
+
+
+def test_binds_matches_bisected_ground_state_on_dipole_scan_grid():
+    grid = Grid("uniform", -30.0, 30.0, 3001)
+    bracket = (P_CRIT_AU / 10.0, P_CRIT_AU * 10.0)
+    # the point-dipole onset on this grid is at p = 0.17595 (dipole-limit)
+    ladder = [0.1759 + 2e-4 * k for k in range(-5, 6)]
+    on_ladder = []
+    for p in ladder:
+        want = _bisection_binds(PointDipole(p), grid, -1e-8)
+        assert crit._binds(PointDipole(p), grid, -1e-8) is want
+        on_ladder.append(want)
+    assert on_ladder == sorted(on_ladder) and on_ladder[0] is False and on_ladder[-1] is True
+    ends = [PointDipole(p) for p in bracket]
+    ends += [PhysicalDipole(Q=p / d, d=d, epsilon=1e-3)
+             for d in (1.0, 0.5, 0.2, 0.1, 0.05) for p in bracket]
+    for spec in ends:
+        assert crit._binds(spec, grid, -1e-8) is _bisection_binds(spec, grid, -1e-8)
+
+
+# Reference copy of the RK4 node count before its loop invariants were
+# hoisted; the hoisted loop must return the identical (count, drift, scale).
+def _seed_rk4_node_count(coef, v0, span, nsteps):
+    # u'' = coef * u in s = ln y, with coef = 1/4 - alpha.  The quadratic
+    # Q = u'^2 - coef u^2 is exactly conserved; its drift flags step failure.
+    h = span / nsteps
+    u = 0.0
+    v = v0
+    q0 = v * v - coef * u * u
+    scale = abs(q0)
+    count = 0
+    last_sign = 0
+    for _ in range(nsteps):
+        k1u = v
+        k1v = coef * u
+        k2u = v + 0.5 * h * k1v
+        k2v = coef * (u + 0.5 * h * k1u)
+        k3u = v + 0.5 * h * k2v
+        k3v = coef * (u + 0.5 * h * k2u)
+        k4u = v + h * k3v
+        k4v = coef * (u + h * k3u)
+        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        mag = v * v + abs(coef) * u * u
+        if mag > scale:
+            scale = mag
+        s = 0
+        if u > 0.0:
+            s = 1
+        elif u < 0.0:
+            s = -1
+        if s != 0:
+            if last_sign != 0 and s != last_sign:
+                count += 1
+            last_sign = s
+    drift = abs((v * v - coef * u * u) - q0)
+    return count, drift, scale
+
+
+def test_rk4_node_count_bit_identical_to_reference():
+    alphas = (-1.0, 0.0, 0.1, 0.2499, 0.25, 0.2501, 0.26, 0.3, 0.5, 1.0, 3.0)
+    windows = ((1e-3, 10.0), (1e-2, 1e2), (1e-4, 1e4), (1e-6, 1e6), (1e-8, 1e8), (1e-12, 1e12),
+               (1e-16, 1e16))
+    counts = set()
+    for alpha in alphas:
+        for delta, L in windows:
+            span = math.log(L / delta)
+            nsteps = max(256, int(math.ceil(span * 128)))
+            args = (0.25 - alpha, math.sqrt(delta), span, nsteps)
+            got = _rk4_node_count(*args)
+            assert got == _seed_rk4_node_count(*args)
+            counts.add(got[0])
+    assert len(counts) > 5  # zero and many-node solutions both covered

@@ -544,46 +544,6 @@ def cutoff_sweep(
     )
 
 
-def _rk4_node_count(coef, v0, span, nsteps):
-    # u'' = coef * u in s = ln y, with coef = 1/4 - alpha.  The quadratic
-    # Q = u'^2 - coef u^2 is exactly conserved; its drift flags step failure.
-    # The loop runs over the full span even after the first node, so the
-    # drift check covers every step.
-    h = span / nsteps
-    hh = 0.5 * h  # 0.5 * h * k evaluates as (0.5 * h) * k
-    h6 = h / 6.0
-    acoef = abs(coef)
-    u = 0.0
-    v = v0
-    q0 = v * v - coef * u * u
-    scale = abs(q0)
-    count = 0
-    last_sign = 0
-    for _ in range(nsteps):
-        k1v = coef * u
-        k2u = v + hh * k1v
-        k2v = coef * (u + hh * v)
-        k3u = v + hh * k2v
-        k3v = coef * (u + hh * k2u)
-        k4u = v + h * k3v
-        k4v = coef * (u + h * k3u)
-        u = u + h6 * (v + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        mag = v * v + acoef * u * u
-        if mag > scale:
-            scale = mag
-        if u > 0.0:
-            if last_sign < 0:
-                count += 1
-            last_sign = 1
-        elif u < 0.0:
-            if last_sign > 0:
-                count += 1
-            last_sign = -1
-    drift = abs((v * v - coef * u * u) - q0)
-    return count, drift, scale
-
-
 def zero_energy_node_count(
     alpha: float,
     delta: float,
@@ -592,13 +552,29 @@ def zero_energy_node_count(
     drift_tol: float = 1e-6,
 ) -> int:
     """Interior nodes on (delta, L) of the zero-energy solution with
-    psi(delta) = 0, psi'(delta) = 1.
+    psi(delta) = 0, psi'(delta) = 1, as fixed-step RK4 resolves it.
 
-    Integrates the log-coordinate form u'' = (1/4 - alpha) u (u = e^(-s/2) psi,
-    s = ln y) with fixed-step RK4 and counts sign changes.  For alpha > 1/4
-    the exact solution oscillates log-periodically and the count equals
-    floor(sqrt(alpha - 1/4) ln(L/delta) / pi); below threshold it is 0.  The
-    count depends on the window only through L/delta.
+    The log-coordinate form u'' = coef u (coef = 1/4 - alpha, u = e^(-s/2) psi,
+    s = ln y) is linear with constant coefficients, so K fixed RK4 steps of
+    size h apply one 2x2 propagator K times: the step map is R(hA) with
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the RK4 stability function
+    (Hairer and Wanner, Solving ODEs II, section IV.2).  Its powers give the
+    exact count and drift of the discrete solution without stepping.  With
+    c = coef h^2:
+
+    * the quadratic Q = u'^2 - coef u^2, conserved by the ODE, gains the
+      factor rho = R(z) R(-z) = 1 + c^3/72 + c^4/576 per step, so the drift
+      gate compares |rho^K - 1| / max(1, rho^K) with ``drift_tol`` and raises
+      :class:`IntegrationError` above it or when it is not finite;
+    * for coef < 0 the iterates are u_k ~ |R|^k sin(k theta) with
+      theta = arg R(i sqrt(-c)), so the sign changes over k = 1..K number
+      ceil(K |theta| / pi) - 1 (an exact zero at k = K is not a change);
+    * for coef >= 0, R(z) > 0 for every real z keeps u_k > 0: no nodes.
+
+    For alpha > 1/4 this differs from the continuum count
+    floor(sqrt(alpha - 1/4) ln(L/delta) / pi) only through the O(h^4) RK4
+    phase error; below threshold it is 0.  The count depends on the window
+    only through L/delta.
     """
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
@@ -606,13 +582,23 @@ def zero_energy_node_count(
         raise ValueError("need 0 < delta < L, both finite")
     span = math.log(L / delta)
     nsteps = max(256, int(math.ceil(span * steps_per_unit)))
-    count, drift, scale = _rk4_node_count(0.25 - alpha, math.sqrt(delta), span, nsteps)
-    if drift > drift_tol * scale:
+    coef = 0.25 - alpha
+    if coef >= 0.0:
+        return 0
+    h = span / nsteps
+    c = coef * h * h
+    # |rho^K - 1| / max(1, rho^K) from K ln(rho): rho^K itself overflows on
+    # a failed step, and a c^4 overflow leaves nan, which fails the gate
+    log_growth = nsteps * math.log1p(c * c * c / 72.0 + (c * c) * (c * c) / 576.0)
+    drift = -math.expm1(-abs(log_growth))
+    if not drift <= drift_tol:
         raise IntegrationError(
-            f"conserved-quantity drift {drift:.3e} exceeds {drift_tol:.1e} x scale; "
+            f"relative conserved-quantity drift {drift:.3e} exceeds {drift_tol:.1e}; "
             "reduce the step size"
         )
-    return int(count)
+    y = math.sqrt(-c)
+    theta = math.atan2(y - y * y * y / 6.0, 1.0 - 0.5 * y * y + (y * y) * (y * y) / 24.0)
+    return math.ceil(nsteps * abs(theta) / math.pi) - 1
 
 
 def window_bias(delta: float, L: float) -> float:

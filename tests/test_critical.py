@@ -18,11 +18,12 @@ from dipole1d.critical import (
 from dipole1d.eigensolver import (
     AlphaCritEstimate,
     Grid,
-    _rk4_node_count,
+    IntegrationError,
     discretize,
     find_alpha_crit,
     lowest_eigenvalues,
     window_bias,
+    zero_energy_node_count,
 )
 from dipole1d.potentials import PhysicalDipole, PointDipole
 from dipole1d.units import ATOMIC_UNITS, CODATA, ConstantSet, alpha_from_p, bohr_radius
@@ -191,8 +192,8 @@ def test_binds_matches_bisected_ground_state_on_dipole_scan_grid():
         assert crit._binds(spec, grid, -1e-8) is _bisection_binds(spec, grid, -1e-8)
 
 
-# Reference copy of the RK4 node count before its loop invariants were
-# hoisted; the hoisted loop must return the identical (count, drift, scale).
+# Reference copy of the stepped RK4 node count that the closed-form
+# propagator count replaced; its counts and gate decisions must agree.
 def _seed_rk4_node_count(coef, v0, span, nsteps):
     # u'' = coef * u in s = ln y, with coef = 1/4 - alpha.  The quadratic
     # Q = u'^2 - coef u^2 is exactly conserved; its drift flags step failure.
@@ -230,6 +231,28 @@ def _seed_rk4_node_count(coef, v0, span, nsteps):
     return count, drift, scale
 
 
+def _seed_node_count(alpha, delta, L, steps_per_unit=128, drift_tol=1e-6):
+    # None where the stepped gate refuses the run; a non-finite drift or
+    # scale counts as a refusal (the stepped gate itself let it through)
+    span = math.log(L / delta)
+    nsteps = max(256, int(math.ceil(span * steps_per_unit)))
+    count, drift, scale = _seed_rk4_node_count(0.25 - alpha, math.sqrt(delta), span, nsteps)
+    if not drift <= drift_tol * scale or not math.isfinite(scale):
+        return None
+    return count
+
+
+def _node_count(alpha, delta, L, steps_per_unit=128):
+    try:
+        return zero_energy_node_count(alpha, delta, L, steps_per_unit=steps_per_unit)
+    except IntegrationError:
+        return None
+
+
+# perfbench `threshold` windows at seed 0: ln(L/delta) = 8k ln 10
+THRESHOLD_WINDOWS = tuple((10.0 ** (-4 * k), 10.0 ** (4 * k)) for k in range(1, 5))
+
+
 def test_rk4_node_count_bit_identical_to_reference():
     alphas = (-1.0, 0.0, 0.1, 0.2499, 0.25, 0.2501, 0.26, 0.3, 0.5, 1.0, 3.0)
     windows = ((1e-3, 10.0), (1e-2, 1e2), (1e-4, 1e4), (1e-6, 1e6), (1e-8, 1e8), (1e-12, 1e12),
@@ -237,10 +260,58 @@ def test_rk4_node_count_bit_identical_to_reference():
     counts = set()
     for alpha in alphas:
         for delta, L in windows:
-            span = math.log(L / delta)
-            nsteps = max(256, int(math.ceil(span * 128)))
-            args = (0.25 - alpha, math.sqrt(delta), span, nsteps)
-            got = _rk4_node_count(*args)
-            assert got == _seed_rk4_node_count(*args)
-            counts.add(got[0])
+            got = _node_count(alpha, delta, L)
+            assert got == _seed_node_count(alpha, delta, L)
+            counts.add(got)
     assert len(counts) > 5  # zero and many-node solutions both covered
+
+    # K |theta| / pi evaluates to exactly 1.0 and 3.0 here: u_K = 0 ends the
+    # run without a sign change, and the stepped loop agrees
+    for alpha, delta, L, want in ((0.36634517718277004, 1e-3, 10.0, 0),
+                                  (0.31544416216527055, 1e-8, 1e8, 2)):
+        assert _node_count(alpha, delta, L) == _seed_node_count(alpha, delta, L) == want
+
+    # every bisection midpoint: bisection ends right at each window's
+    # threshold, where K theta / pi ~ 1
+    for delta, L in THRESHOLD_WINDOWS:
+        lo, hi = 0.0, 2.0
+        while hi - lo > 2.0 * 1e-9:
+            mid = 0.5 * (lo + hi)
+            want = _seed_node_count(mid, delta, L)
+            assert _node_count(mid, delta, L) == want
+            if want >= 1:
+                hi = mid
+            else:
+                lo = mid
+        assert find_alpha_crit(delta, L, tol_alpha=1e-9).value == 0.5 * (lo + hi)
+
+    # K = 256 steps over ln(L/delta) = 80 for steps_per_unit 1 and 3, so
+    # h y = 2 sqrt(2), the edge of RK4's imaginary-axis stability interval,
+    # sits at alpha = 1/4 + 8 / h^2; there |R| = 1 and theta < 0.
+    h = 80.0 / 256
+    edge = 0.25 + 8.0 / (h * h)
+    alphas = (0.2, 0.2501, 0.3, 1.0, 4.0, 20.0, 0.999 * edge, edge, 1.001 * edge)
+    refused = 0
+    for spu in (1, 3, 16, 128):
+        for alpha in alphas:
+            want = _seed_node_count(alpha, math.exp(-40.0), math.exp(40.0), spu)
+            assert _node_count(alpha, math.exp(-40.0), math.exp(40.0), spu) == want
+            refused += want is None
+    assert _node_count(edge, math.exp(-40.0), math.exp(40.0), 1) == 155
+    assert 0 < refused < 4 * len(alphas)
+
+
+# find_alpha_crit(delta, L, tol_alpha=1e-9) on THRESHOLD_WINDOWS, recorded
+# from the stepped RK4 loop: (value, half_width, predicted_threshold)
+STEPPED_THRESHOLDS = (
+    (0.27908629458397627, 9.313225746154785e-10, 0.27908629429566806),
+    (0.2572715738788247, 9.313225746154785e-10, 0.257271573573917),
+    (0.253231811337173, 9.313225746154785e-10, 0.2532318104772965),
+    (0.2518178941681981, 9.313225746154785e-10, 0.25181789339347926),
+)
+
+
+def test_critical_scan_thresholds_byte_identical():
+    for (delta, L), want in zip(THRESHOLD_WINDOWS, STEPPED_THRESHOLDS):
+        est = find_alpha_crit(delta, L, tol_alpha=1e-9)
+        assert (est.value, est.half_width, est.predicted_threshold) == want

@@ -328,6 +328,14 @@ def test_node_count_step_failure():
         zero_energy_node_count(4.0, 1e-8, 1e8, steps_per_unit=1)
 
 
+def test_node_count_non_finite_drift_fails_closed():
+    # a stepped RK4 solution overflows here (drift nan, scale inf), and a
+    # plain `drift > tol * scale` gate let 23 and 0 nodes through
+    for alpha in (1e6, 1e8, 1e300, 1.7e308):
+        with pytest.raises(IntegrationError):
+            zero_energy_node_count(alpha, 1e-4, 1e4)
+
+
 def test_node_count_validation():
     with pytest.raises(ValueError):
         zero_energy_node_count(0.5, 1.0, 0.5)

@@ -17,9 +17,7 @@ existence and value of the critical electric dipole moment in one dimension:
 from .units import (
     ATOMIC_UNITS,
     CODATA,
-    AtomicQuantity,
     ConstantSet,
-    DimensionMismatchError,
     alpha_from_p,
     bohr_radius,
     dipole_atomic_to_si,
@@ -36,9 +34,7 @@ from .potentials import (
     PotentialSpec,
     RegularizedCoulomb,
     SingularPointError,
-    classify_domain,
-    eval_potential,
-    make_physical_dipole,
+    eval_potential_grid,
     spec_from_record,
     spec_to_record,
 )

@@ -49,6 +49,7 @@ from .frobenius import (
 )
 from .potentials import (
     PointDipole,
+    eval_potential_grid,
     spec_from_record,
     spec_to_record,
 )
@@ -133,7 +134,6 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     fmt: str = "csv"
     out: str | None = None
-    seed: int = 0
 
     def meta(self) -> dict:
         m = {"command": self.subcommand, "version": __version__}
@@ -502,10 +502,7 @@ def _cmd_dipole_limit(args, c: ConstantSet, file_cfg) -> tuple[RunConfig, int]:
     d_list = tuple(_number_list(args.d, "length", c)) if args.d else (1.0, 0.5, 0.2, 0.1, 0.05)
     epsilon = _number(args.epsilon, "length", c) if args.epsilon is not None else 1e-3
     domain = _parse_domain(args.domain or "-30:30", c)
-    Q = float(args.Q) if args.Q is not None else 1.0
-    result = physical_dipole_scan(
-        d_list=d_list, epsilon=epsilon, domain=domain, Q_nominal=Q, n=args.n,
-    )
+    result = physical_dipole_scan(d_list=d_list, epsilon=epsilon, domain=domain, n=args.n)
     cfg = RunConfig("dipole-limit", c, fmt=args.format, out=args.out)
     cfg.params.update(
         epsilon=_fmt(epsilon), domain=f"{_fmt(domain[0])}:{_fmt(domain[1])}",
@@ -606,13 +603,9 @@ def _cmd_selftest(args, c: ConstantSet, file_cfg) -> tuple[RunConfig, int]:
         ok &= abs(rt - mag) <= 1e-12 * mag
     checks.append(("dipole_round_trip", bool(ok)))
 
-    from .potentials import eval_potential
-
-    ok = True
-    for x in rng.uniform(0.1, 20.0, size=50):
-        v1 = eval_potential(PointDipole(1.0), float(x))
-        v2 = eval_potential(PointDipole(1.0), -float(x))
-        ok &= v1 == -v2
+    xs = rng.uniform(0.1, 20.0, size=50)
+    pd = PointDipole(1.0)
+    ok = np.array_equal(eval_potential_grid(pd, xs), -eval_potential_grid(pd, -xs))
     checks.append(("point_dipole_odd", bool(ok)))
 
     ok = True
@@ -645,7 +638,7 @@ def _cmd_selftest(args, c: ConstantSet, file_cfg) -> tuple[RunConfig, int]:
     failed = [name for name, good in checks if not good]
     for name, good in checks:
         sys.stdout.write(f"{'PASS' if good else 'FAIL'} {name}\n")
-    cfg = RunConfig("selftest", c, seed=args.seed)
+    cfg = RunConfig("selftest", c)
     return cfg, 0 if not failed else 2
 
 
@@ -715,7 +708,6 @@ def build_parser() -> _Parser:
     _add_common(sp)
 
     sp = sub.add_parser("dipole-limit", help="two-centre separation scan (exploratory)")
-    sp.add_argument("--Q", default=None)
     sp.add_argument("--d", default=None, help="comma-separated separations")
     sp.add_argument("--epsilon", default=None)
     sp.add_argument("--domain", default=None, metavar="A:B")

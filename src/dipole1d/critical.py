@@ -235,7 +235,6 @@ class DipoleScanResult:
     epsilon: float
     domain: tuple[float, float]
     n: int
-    Q_nominal: float
     bind_threshold: float
     spread: float | None
     exploratory: bool = True
@@ -278,7 +277,6 @@ def physical_dipole_scan(
     d_list: tuple[float, ...] = (1.0, 0.5, 0.2, 0.1, 0.05),
     epsilon: float = 1e-3,
     domain: tuple[float, float] = (-30.0, 30.0),
-    Q_nominal: float = 1.0,
     n: int | None = None,
     bind_threshold: float = -1e-8,
     tol_p: float = 1e-3,
@@ -337,7 +335,6 @@ def physical_dipole_scan(
         epsilon=epsilon,
         domain=(a, b),
         n=n,
-        Q_nominal=Q_nominal,
         bind_threshold=bind_threshold,
         spread=spread,
     )

@@ -38,7 +38,6 @@ from .potentials import (
     PointDipole,
     PotentialSpec,
     SingularPointError,
-    classify_domain,
     eval_potential_grid,
 )
 from .tridiag import count_sign_changes, eigvalsh_bisect, inverse_iteration
@@ -260,7 +259,7 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
     GridAlignmentError
         if an interior pinned zero falls between grid nodes.
     """
-    profile = classify_domain(spec)
+    profile = spec.profile()
     if isinstance(spec, InverseSquare) and grid.x_min < 0.0:
         raise ValueError("inverse-square problems are posed on y > 0")
     nodes = grid.nodes
@@ -581,6 +580,8 @@ def zero_energy_node_count(
     if not (0.0 < delta < L) or not math.isfinite(L):
         raise ValueError("need 0 < delta < L, both finite")
     span = math.log(L / delta)
+    if not math.isfinite(span):
+        raise ValueError(f"log(L/delta) is not finite for delta = {delta!r}, L = {L!r}")
     nsteps = max(256, int(math.ceil(span * steps_per_unit)))
     coef = 0.25 - alpha
     if coef >= 0.0:

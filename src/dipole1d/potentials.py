@@ -9,9 +9,11 @@ strength per unit source charge kappa = q/(4*pi*eps0) equals 1.  The families:
 * ``PhysicalDipole(Q,d,eps)``    two opposite capped Coulomb centres at +-d/2
 * ``InverseSquare(alpha)``       V(y) = -alpha/y^2 on y > 0 (scaled form)
 
-Every evaluation is pure; the classifier reports singular points, points where
-the wavefunction is pinned to zero (vanish-at-singularity policy) and the
-maximal open intervals of definite sign.
+Each family carries its own formula (``potential``), its domain profile
+(``profile``: singular points, points where the wavefunction is pinned to zero
+under the vanish-at-singularity policy, and the maximal open intervals of
+definite sign) and its record layout (``KIND`` and ``RECORD``).  Every
+evaluation is pure.
 """
 
 from __future__ import annotations
@@ -31,10 +33,7 @@ __all__ = [
     "PotentialSpec",
     "SingularPointError",
     "DomainProfile",
-    "make_physical_dipole",
-    "eval_potential",
     "eval_potential_grid",
-    "classify_domain",
     "spec_to_record",
     "spec_from_record",
 ]
@@ -58,139 +57,6 @@ def _finite(*vals: float) -> bool:
 
 
 @dataclass(frozen=True)
-class Coulomb:
-    """Attractive Coulomb well -lam/|x|.  lam = 0 degenerates to a free particle."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        _require(_finite(self.lam) and self.lam >= 0.0, "lam must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class RegularizedCoulomb:
-    """Coulomb well capped at -lam/epsilon inside |x| <= epsilon."""
-
-    lam: float
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        _require(_finite(self.lam, self.epsilon) and self.lam > 0.0, "lam must be finite and > 0")
-        _require(self.epsilon > 0.0, "epsilon must be > 0")
-
-
-@dataclass(frozen=True)
-class PointDipole:
-    """Idealized dipole p/(x|x|): attractive for x < 0, repulsive for x > 0."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        _require(_finite(self.p) and self.p > 0.0, "p must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class PhysicalDipole:
-    """Two opposite charges +-Q at x = +-d/2, each capped within distance epsilon.
-
-    Sign convention matches :class:`PointDipole`: repulsive far right,
-    attractive far left, and V(-x) = -V(x) exactly.
-    """
-
-    Q: float
-    d: float
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        _require(
-            _finite(self.Q, self.d, self.epsilon)
-            and self.Q > 0.0 and self.d > 0.0 and self.epsilon > 0.0,
-            "Q, d and epsilon must be finite and > 0",
-        )
-
-    @property
-    def p(self) -> float:
-        """Dipole moment Q*d carried by the charge pair."""
-        return self.Q * self.d
-
-
-@dataclass(frozen=True)
-class InverseSquare:
-    """Scaled well -alpha/y^2 on the half line y > 0."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        _require(_finite(self.alpha), "alpha must be finite")
-
-
-PotentialSpec = Union[Coulomb, RegularizedCoulomb, PointDipole, PhysicalDipole, InverseSquare]
-
-
-def make_physical_dipole(Q: float, d: float, epsilon: float) -> PhysicalDipole:
-    """Build the two-centre capped dipole; the d -> 0 limit at fixed p = Q*d
-    reproduces the point-dipole potential to O(d^2) away from the origin."""
-    return PhysicalDipole(Q=Q, d=d, epsilon=epsilon)
-
-
-def eval_potential(spec: PotentialSpec, x: float) -> float:
-    """Evaluate V(x) in hartree for a position x in Bohr radii.
-
-    Raises :class:`SingularPointError` at a singular point and ValueError
-    outside the family's natural domain (InverseSquare needs y > 0).
-    """
-    if not math.isfinite(x):
-        raise ValueError("position must be finite")
-    if isinstance(spec, Coulomb):
-        if spec.lam == 0.0:
-            return 0.0
-        if x == 0.0:
-            raise SingularPointError(0.0)
-        return -spec.lam / abs(x)
-    if isinstance(spec, RegularizedCoulomb):
-        return -spec.lam / max(abs(x), spec.epsilon)
-    if isinstance(spec, PointDipole):
-        if x == 0.0:
-            raise SingularPointError(0.0)
-        return spec.p / (x * abs(x))
-    if isinstance(spec, PhysicalDipole):
-        half = 0.5 * spec.d
-        return spec.Q * (
-            1.0 / max(abs(x - half), spec.epsilon)
-            - 1.0 / max(abs(x + half), spec.epsilon)
-        )
-    if isinstance(spec, InverseSquare):
-        if x == 0.0:
-            raise SingularPointError(0.0)
-        if x < 0.0:
-            raise ValueError("inverse-square well is defined on y > 0")
-        return -spec.alpha / (x * x)
-    raise TypeError(f"unknown potential spec {type(spec).__name__}")
-
-
-def eval_potential_grid(spec: PotentialSpec, xs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`eval_potential`; the caller guarantees no singular x."""
-    xs = np.asarray(xs, dtype=float)
-    if isinstance(spec, Coulomb):
-        if spec.lam == 0.0:
-            return np.zeros_like(xs)
-        return -spec.lam / np.abs(xs)
-    if isinstance(spec, RegularizedCoulomb):
-        return -spec.lam / np.maximum(np.abs(xs), spec.epsilon)
-    if isinstance(spec, PointDipole):
-        return spec.p / (xs * np.abs(xs))
-    if isinstance(spec, PhysicalDipole):
-        half = 0.5 * spec.d
-        return spec.Q * (
-            1.0 / np.maximum(np.abs(xs - half), spec.epsilon)
-            - 1.0 / np.maximum(np.abs(xs + half), spec.epsilon)
-        )
-    if isinstance(spec, InverseSquare):
-        return -spec.alpha / (xs * xs)
-    raise TypeError(f"unknown potential spec {type(spec).__name__}")
-
-
-@dataclass(frozen=True)
 class DomainProfile:
     """Singularities, pinned-zero points and sign regions of one potential.
 
@@ -211,10 +77,25 @@ class DomainProfile:
 _INF = math.inf
 
 
-def classify_domain(spec: PotentialSpec) -> DomainProfile:
-    """Classify singular points, hard nodes and sign regions of ``spec``."""
-    if isinstance(spec, Coulomb):
-        if spec.lam == 0.0:
+@dataclass(frozen=True)
+class Coulomb:
+    """Attractive Coulomb well -lam/|x|.  lam = 0 degenerates to a free particle."""
+
+    KIND = "coulomb"
+    RECORD = (("lambda", "lam"),)
+
+    lam: float
+
+    def __post_init__(self) -> None:
+        _require(_finite(self.lam) and self.lam >= 0.0, "lam must be finite and >= 0")
+
+    def potential(self, xs: np.ndarray) -> np.ndarray:
+        if self.lam == 0.0:
+            return np.zeros_like(xs)
+        return -self.lam / np.abs(xs)
+
+    def profile(self) -> DomainProfile:
+        if self.lam == 0.0:
             return DomainProfile((), (), (), ())
         return DomainProfile(
             singular_points=(0.0,),
@@ -222,53 +103,147 @@ def classify_domain(spec: PotentialSpec) -> DomainProfile:
             attractive=((-_INF, 0.0), (0.0, _INF)),
             repulsive=(),
         )
-    if isinstance(spec, RegularizedCoulomb):
+
+
+@dataclass(frozen=True)
+class RegularizedCoulomb:
+    """Coulomb well capped at -lam/epsilon inside |x| <= epsilon."""
+
+    KIND = "regularized_coulomb"
+    RECORD = (("lambda", "lam"), ("epsilon", "epsilon"))
+
+    lam: float
+    epsilon: float
+
+    def __post_init__(self) -> None:
+        _require(_finite(self.lam, self.epsilon) and self.lam > 0.0, "lam must be finite and > 0")
+        _require(self.epsilon > 0.0, "epsilon must be > 0")
+
+    def potential(self, xs: np.ndarray) -> np.ndarray:
+        return -self.lam / np.maximum(np.abs(xs), self.epsilon)
+
+    def profile(self) -> DomainProfile:
         return DomainProfile((), (), attractive=((-_INF, _INF),), repulsive=())
-    if isinstance(spec, PointDipole):
+
+
+@dataclass(frozen=True)
+class PointDipole:
+    """Idealized dipole p/(x|x|): attractive for x < 0, repulsive for x > 0."""
+
+    KIND = "point_dipole"
+    RECORD = (("p", "p"),)
+
+    p: float
+
+    def __post_init__(self) -> None:
+        _require(_finite(self.p) and self.p > 0.0, "p must be finite and > 0")
+
+    def potential(self, xs: np.ndarray) -> np.ndarray:
+        return self.p / (xs * np.abs(xs))
+
+    def profile(self) -> DomainProfile:
         return DomainProfile(
             singular_points=(0.0,),
             hard_nodes=(0.0,),
             attractive=((-_INF, 0.0),),
             repulsive=((0.0, _INF),),
         )
-    if isinstance(spec, PhysicalDipole):
+
+
+@dataclass(frozen=True)
+class PhysicalDipole:
+    """Two opposite charges +-Q at x = +-d/2, each capped within distance epsilon.
+
+    Sign convention matches :class:`PointDipole`: repulsive far right,
+    attractive far left, and V(-x) = -V(x) exactly.  The d -> 0 limit at
+    fixed p = Q*d reproduces the point dipole to O(d^2) away from the origin.
+    """
+
+    KIND = "physical_dipole"
+    RECORD = (("Q", "Q"), ("d", "d"), ("epsilon", "epsilon"))
+
+    Q: float
+    d: float
+    epsilon: float
+
+    def __post_init__(self) -> None:
+        _require(
+            _finite(self.Q, self.d, self.epsilon)
+            and self.Q > 0.0 and self.d > 0.0 and self.epsilon > 0.0,
+            "Q, d and epsilon must be finite and > 0",
+        )
+
+    @property
+    def p(self) -> float:
+        """Dipole moment Q*d carried by the charge pair."""
+        return self.Q * self.d
+
+    def potential(self, xs: np.ndarray) -> np.ndarray:
+        half = 0.5 * self.d
+        return self.Q * (
+            1.0 / np.maximum(np.abs(xs - half), self.epsilon)
+            - 1.0 / np.maximum(np.abs(xs + half), self.epsilon)
+        )
+
+    def profile(self) -> DomainProfile:
         # Plateau overlap cancels the potential on |x| <= eps - d/2 when the
         # caps cover both centres; outside that the sign is the dipole sign.
-        z0 = max(0.0, spec.epsilon - 0.5 * spec.d)
+        z0 = max(0.0, self.epsilon - 0.5 * self.d)
         return DomainProfile(
             singular_points=(),
             hard_nodes=(),
             attractive=((-_INF, -z0),),
             repulsive=((z0, _INF),),
         )
-    if isinstance(spec, InverseSquare):
-        if spec.alpha > 0.0:
+
+
+@dataclass(frozen=True)
+class InverseSquare:
+    """Scaled well -alpha/y^2 on the half line y > 0."""
+
+    KIND = "inverse_square"
+    RECORD = (("alpha", "alpha"),)
+
+    alpha: float
+
+    def __post_init__(self) -> None:
+        _require(_finite(self.alpha), "alpha must be finite")
+
+    def potential(self, xs: np.ndarray) -> np.ndarray:
+        return -self.alpha / (xs * xs)
+
+    def profile(self) -> DomainProfile:
+        if self.alpha > 0.0:
             return DomainProfile((0.0,), (0.0,), attractive=((0.0, _INF),), repulsive=())
-        if spec.alpha < 0.0:
+        if self.alpha < 0.0:
             return DomainProfile((0.0,), (0.0,), attractive=(), repulsive=((0.0, _INF),))
         return DomainProfile((0.0,), (0.0,), (), ())
-    raise TypeError(f"unknown potential spec {type(spec).__name__}")
 
 
-_RECORD_FIELDS = {
-    "coulomb": (Coulomb, ("lambda",), ("lam",)),
-    "regularized_coulomb": (RegularizedCoulomb, ("lambda", "epsilon"), ("lam", "epsilon")),
-    "point_dipole": (PointDipole, ("p",), ("p",)),
-    "physical_dipole": (PhysicalDipole, ("Q", "d", "epsilon"), ("Q", "d", "epsilon")),
-    "inverse_square": (InverseSquare, ("alpha",), ("alpha",)),
+PotentialSpec = Union[Coulomb, RegularizedCoulomb, PointDipole, PhysicalDipole, InverseSquare]
+
+_FAMILIES = {
+    cls.KIND: cls
+    for cls in (Coulomb, RegularizedCoulomb, PointDipole, PhysicalDipole, InverseSquare)
 }
+
+
+def eval_potential_grid(spec: PotentialSpec, xs: np.ndarray) -> np.ndarray:
+    """V in hartree on an array of positions in Bohr radii; the caller
+    guarantees that no position is a singular point of ``spec``."""
+    return spec.potential(np.asarray(xs, dtype=float))
 
 
 def spec_to_record(spec: PotentialSpec) -> dict[str, str]:
     """Flatten a potential to the key=value record used by the CLI and config
     files.  All parameters are atomic units."""
-    for kind, (cls, keys, attrs) in _RECORD_FIELDS.items():
-        if isinstance(spec, cls):
-            rec = {"kind": kind}
-            for key, attr in zip(keys, attrs):
-                rec[key] = repr(getattr(spec, attr))
-            return rec
-    raise TypeError(f"unknown potential spec {type(spec).__name__}")
+    cls = _FAMILIES.get(getattr(spec, "KIND", None))
+    if cls is None:
+        raise TypeError(f"unknown potential spec {type(spec).__name__}")
+    rec = {"kind": cls.KIND}
+    for key, attr in cls.RECORD:
+        rec[key] = repr(getattr(spec, attr))
+    return rec
 
 
 def spec_from_record(record: dict[str, str]) -> PotentialSpec:
@@ -278,15 +253,15 @@ def spec_from_record(record: dict[str, str]) -> PotentialSpec:
     except KeyError:
         raise ValueError("potential record needs a 'kind' key") from None
     try:
-        cls, keys, attrs = _RECORD_FIELDS[kind]
+        cls = _FAMILIES[kind]
     except KeyError:
         raise ValueError(f"unknown potential kind {kind!r}") from None
     kwargs = {}
-    for key, attr in zip(keys, attrs):
+    for key, attr in cls.RECORD:
         if key not in record:
             raise ValueError(f"potential kind {kind!r} needs key {key!r}")
         kwargs[attr] = float(record[key])
-    extra = set(record) - {"kind", *keys}
+    extra = set(record) - {"kind", *(key for key, _ in cls.RECORD)}
     if extra:
         raise ValueError(f"unexpected keys for kind {kind!r}: {sorted(extra)}")
     return cls(**kwargs)

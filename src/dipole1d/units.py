@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "DIMENSIONS",
-    "DimensionMismatchError",
-    "AtomicQuantity",
     "ConstantSet",
     "CODATA",
     "ATOMIC_UNITS",
@@ -31,68 +28,6 @@ __all__ = [
     "energy_atomic_to_si",
     "coulomb_strength_si_to_atomic",
 ]
-
-DIMENSIONS = (
-    "energy",
-    "length",
-    "dipole_moment",
-    "inverse_length_sq",
-    "dimensionless",
-)
-
-
-class DimensionMismatchError(ValueError):
-    """Arithmetic attempted between quantities of different dimension."""
-
-
-@dataclass(frozen=True)
-class AtomicQuantity:
-    """A real value tagged with one of the five dimensions used here.
-
-    The tag survives scalar arithmetic; adding or subtracting quantities of
-    different dimension raises :class:`DimensionMismatchError`.  There is no
-    general unit algebra: products of two tagged quantities are rejected.
-    """
-
-    value: float
-    dimension: str
-
-    def __post_init__(self) -> None:
-        if self.dimension not in DIMENSIONS:
-            raise ValueError(f"unknown dimension {self.dimension!r}")
-        if not math.isfinite(self.value):
-            raise ValueError("value must be finite")
-
-    def _same(self, other: "AtomicQuantity") -> None:
-        if not isinstance(other, AtomicQuantity):
-            raise TypeError("expected an AtomicQuantity")
-        if other.dimension != self.dimension:
-            raise DimensionMismatchError(
-                f"cannot combine {self.dimension!r} with {other.dimension!r}"
-            )
-
-    def __add__(self, other: "AtomicQuantity") -> "AtomicQuantity":
-        self._same(other)
-        return AtomicQuantity(self.value + other.value, self.dimension)
-
-    def __sub__(self, other: "AtomicQuantity") -> "AtomicQuantity":
-        self._same(other)
-        return AtomicQuantity(self.value - other.value, self.dimension)
-
-    def __neg__(self) -> "AtomicQuantity":
-        return AtomicQuantity(-self.value, self.dimension)
-
-    def __mul__(self, scale) -> "AtomicQuantity":
-        if isinstance(scale, AtomicQuantity):
-            raise TypeError("no unit algebra: multiply by a plain number")
-        return AtomicQuantity(self.value * float(scale), self.dimension)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scale) -> "AtomicQuantity":
-        if isinstance(scale, AtomicQuantity):
-            raise TypeError("no unit algebra: divide by a plain number")
-        return AtomicQuantity(self.value / float(scale), self.dimension)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,18 @@ def test_unknown_flag(capsys):
     assert run(["hydrogen", "--frobnicate", "3"]) == 1
 
 
+def test_dipole_limit_has_no_Q_flag(capsys):
+    assert run(["dipole-limit", "--Q", "2"]) == 1
+    assert "code=usage" in capsys.readouterr().err
+
+
+def test_critical_scan_overflowing_window_is_invalid(capsys):
+    assert run(["critical-scan", "--windows", "1e-8:1e8,1e-320:1e10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: code=invalid")
+    assert "\n" not in err.strip()
+
+
 def test_convergence_maps_to_exit_2(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise ConvergenceError("fabricated stall", diagnostics=None)

@@ -336,6 +336,12 @@ def test_node_count_non_finite_drift_fails_closed():
             zero_energy_node_count(alpha, 1e-4, 1e4)
 
 
+def test_node_count_overflowing_window_rejected():
+    # L/delta overflows to inf: refused as invalid input, not an OverflowError
+    with pytest.raises(ValueError, match="not finite"):
+        zero_energy_node_count(0.5, 1e-320, 1e10)
+
+
 def test_node_count_validation():
     with pytest.raises(ValueError):
         zero_energy_node_count(0.5, 1.0, 0.5)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dipole1d.eigensolver import Grid, discretize
 from dipole1d.potentials import (
     Coulomb,
     InverseSquare,
@@ -10,39 +11,33 @@ from dipole1d.potentials import (
     PointDipole,
     RegularizedCoulomb,
     SingularPointError,
-    classify_domain,
-    eval_potential,
     eval_potential_grid,
-    make_physical_dipole,
     spec_from_record,
     spec_to_record,
 )
 
 
 def test_point_dipole_values():
-    pd = PointDipole(1.0)
-    assert eval_potential(pd, -2.0) == pytest.approx(-0.25, rel=1e-14)
-    assert eval_potential(pd, 2.0) == pytest.approx(0.25, rel=1e-14)
+    vals = eval_potential_grid(PointDipole(1.0), [-2.0, 2.0])
+    assert vals == pytest.approx([-0.25, 0.25], rel=1e-14)
 
 
 def test_point_dipole_oddness():
     pd = PointDipole(0.7)
     rng = np.random.default_rng(7)
-    for x in rng.uniform(1e-3, 50.0, size=100):
-        assert eval_potential(pd, float(x)) == -eval_potential(pd, -float(x))
+    xs = rng.uniform(1e-3, 50.0, size=100)
+    assert np.array_equal(eval_potential_grid(pd, xs), -eval_potential_grid(pd, -xs))
 
 
 def test_regularized_coulomb_branches():
-    rc = RegularizedCoulomb(1.0, 0.1)
-    assert eval_potential(rc, 0.05) == pytest.approx(-10.0, rel=1e-14)
-    assert eval_potential(rc, 0.2) == pytest.approx(-5.0, rel=1e-14)
+    vals = eval_potential_grid(RegularizedCoulomb(1.0, 0.1), [0.05, 0.2])
+    assert vals == pytest.approx([-10.0, -5.0], rel=1e-14)
 
 
 def test_regularized_coulomb_continuity_and_floor():
     rc = RegularizedCoulomb(2.0, 0.3)
     eps = rc.epsilon
-    inner = eval_potential(rc, eps * (1 - 1e-16))
-    outer = eval_potential(rc, eps)
+    inner, outer = eval_potential_grid(rc, [eps * (1 - 1e-16), eps])
     assert inner == outer  # both branches give -lam/eps at the cap edge
     xs = np.linspace(-5, 5, 1001)
     vals = eval_potential_grid(rc, xs)
@@ -51,45 +46,41 @@ def test_regularized_coulomb_continuity_and_floor():
 
 def test_coulomb_values_and_singularity():
     c = Coulomb(1.0)
-    assert eval_potential(c, 2.0) == pytest.approx(-0.5, rel=1e-14)
-    with pytest.raises(SingularPointError) as err:
-        eval_potential(c, 0.0)
-    assert err.value.point == 0.0
+    assert eval_potential_grid(c, [2.0]) == pytest.approx([-0.5], rel=1e-14)
 
 
 def test_coulomb_free_particle_degenerate_case():
     free = Coulomb(0.0)
-    assert eval_potential(free, 0.5) == 0.0
-    prof = classify_domain(free)
+    assert eval_potential_grid(free, [0.5]).tolist() == [0.0]
+    prof = free.profile()
     assert prof.singular_points == ()
     assert prof.hard_nodes == ()
 
 
 def test_point_dipole_singularity():
-    with pytest.raises(SingularPointError):
-        eval_potential(PointDipole(1.0), 0.0)
+    # discretize refuses a grid node on the singular point x = 0
+    g = Grid("uniform", 0.0, 10.0, 100, left_bc="neumann")
+    with pytest.raises(SingularPointError) as err:
+        discretize(PointDipole(1.0), g)
+    assert err.value.point == 0.0
 
 
 def test_inverse_square_domain():
     sq = InverseSquare(0.5)
-    assert eval_potential(sq, 2.0) == pytest.approx(-0.125, rel=1e-14)
-    with pytest.raises(SingularPointError):
-        eval_potential(sq, 0.0)
-    with pytest.raises(ValueError):
-        eval_potential(sq, -1.0)
+    assert eval_potential_grid(sq, [2.0]) == pytest.approx([-0.125], rel=1e-14)
 
 
 def test_physical_dipole_matches_point_dipole_far_away():
-    phys = make_physical_dipole(Q=1.0, d=0.01, epsilon=1e-6)
-    want = eval_potential(PointDipole(0.01), -2.0)
-    got = eval_potential(phys, -2.0)
+    phys = PhysicalDipole(Q=1.0, d=0.01, epsilon=1e-6)
+    want = eval_potential_grid(PointDipole(0.01), [-2.0])[0]
+    got = eval_potential_grid(phys, [-2.0])[0]
     assert got == pytest.approx(-0.0025, abs=2e-5)
     assert got == pytest.approx(want, abs=2e-5)
 
 
 def test_physical_dipole_antisymmetry_at_origin():
-    phys = make_physical_dipole(Q=1.0, d=1.0, epsilon=1e-3)
-    assert eval_potential(phys, 0.0) == 0.0
+    phys = PhysicalDipole(Q=1.0, d=1.0, epsilon=1e-3)
+    assert eval_potential_grid(phys, [0.0]).tolist() == [0.0]
 
 
 def test_physical_dipole_second_order_convergence():
@@ -100,7 +91,7 @@ def test_physical_dipole_second_order_convergence():
     ideal = eval_potential_grid(PointDipole(p), xs)
     sups = []
     for d in (0.02, 0.01, 0.005):
-        phys = make_physical_dipole(Q=p / d, d=d, epsilon=1e-9)
+        phys = PhysicalDipole(Q=p / d, d=d, epsilon=1e-9)
         sups.append(np.max(np.abs(eval_potential_grid(phys, xs) - ideal)))
     assert sups[0] > sups[1] > sups[2]
     assert sups[0] / sups[1] == pytest.approx(4.0, rel=0.15)
@@ -113,13 +104,13 @@ def test_physical_dipole_sup_vanishes_with_separation():
     ideal = eval_potential_grid(PointDipole(p), xs)
     sup = []
     for d in (1e-2, 1e-3, 1e-4):
-        phys = make_physical_dipole(Q=p / d, d=d, epsilon=1e-12)
+        phys = PhysicalDipole(Q=p / d, d=d, epsilon=1e-12)
         sup.append(np.max(np.abs(eval_potential_grid(phys, xs) - ideal)))
     assert sup[-1] < 1e-9
 
 
 def test_classify_point_dipole():
-    prof = classify_domain(PointDipole(1.0))
+    prof = PointDipole(1.0).profile()
     assert prof.singular_points == (0.0,)
     assert prof.hard_nodes == (0.0,)
     assert prof.attractive == ((-math.inf, 0.0),)
@@ -127,34 +118,34 @@ def test_classify_point_dipole():
 
 
 def test_classify_coulomb():
-    prof = classify_domain(Coulomb(1.0))
+    prof = Coulomb(1.0).profile()
     assert prof.hard_nodes == (0.0,)
     assert prof.attractive == ((-math.inf, 0.0), (0.0, math.inf))
     assert prof.repulsive == ()
 
 
 def test_classify_regularized_coulomb():
-    prof = classify_domain(RegularizedCoulomb(1.0, 0.1))
+    prof = RegularizedCoulomb(1.0, 0.1).profile()
     assert prof.singular_points == ()
     assert prof.hard_nodes == ()
     assert prof.attractive == ((-math.inf, math.inf),)
 
 
 def test_classify_inverse_square():
-    prof = classify_domain(InverseSquare(0.5))
+    prof = InverseSquare(0.5).profile()
     assert prof.singular_points == (0.0,)
     assert prof.hard_nodes == (0.0,)
     assert prof.attractive == ((0.0, math.inf),)
-    rep = classify_domain(InverseSquare(-0.5))
+    rep = InverseSquare(-0.5).profile()
     assert rep.repulsive == ((0.0, math.inf),)
     assert rep.attractive == ()
 
 
 def test_classify_physical_dipole_plateau():
-    small_cap = classify_domain(PhysicalDipole(1.0, 1.0, 1e-3))
+    small_cap = PhysicalDipole(1.0, 1.0, 1e-3).profile()
     assert small_cap.singular_points == ()
     assert small_cap.attractive == ((-math.inf, 0.0),)
-    big_cap = classify_domain(PhysicalDipole(1.0, 0.5, 1.0))
+    big_cap = PhysicalDipole(1.0, 0.5, 1.0).profile()
     (lo, hi), = big_cap.attractive
     assert hi == pytest.approx(-0.75)  # zero plateau spans |x| <= eps - d/2
 
@@ -168,15 +159,13 @@ def test_sign_regions_match_evaluation():
         PhysicalDipole(1.0, 0.3, 1e-3),
         InverseSquare(1.2),
     ):
-        prof = classify_domain(spec)
+        prof = spec.profile()
         for lo, hi in prof.attractive:
-            for _ in range(20):
-                x = rng.uniform(max(lo, -50.0) + 1e-6, min(hi, 50.0) - 1e-6)
-                assert eval_potential(spec, float(x)) < 0.0
+            xs = rng.uniform(max(lo, -50.0) + 1e-6, min(hi, 50.0) - 1e-6, size=20)
+            assert np.all(eval_potential_grid(spec, xs) < 0.0)
         for lo, hi in prof.repulsive:
-            for _ in range(20):
-                x = rng.uniform(max(lo, -50.0) + 1e-6, min(hi, 50.0) - 1e-6)
-                assert eval_potential(spec, float(x)) > 0.0
+            xs = rng.uniform(max(lo, -50.0) + 1e-6, min(hi, 50.0) - 1e-6, size=20)
+            assert np.all(eval_potential_grid(spec, xs) > 0.0)
 
 
 def test_constructor_validation():

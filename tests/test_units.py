@@ -1,15 +1,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dipole1d.units import (
     ATOMIC_UNITS,
     CODATA,
-    AtomicQuantity,
     ConstantSet,
-    DimensionMismatchError,
     alpha_from_p,
     bohr_radius,
     dipole_atomic_to_si,
@@ -102,43 +100,3 @@ def test_constant_set_rejects_nonpositive():
         ConstantSet(epsilon0=-1.0)
     with pytest.raises(ValueError):
         ConstantSet(m_electron=float("nan"))
-
-
-def test_atomic_quantity_same_dimension_arithmetic():
-    a = AtomicQuantity(1.5, "energy")
-    b = AtomicQuantity(-0.5, "energy")
-    assert (a + b).value == 1.0
-    assert (a + b).dimension == "energy"
-    assert (a - b).dimension == "energy"
-    assert (-a).value == -1.5
-
-
-def test_atomic_quantity_rejects_cross_dimension():
-    a = AtomicQuantity(1.0, "energy")
-    b = AtomicQuantity(1.0, "length")
-    with pytest.raises(DimensionMismatchError):
-        a + b
-    with pytest.raises(DimensionMismatchError):
-        a - b
-
-
-def test_atomic_quantity_no_unit_algebra():
-    a = AtomicQuantity(1.0, "energy")
-    with pytest.raises(TypeError):
-        a * a
-    with pytest.raises(TypeError):
-        a / a
-
-
-@settings(max_examples=200)
-@given(st.floats(-1e6, 1e6), st.floats(-100, 100, allow_nan=False))
-def test_atomic_quantity_scalar_ops_preserve_tag(v, s):
-    q = AtomicQuantity(v, "dipole_moment")
-    assert (q * s).dimension == "dipole_moment"
-    assert (q * s).value == v * s
-    assert (2.0 * q).value == 2.0 * v
-
-
-def test_atomic_quantity_rejects_unknown_dimension():
-    with pytest.raises(ValueError):
-        AtomicQuantity(1.0, "volume")

@@ -26,7 +26,7 @@ from .eigensolver import (
     find_alpha_crit,
 )
 from .potentials import PhysicalDipole, PointDipole
-from .tridiag import sturm_count
+from .tridiag import _has_eigenvalue_below
 from .units import ConstantSet, bohr_radius, dipole_atomic_to_si
 
 __all__ = [
@@ -250,11 +250,12 @@ def _binds(spec, grid: Grid, bind_threshold: float) -> bool:
 
     The discrete oscillation theorem: the Sturm count of the operator at
     ``bind_threshold`` is the number of levels strictly below it, so binding
-    is that count being >= 1.  One Sturm pass, and exact on the discrete
-    operator, with no eigenvalue bisected.
+    is that count being >= 1.  One Sturm pass, which stops at the first
+    negative pivot, exact on the discrete operator, with no eigenvalue
+    bisected.
     """
     H = discretize(spec, grid)
-    return sturm_count(H.diagonal, H.offdiagonal, bind_threshold) >= 1
+    return _has_eigenvalue_below(H.diagonal, H.offdiagonal, bind_threshold)
 
 
 def _bisect_p(predicate, p_lo: float, p_hi: float, tol_p: float):

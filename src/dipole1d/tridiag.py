@@ -6,10 +6,19 @@ this path.  Eigenvectors come from inverse iteration with a pivoted
 tridiagonal solve.  The kernels loop over ``tolist()`` copies of the operator:
 Python float arithmetic is the same IEEE double arithmetic as numpy float64,
 at a fraction of the cost of reading numpy scalars one at a time.
+
+A Sturm pass stops as soon as its answer is decided.  A bisection step only
+asks whether count(x) > j for some j < k, so the pass may stop once the count
+reaches k.  And once the LDL^T pivots reach rows that are diagonally dominant
+enough at x, no later pivot can be negative (Barth, Martin and Wilkinson
+1967): ``_tail_certificate`` proves this row by row in the same float
+operations the pass performs, once per operator, so the early stop gives the
+exact count that the full pass gives.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import islice
@@ -25,33 +34,115 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_DENORM = 5e-324  # the smallest positive double
 
 
-def _count_below(diag, off2, x):
+def _operator(diag, off):
+    # float arrays of tridiag(diag, off); the early-stop proof needs finite entries
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    if diag.ndim != 1 or off.shape != (diag.shape[0] - 1,):
+        raise ValueError("off must have length n - 1")
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise ValueError("diag and off must be finite")
+    return diag, off
+
+
+def _shift(x, name="x") -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _count_below(diag, off2, x, cap=None, tail=None):
     # Number of sign agreements in the LDL^T pivots of T - x*I equals the
     # number of eigenvalues strictly below x (Sturm sequence).  A pivot of
     # exactly 0 is floored to -_TINY; the next e2 / d may then overflow to
     # inf, which IEEE arithmetic carries through correctly.
+    #
+    # The pass returns early in two cases.  (1) The count reaches ``cap``:
+    # it returns cap, i.e. min(count, cap).  (2) ``tail`` is
+    # _tail_certificate(...) = (bound, floor), and a pivot d_i >= bound[i]
+    # occurs at a row i >= start - 1, where start is the first row with
+    # floor[start] >= x: every row from start on then has a threshold
+    # t >= x.  IEEE rounding is monotone, so d_{i-1} >= b_{i-1} > 0 gives
+    # fl(e2 / d_{i-1}) <= r_i, x <= t_i gives fl(a_i - x) >= fl(a_i - t_i),
+    # and so d_i >= fl(fl(a_i - t_i) - r_i) >= b_i: no later pivot is zero or
+    # negative, and the count so far is the exact count.
+    n = len(diag)
+    if cap is None:
+        cap = n
+    bound, first = (), n  # first: the first row whose pivot may end the pass
+    if tail is not None:
+        bound, floor = tail
+        first = max(bisect_left(floor, x) - 1, 0)
     d = diag[0] - x
     if d == 0.0:
         d = -_TINY
     count = 1 if d < 0.0 else 0
-    for a, e2 in zip(islice(diag, 1, None), off2):
+    if count == cap or (first == 0 and d >= bound[0]):
+        return count
+    first = max(first, 1)
+    for a, e2 in zip(islice(diag, 1, first), off2):
         d = (a - x) - e2 / d
-        if d == 0.0:
-            d = -_TINY
-        if d < 0.0:
+        if d <= 0.0:
+            if d == 0.0:
+                d = -_TINY
             count += 1
+            if count == cap:
+                return count
+    for a, e2, b in zip(islice(diag, first, None), islice(off2, first - 1, None),
+                        islice(bound, first, None)):
+        d = (a - x) - e2 / d
+        if d >= b:
+            return count
+        if d <= 0.0:
+            if d == 0.0:
+                d = -_TINY
+            count += 1
+            if count == cap:
+                return count
     return count
+
+
+def _tail_certificate(diag, off, off2):
+    # The per-operator certificate of _count_below: the lists (bound, floor).
+    # Row i gets b_i = |e_i| (the smallest positive double where e_i = 0 and
+    # on the last row), r_i = fl(e2_{i-1} / b_{i-1}) and a threshold t_i
+    # checked to satisfy fl(fl(a_i - t_i) - r_i) >= b_i in exactly the float
+    # operations of the pass.  Rows where that fails get t_i = -inf.  floor
+    # holds the suffix minima of t, so it is ascending.
+    n = diag.shape[0]
+    b = np.full(n, _DENORM)
+    b[:-1] = np.where(off == 0.0, _DENORM, np.abs(off))
+    r = np.zeros(n)
+    r[1:] = off2 / b[:-1]  # inf where e2 overflowed
+    usable = np.isfinite(r)
+    r[~usable] = 0.0  # kept out of inf - inf; those rows get -inf below
+    with np.errstate(over="ignore"):  # a threshold below -DBL_MAX is -inf, still sound
+        t = (diag - r) - b
+        ok = usable & (((diag - t) - r) >= b)
+        # Rounding can leave the first guess a few ulps short: retry once
+        # with a margin on the scale of the rounding errors.
+        retry = usable & ~ok
+        t[retry] -= 4.0 * np.finfo(float).eps * (np.abs(diag) + r + b)[retry]
+        ok |= retry & (((diag - t) - r) >= b)
+    t[~ok] = -np.inf
+    floor = np.minimum.accumulate(t[::-1])[::-1]
+    return b.tolist(), floor.tolist()
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     """Count eigenvalues of tridiag(diag, off) strictly below x."""
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    if off.shape[0] != diag.shape[0] - 1:
-        raise ValueError("off must have length n - 1")
-    return _count_below(diag.tolist(), (off * off).tolist(), float(x))
+    diag, off = _operator(diag, off)
+    return _count_below(diag.tolist(), (off * off).tolist(), _shift(x))
+
+
+def _has_eigenvalue_below(diag: np.ndarray, off: np.ndarray, x: float) -> bool:
+    # sturm_count(diag, off, x) >= 1, stopping at the first negative pivot
+    diag, off = _operator(diag, off)
+    return _count_below(diag.tolist(), (off * off).tolist(), _shift(x), 1) == 1
 
 
 def gershgorin_bounds(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
@@ -76,19 +167,23 @@ def eigvalsh_bisect(
     Returns (values, widths): bracket midpoints and final bracket widths.
     Index bracketing is exact because the Sturm count is monotone in x.
     Every count taken is kept, so a bisection step that an earlier count
-    already decides costs no Sturm pass.
+    already decides costs no Sturm pass.  Each pass stops once its count
+    reaches k or the tail certificate settles it; a count capped at k still
+    decides every question count(x) > j with j < k exactly.
     """
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
+    diag, off = _operator(diag, off)
     n = diag.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     lo0, hi0 = gershgorin_bounds(diag, off)
     if lo0 == hi0:
         lo0 -= 1.0
         hi0 += 1.0
-    diag_l = diag.tolist()
-    off2 = (off * off).tolist()
+    off2 = off * off
+    tail = _tail_certificate(diag, off, off2)
+    diag_l, off2_l = diag.tolist(), off2.tolist()
     shifts: list[float] = []  # every shift counted so far, ascending
     counts: list[int] = []    # their Sturm counts, nondecreasing with them
     values = np.empty(k)
@@ -109,7 +204,7 @@ def eigvalsh_bisect(
             elif i > 0 and counts[i - 1] > j:
                 above = True  # a shift < mid already has j + 1 below
             else:
-                c = _count_below(diag_l, off2, mid)
+                c = _count_below(diag_l, off2_l, mid, k, tail)
                 shifts.insert(i, mid)
                 counts.insert(i, c)
                 above = c > j
@@ -209,14 +304,15 @@ def inverse_iteration(
     iters: int = 3,
 ) -> np.ndarray:
     """Unit eigenvector estimate for the eigenvalue nearest lam."""
-    diag = np.asarray(diag, dtype=float)
+    diag, off = _operator(diag, off)
+    lam = _shift(lam, "lam")
     diag_l = diag.tolist()
-    off_l = np.asarray(off, dtype=float).tolist()
-    v = _inverse_iteration(diag_l, off_l, float(lam), int(iters))
+    off_l = off.tolist()
+    v = _inverse_iteration(diag_l, off_l, lam, int(iters))
     if not np.all(np.isfinite(v)):
         # retry with a tiny relative shift away from an exact pivot kill
         scale = max(1.0, float(np.max(np.abs(diag))))
-        v = _inverse_iteration(diag_l, off_l, float(lam) + 1e-13 * scale, int(iters))
+        v = _inverse_iteration(diag_l, off_l, lam + 1e-13 * scale, int(iters))
     return np.array(v)  # a copy: v may still be the cached start vector
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -229,3 +230,46 @@ def test_byte_identical_reruns(tmp_path, argv):
     assert run(argv + ["--out", str(a)]) == 0
     assert run(argv + ["--out", str(b)]) == 0
     assert _read(a) == _read(b)
+
+
+# sha256 of stdout and of the --format both files, recorded from the solver
+# whose Sturm passes walked every row: the benchmark's seed-0 argv and the
+# cutoff-sweep default.  Outputs carry no paths or timestamps; the JSON does
+# carry the package version.  Plain stdout is the CSV text.
+_GOLDEN = [
+    (["hydrogen", "--lambda", "1.0", "--states", "3", "--n", "384", "--domain", "1e-05:200.0"],
+     0, "8752e26bab62b81aad9947d0f1957b5feb8e2d9c205185c5a2a8a395eef93cd7",
+     "564fc3ad19847520e9f2d3d0210790af07d70ceeb2810d105d3279f64e638b2b"),
+    (["dipole-limit", "--d", "1.0,0.5,0.2,0.1,0.05", "--n", "3001"],
+     3, "e01f75b2b3a8b1df6ff97991000828e97b7cbafde648e5cafd2e793bf8a0dbf9",
+     "7acd01af5f536175abc3d1be9b1e8e9c9414b59b0bd7f26af53cebf75c37771c"),
+    (["critical-scan", "--windows",
+      "0.0001:10000.0,1e-08:100000000.0,1e-12:1000000000000.0,1e-16:1e+16", "--tol-alpha", "1e-9"],
+     0, "5d005fbad0471b40981146952f2c01b0e2360188e24d0876910fa9cd9271ab5a",
+     "f2fab53b8c12a1184f0d63a7021a189202db0efb3ab19125cd605ca81f3beead"),
+    (["cutoff-sweep", "--lambda", "1.0", "--epsilon", "0.2,0.1,0.05,0.025,0.0125",
+      "--domain", "0:10.0", "--n", "3200"],
+     0, "fc3d0c5808d77b76b92fd142202e4d2b94223673f45fb1dceaa0d6f8bad56f8d",
+     "bbe35ff14c3207f35f99b3437e07a6039d0c19d4f77989cc56a84d487e809db0"),
+    (["cutoff-sweep"],
+     0, "561d9cc70fe7931ef4182c1678d790cf22066eb7ec8f3c1a9c8116406ecb55ab",
+     "d275517bd482e182e1fa5b61bfa49e59253b0bf48548dd4d8b7d7059e3d376c2"),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, csv_sha, json_sha", _GOLDEN,
+                         ids=["balmer", "dipole-scan", "threshold", "cutoff", "cutoff-sweep"])
+def test_output_bytes_match_golden(argv, code, csv_sha, json_sha, tmp_path, capsys):
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert _sha(captured.out.encode()) == csv_sha
+    out = tmp_path / "o"
+    assert run(argv + ["--format", "both", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _sha(_read(str(out) + ".csv")) == csv_sha
+    assert _sha(_read(str(out) + ".json")) == json_sha

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from dipole1d.eigensolver import Grid, discretize
 from dipole1d.potentials import Coulomb, PhysicalDipole, PointDipole, RegularizedCoulomb
 from dipole1d.tridiag import (
     _count_below,
+    _has_eigenvalue_below,
+    _tail_certificate,
     count_sign_changes,
     eigvalsh_bisect,
     gershgorin_bounds,
@@ -279,6 +283,9 @@ def _grid_operators():
         "neumann_cutoff_3200": (
             discretize(RegularizedCoulomb(1.0, 0.0125),
                        Grid("uniform", 0.0, 10.0, 3200, left_bc="neumann")), 1, 1e-10),
+        "full_line_cutoff_6399": (
+            discretize(RegularizedCoulomb(1.0, 0.2), Grid("uniform", -10.0, 10.0, 6399)),
+            1, 1e-10),
     }
 
 
@@ -327,3 +334,224 @@ def test_solvers_bit_identical_to_reference_on_pipeline_grids(name):
             assert np.array_equal(
                 inverse_iteration(H.diagonal, H.offdiagonal, float(lam)),
                 _reference(_seed_inverse_iteration, H.diagonal, H.offdiagonal, float(lam)))
+
+
+def test_off_of_wrong_length_rejected():
+    # zip would truncate the pass and the Gershgorin radius would broadcast
+    with pytest.raises(ValueError, match="length"):
+        eigvalsh_bisect([1.0, 2.0, 3.0], [-1.0], 2)
+    with pytest.raises(ValueError, match="length"):
+        eigvalsh_bisect([1.0, 2.0], [-1.0, -1.0], 1)
+    with pytest.raises(ValueError, match="length"):
+        sturm_count([1.0, 2.0, 3.0], [-1.0], 0.0)
+    with pytest.raises(ValueError, match="length"):
+        inverse_iteration([1.0, 2.0, 3.0], [-1.0], 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_operator_rejected(bad):
+    diag = np.array([1.0, 2.0, 3.0])
+    off = np.array([-1.0, -1.0])
+    bad_diag = diag.copy()
+    bad_diag[1] = bad
+    bad_off = off.copy()
+    bad_off[0] = bad
+    for d, o in ((bad_diag, off), (diag, bad_off)):
+        with pytest.raises(ValueError, match="finite"):
+            eigvalsh_bisect(d, o, 2)
+        with pytest.raises(ValueError, match="finite"):
+            sturm_count(d, o, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            _has_eigenvalue_below(d, o, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            inverse_iteration(d, o, 0.5)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_shift_rejected(x):
+    diag = np.array([1.0, 2.0, 3.0])
+    off = np.array([-1.0, -1.0])
+    with pytest.raises(ValueError, match="x must be finite"):
+        sturm_count(diag, off, x)
+    with pytest.raises(ValueError, match="x must be finite"):
+        _has_eigenvalue_below(diag, off, x)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        inverse_iteration(diag, off, x)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_bisection_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        eigvalsh_bisect(np.array([1.0, 2.0, 3.0]), np.array([-1.0, -1.0]), 2, tol=tol)
+
+
+def test_has_eigenvalue_below_matches_sturm_count():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for diag, off in _random_operators():
+        for x in rng.uniform(diag.min() - 4, diag.max() + 4, size=6):
+            want = sturm_count(diag, off, float(x)) >= 1
+            assert _has_eigenvalue_below(diag, off, float(x)) is want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+# The early-stopped pass: _count_below(..., cap, tail) must equal
+# min(full count, cap), where the full count is the frozen reference above.
+
+def _well_operator():
+    # a Laplacian with one deep row: only the rows after the well are
+    # certified at x = 0, so a stop one row too early misses its count
+    diag = np.full(12, 2.0)
+    diag[4] = -5.0
+    return diag, np.full(11, -1.0)
+
+
+def _inf_pivot_operator():
+    # x = 1e5 makes rows 0 and 1 exact-zero pivots (-_TINY), across a zero
+    # coupling; row 2 then overflows to +inf and is already certified
+    diag = np.array([1e5, 1e5, 3e5, 3e5, 3e5, 3e5, 3e5])
+    off = np.array([0.0, -1e5, -1e5, -1e5, -1e5, -1e5])
+    return diag, off
+
+
+def _certified_cases():
+    rng = np.random.default_rng(606)
+    cases = []
+    for diag, off in _random_operators():
+        lo, hi = gershgorin_bounds(diag, off)
+        xs = np.concatenate([rng.uniform(lo - 1, hi + 1, size=8), diag[:3]])
+        cases.append((diag, off, xs.tolist()))
+    # exact-zero couplings: three decoupled blocks
+    diag = rng.uniform(1.0, 3.0, size=30)
+    off = -rng.uniform(0.1, 1.0, size=29)
+    off[[9, 19]] = 0.0
+    cases.append((diag, off, rng.uniform(-1.0, 5.0, size=8).tolist() + [float(diag[10])]))
+    cases.append((*_well_operator(), [-0.5, 0.0, 0.5]))
+    cases.append((*_inf_pivot_operator(), [1e5, 0.0, 2e5]))
+    grids = _grid_operators()
+    for name in ("coulomb_log_384", "neumann_cutoff_3200", "full_line_cutoff_6399"):
+        H, k, tol = grids[name]
+        diag, off = H.diagonal, H.offdiagonal
+        vals, widths = eigvalsh_bisect(diag, off, k, tol=tol)
+        xs = [-1e3, -1e-8, 0.0, 1.0, float(diag[len(diag) // 2])]
+        for v, w in zip(vals.tolist(), widths.tolist()):
+            xs += [v - w, v - 0.5 * w, v + 0.5 * w, v + w, v - 1e-3, v + 1e-3]
+        cases.append((diag, off, xs))
+    return cases
+
+
+def test_early_stopped_count_equals_capped_reference():
+    for diag, off, xs in _certified_cases():
+        off2 = off * off
+        tail = _tail_certificate(diag, off, off2)
+        diag_l, off2_l = diag.tolist(), off2.tolist()
+        for x in xs:
+            full = _reference(_seed_count_below, diag, off2, x)
+            assert _count_below(diag_l, off2_l, x, None, tail) == full
+            for cap in (1, 2, 3, len(diag)):
+                assert _count_below(diag_l, off2_l, x, cap, tail) == min(full, cap)
+                assert _count_below(diag_l, off2_l, x, cap) == min(full, cap)
+
+
+def test_certificate_rows_verified_in_float_arithmetic():
+    # every row's suffix minimum t satisfies fl(fl(a - t) - r) >= b, with the
+    # same Python float operations the pass performs
+    for diag, off, _ in _certified_cases():
+        off2 = off * off
+        bound, floor = _tail_certificate(diag, off, off2)
+        want_bound = [abs(e) if e != 0.0 else 5e-324 for e in off.tolist()] + [5e-324]
+        assert bound == want_bound
+        assert floor == sorted(floor)
+        for i, (a, t, b) in enumerate(zip(diag.tolist(), floor, bound)):
+            if t == -math.inf:
+                continue
+            r = float(off2[i - 1]) / bound[i - 1] if i > 0 else 0.0
+            assert (a - t) - r >= b
+
+
+def test_certificate_is_tight_on_the_laplacian():
+    # diag 1, 2, 2, ..., off -1: every row but the last has threshold
+    # exactly 0, the bottom of the infinite Laplacian's spectrum
+    n = 12
+    diag = np.full(n, 2.0)
+    diag[0] = 1.0
+    off = np.full(n - 1, -1.0)
+    bound, floor = _tail_certificate(diag, off, off * off)
+    assert floor[:-1] == [0.0] * (n - 1)
+    assert 0.0 < floor[-1] <= 1.0
+
+
+def test_pass_reads_no_row_after_a_certified_pivot():
+    # Rows after the stop are replaced by a deep well the certificate never
+    # saw: a pass that stops where it should does not count them.
+    n = 12
+    off = np.full(n - 1, -1.0)
+    off2 = (off * off).tolist()
+    poison = [-1e3] * n
+    # row 0: pivot 1 - 0 = b_0 = 1, so the pass stops at row 0
+    diag = np.full(n, 2.0)
+    diag[0] = 1.0
+    tail = _tail_certificate(diag, off, off * off)
+    assert _count_below(diag.tolist()[:1] + poison[1:], off2, 0.0, None, tail) == 0
+    # row 1 (threshold -0.5 < x): pivot 1.5 - 1/2 = b_1 = 1, so it stops there
+    diag = np.full(n, 2.0)
+    diag[1] = 1.5
+    tail = _tail_certificate(diag, off, off * off)
+    assert _count_below(diag.tolist()[:2] + poison[2:], off2, 0.0, None, tail) == 0
+    assert _count_below(diag.tolist()[:2] + poison[2:], off2, 0.0) == n - 2
+
+
+def test_certificate_setup_survives_overflowing_couplings():
+    # |e| = 1e200 squares to inf, and r = inf / 1e200 is inf: a threshold
+    # computed as a - r would meet inf - inf in the verification.  Row 3's
+    # threshold overflows to -inf.  Neither may warn, and neither row is
+    # certified.
+    diag = np.array([1.0, 2.0, 2.0, -1.79e308, 2.0, 2.0, 2.0, 2.0])
+    off = np.array([-1e200, -1.0, -1.0, -1e307, -1.0, -1.0, -1.0])
+    with np.errstate(over="ignore"):
+        off2 = off * off
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound, floor = _tail_certificate(diag, off, off2)
+    assert floor[:5] == [-math.inf] * 5
+    assert all(math.isfinite(t) for t in floor[5:])
+    diag_l, off2_l = diag.tolist(), off2.tolist()
+    for x in (-1.0, 0.0, 0.5):
+        assert _count_below(diag_l, off2_l, x, None, (bound, floor)) == _count_below(
+            diag_l, off2_l, x)
+
+
+def _mp_sturm_count(diag, off, x, dps=40):
+    # the Sturm count of the float64 operator in 40-digit arithmetic
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        count, d, e2 = 0, mpmath.mpf(1), mpmath.mpf(0)
+        for i, a in enumerate(diag):
+            d = (mpmath.mpf(a) - x) - e2 / d
+            if d < 0:
+                count += 1
+            if i < len(off):
+                e2 = mpmath.mpf(off[i]) ** 2
+        return count
+
+
+def test_early_stopped_count_matches_exact_arithmetic_on_balmer_grid():
+    # n = 384: the float count is exact here, on both sides of each level
+    H = discretize(Coulomb(1.0), Grid("logarithmic", 1e-5, 200.0, 384))
+    diag, off = H.diagonal, H.offdiagonal
+    vals, widths = eigvalsh_bisect(diag, off, 3)
+    off2 = off * off
+    tail = _tail_certificate(diag, off, off2)
+    diag_l, off2_l, off_l = diag.tolist(), off2.tolist(), off.tolist()
+    xs = [-1e4, -10.0, 1.0, 1e4]
+    for v, w in zip(vals.tolist(), widths.tolist()):
+        xs += [v - 1e-9, v - 0.5 * w, v + 0.5 * w, v + 1e-9]
+    counts = []
+    for x in xs:
+        exact = _mp_sturm_count(diag_l, off_l, x)
+        assert _count_below(diag_l, off2_l, x, None, tail) == exact
+        assert _count_below(diag_l, off2_l, x, 3, tail) == min(exact, 3)
+        counts.append(exact)
+    assert counts[:2] == [0, 0] and counts[2] > 3
+    assert counts[4:] == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3]

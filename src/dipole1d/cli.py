@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation/usage error, 2 convergence error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -729,6 +730,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    # building the parser costs ~50x a parse; run() reuses one per process
+    return build_parser()
+
+
 _MERGE_FLAGS = {"--domain", "--energy", "--alpha", "--xi", "--length"}
 
 
@@ -749,7 +756,7 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 def run(argv=None) -> int:
     """Parse argv, dispatch, and map failures onto the exit-code contract."""
-    parser = build_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     try:

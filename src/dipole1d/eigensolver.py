@@ -345,16 +345,20 @@ def lowest_eigenvalues(
     tol: float = 1e-10,
     maxit: int = 200,
     want_vectors: bool = True,
+    guesses=None,
 ) -> Spectrum:
     """The k smallest eigenvalues of H with node counts and bracket widths.
 
     Each eigenvalue is bisected until its Sturm bracket is narrower than
     ``tol`` (or ``maxit`` iterations); the Sturm count guarantees the index of
-    every returned bracket.
+    every returned bracket.  ``guesses`` (one per level) only save Sturm
+    passes: the returned values do not depend on them (see
+    :func:`~dipole1d.tridiag.eigvalsh_bisect`).
     """
     if not 1 <= k <= H.size:
         raise ValueError(f"k must be in [1, {H.size}], got {k}")
-    values, widths = eigvalsh_bisect(H.diagonal, H.offdiagonal, k, tol=tol, maxit=maxit)
+    values, widths = eigvalsh_bisect(H.diagonal, H.offdiagonal, k, tol=tol, maxit=maxit,
+                                     guesses=guesses)
     vectors = None
     counts = np.zeros(k, dtype=int)
     if want_vectors:
@@ -430,8 +434,16 @@ def hydrogen_spectrum(
 
     spectra = []
     for g in grids:
+        # Seed each solve with the level it should land near: the previous
+        # grid's, or the O(h^2) prediction fine + (fine - coarse) / 4.
+        guesses = None
+        if len(spectra) == 1:
+            guesses = spectra[0].energies
+        elif spectra:
+            coarse, fine = spectra[-2].energies, spectra[-1].energies
+            guesses = fine + (fine - coarse) / 4.0
         H = discretize(Coulomb(lam), g)
-        spectra.append(lowest_eigenvalues(H, n_states, tol=eig_tol))
+        spectra.append(lowest_eigenvalues(H, n_states, tol=eig_tol, guesses=guesses))
     E = np.vstack([sp.energies for sp in spectra])
 
     estimates = np.abs(E[1:] - E[:-1]) / 3.0
@@ -529,7 +541,9 @@ def cutoff_sweep(
         # even sector of this operator is exactly the reduced one above.
         grid_full = Grid("uniform", -L, L, 2 * n - 1)
         H_full = discretize(RegularizedCoulomb(lam, eps[0]), grid_full)
-        sp_full = lowest_eigenvalues(H_full, 1, tol=eig_tol, want_vectors=False)
+        # the same even-sector level, up to the round-off parity gap
+        sp_full = lowest_eigenvalues(H_full, 1, tol=eig_tol, want_vectors=False,
+                                     guesses=[energies[0]])
         full_check = (eps[0], energies[0], float(sp_full.energies[0]))
 
     return CutoffSweepResult(

@@ -14,11 +14,24 @@ enough at x, no later pivot can be negative (Barth, Martin and Wilkinson
 1967): ``_tail_certificate`` proves this row by row in the same float
 operations the pass performs, once per operator, so the early stop gives the
 exact count that the full pass gives.
+
+A caller that already knows roughly where each level lies (a coarser grid's
+level, the same level of a symmetric reduction) passes it as a guess.  The
+bisection then first counts at two shifts around each guess, widening a side
+by a factor of 8 until the two counts bracket the level, and keeps those
+counts with the others.  The midpoints stay those of the plain bisection
+from the Gershgorin interval.  The float Sturm count is monotone in the
+shift (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995), so a midpoint
+inside a seeded bracket is decided as a pass at it would decide it: values
+and widths do not depend on the guesses, only the number of passes does.
+Entries |e| whose square overflows are refused, because the pass would then
+meet inf / inf and miscount.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import islice
@@ -35,16 +48,22 @@ __all__ = [
 
 _TINY = 1e-300
 _DENORM = 5e-324  # the smallest positive double
+_OFF_MAX = math.sqrt(sys.float_info.max)  # the largest |e| whose square is finite
+_SEED_WIDEN = 8.0  # factor by which a seed that fails to bracket its level moves out
 
 
 def _operator(diag, off):
-    # float arrays of tridiag(diag, off); the early-stop proof needs finite entries
+    # float arrays of tridiag(diag, off); the early-stop proof needs finite
+    # entries, and the pass needs finite squares e^2: an inf e^2 meets inf / inf
+    # and miscounts silently
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
     if diag.ndim != 1 or off.shape != (diag.shape[0] - 1,):
         raise ValueError("off must have length n - 1")
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         raise ValueError("diag and off must be finite")
+    if not np.all(np.abs(off) <= _OFF_MAX):
+        raise ValueError(f"off entries must have a finite square, |off| <= {_OFF_MAX!r}")
     return diag, off
 
 
@@ -147,8 +166,8 @@ def _has_eigenvalue_below(diag: np.ndarray, off: np.ndarray, x: float) -> bool:
 
 def gershgorin_bounds(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
     """Interval certain to contain the whole spectrum."""
-    diag = np.asarray(diag, dtype=float)
-    off = np.abs(np.asarray(off, dtype=float))
+    diag, off = _operator(diag, off)
+    off = np.abs(off)
     radius = np.zeros_like(diag)
     radius[:-1] += off
     radius[1:] += off
@@ -161,6 +180,7 @@ def eigvalsh_bisect(
     k: int,
     tol: float = 1e-10,
     maxit: int = 200,
+    guesses=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenvalues, each bisected to a bracket below ``tol``.
 
@@ -170,6 +190,17 @@ def eigvalsh_bisect(
     already decides costs no Sturm pass.  Each pass stops once its count
     reaches k or the tail certificate settles it; a count capped at k still
     decides every question count(x) > j with j < k exactly.
+
+    ``guesses`` (optional, one finite value per level) only choose where to
+    count first.  Level j is counted at g - delta and g + delta, delta = tol,
+    and a side that does not bracket level j (count(g - delta) > j, or
+    count(g + delta) <= j) moves out by a factor of 8 and is counted again,
+    up to the Gershgorin interval.  Then the bisection runs as without
+    guesses, from the same bracket through the same midpoints.  The float
+    Sturm count is monotone in the shift (Kahan 1966; Demmel, Dhillon and Ren,
+    ETNA 3, 1995), so a midpoint inside a seeded bracket gets the decision a
+    pass would give, and values and widths do not depend on the guesses; a
+    good guess only saves the passes far from the level's bracket edges.
     """
     diag, off = _operator(diag, off)
     n = diag.shape[0]
@@ -177,6 +208,12 @@ def eigvalsh_bisect(
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if guesses is not None:
+        guesses = np.asarray(guesses, dtype=float)
+        if guesses.shape != (k,):
+            raise ValueError(f"guesses must hold one value per level, k = {k}")
+        if not np.all(np.isfinite(guesses)):
+            raise ValueError("guesses must be finite")
     lo0, hi0 = gershgorin_bounds(diag, off)
     if lo0 == hi0:
         lo0 -= 1.0
@@ -186,6 +223,24 @@ def eigvalsh_bisect(
     diag_l, off2_l = diag.tolist(), off2.tolist()
     shifts: list[float] = []  # every shift counted so far, ascending
     counts: list[int] = []    # their Sturm counts, nondecreasing with them
+
+    def count_at(x):
+        i = bisect_left(shifts, x)
+        c = _count_below(diag_l, off2_l, x, k, tail)
+        shifts.insert(i, x)
+        counts.insert(i, c)
+        return c
+
+    if guesses is not None:
+        for j, g in enumerate(guesses.tolist()):
+            g = min(max(g, lo0), hi0)
+            delta = tol
+            while g - delta > lo0 and count_at(g - delta) > j:
+                delta *= _SEED_WIDEN
+            delta = tol
+            while g + delta < hi0 and count_at(g + delta) <= j:
+                delta *= _SEED_WIDEN
+
     values = np.empty(k)
     widths = np.empty(k)
     lo_floor = lo0
@@ -204,10 +259,7 @@ def eigvalsh_bisect(
             elif i > 0 and counts[i - 1] > j:
                 above = True  # a shift < mid already has j + 1 below
             else:
-                c = _count_below(diag_l, off2_l, mid, k, tail)
-                shifts.insert(i, mid)
-                counts.insert(i, c)
-                above = c > j
+                above = count_at(mid) > j
             if above:
                 b = mid
             else:
@@ -306,13 +358,17 @@ def inverse_iteration(
     """Unit eigenvector estimate for the eigenvalue nearest lam."""
     diag, off = _operator(diag, off)
     lam = _shift(lam, "lam")
+    iters = int(iters)
+    if iters < 1:
+        # no solve would leave the pseudo-random start vector as the answer
+        raise ValueError(f"iters must be >= 1, got {iters}")
     diag_l = diag.tolist()
     off_l = off.tolist()
-    v = _inverse_iteration(diag_l, off_l, lam, int(iters))
+    v = _inverse_iteration(diag_l, off_l, lam, iters)
     if not np.all(np.isfinite(v)):
         # retry with a tiny relative shift away from an exact pivot kill
         scale = max(1.0, float(np.max(np.abs(diag))))
-        v = _inverse_iteration(diag_l, off_l, lam + 1e-13 * scale, int(iters))
+        v = _inverse_iteration(diag_l, off_l, lam + 1e-13 * scale, iters)
     return np.array(v)  # a copy: v may still be the cached start vector
 
 

@@ -233,9 +233,10 @@ def test_byte_identical_reruns(tmp_path, argv):
 
 
 # sha256 of stdout and of the --format both files, recorded from the solver
-# whose Sturm passes walked every row: the benchmark's seed-0 argv and the
-# cutoff-sweep default.  Outputs carry no paths or timestamps; the JSON does
-# carry the package version.  Plain stdout is the CSV text.
+# whose Sturm passes walked every row (the benchmark's seed-0 argv and the
+# cutoff-sweep default) and from the bisection without guesses (hydrogen
+# --n 4096).  Outputs carry no paths or timestamps; the JSON does carry the
+# package version.  Plain stdout is the CSV text.
 _GOLDEN = [
     (["hydrogen", "--lambda", "1.0", "--states", "3", "--n", "384", "--domain", "1e-05:200.0"],
      0, "8752e26bab62b81aad9947d0f1957b5feb8e2d9c205185c5a2a8a395eef93cd7",
@@ -254,6 +255,10 @@ _GOLDEN = [
     (["cutoff-sweep"],
      0, "561d9cc70fe7931ef4182c1678d790cf22066eb7ec8f3c1a9c8116406ecb55ab",
      "d275517bd482e182e1fa5b61bfa49e59253b0bf48548dd4d8b7d7059e3d376c2"),
+    # grids 4,096 / 8,193 / 16,387: the refined solves start from guessed levels
+    (["hydrogen", "--n", "4096"],
+     0, "58dbba61cf396e4840321cfd2b7f86cf2db24c71c475a527545a1e588168de3d",
+     "85a08d95f93473946c940d06802d8c3de2525a097adc55c44c8636f228c8b7a4"),
 ]
 
 
@@ -262,7 +267,8 @@ def _sha(data: bytes) -> str:
 
 
 @pytest.mark.parametrize("argv, code, csv_sha, json_sha", _GOLDEN,
-                         ids=["balmer", "dipole-scan", "threshold", "cutoff", "cutoff-sweep"])
+                         ids=["balmer", "dipole-scan", "threshold", "cutoff", "cutoff-sweep",
+                              "hydrogen-4096"])
 def test_output_bytes_match_golden(argv, code, csv_sha, json_sha, tmp_path, capsys):
     assert run(argv) == code
     captured = capsys.readouterr()

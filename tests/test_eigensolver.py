@@ -235,7 +235,7 @@ def test_hydrogen_rejects_bad_inputs():
 def test_hydrogen_convergence_guard(monkeypatch):
     calls = {"i": 0}
 
-    def fake_lowest(H, k, tol=1e-10, maxit=200, want_vectors=True):
+    def fake_lowest(H, k, tol=1e-10, maxit=200, want_vectors=True, guesses=None):
         # fabricated non-shrinking ladder
         e = np.array([-0.5 + 0.01 * (calls["i"] % 2)])
         calls["i"] += 1

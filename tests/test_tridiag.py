@@ -5,6 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
+import dipole1d.tridiag as tridiag
+from dipole1d.cli import run
 from dipole1d.eigensolver import Grid, discretize
 from dipole1d.potentials import Coulomb, PhysicalDipole, PointDipole, RegularizedCoulomb
 from dipole1d.tridiag import (
@@ -555,3 +557,198 @@ def test_early_stopped_count_matches_exact_arithmetic_on_balmer_grid():
         counts.append(exact)
     assert counts[:2] == [0, 0] and counts[2] > 3
     assert counts[4:] == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3]
+
+
+def test_off_with_overflowing_square_rejected():
+    # e = 1e200 squares to inf; the pass would then meet inf / inf and count
+    # 1 level below 0.5 where there are 2.  It is refused before squaring.
+    diag, off = [0.0, 0.0, 0.0], [1e200, 1e200]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite square"):
+            sturm_count(diag, off, 0.5)
+        with pytest.raises(ValueError, match="finite square"):
+            _has_eigenvalue_below(diag, off, 0.5)
+        with pytest.raises(ValueError, match="finite square"):
+            eigvalsh_bisect(diag, off, 2)
+        with pytest.raises(ValueError, match="finite square"):
+            eigvalsh_bisect(diag, [-math.nextafter(tridiag._OFF_MAX, math.inf), 1.0], 2)
+
+
+@pytest.mark.parametrize("e", [1e150, tridiag._OFF_MAX])
+def test_large_off_still_counted_exactly(e):
+    # levels 0 and +-sqrt(2) e; the largest |e| with a finite square is
+    # accepted.  The shifts stay clear of the dense solver's round-off, e * 1e-16.
+    diag, off = np.zeros(3), np.array([e, -e])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = np.linalg.eigvalsh(_dense(diag, off / e)) * e
+        for x in (-2.0 * e, -e, -1e-3 * e, 1e-3 * e, e, 2.0 * e):
+            assert sturm_count(diag, off, x) == int(np.sum(ref < x))
+        assert _has_eigenvalue_below(diag, off, -e) is True
+
+
+def test_inverse_iteration_needs_at_least_one_solve():
+    # iters = 0 would return the pseudo-random start vector as an eigenvector
+    diag, off = np.array([1.0, 2.0, 3.0]), np.array([-1.0, -1.0])
+    for iters in (0, -1):
+        with pytest.raises(ValueError, match="iters"):
+            inverse_iteration(diag, off, 0.5, iters=iters)
+
+
+def test_gershgorin_bounds_validates_its_operator():
+    # unvalidated, an off of the wrong length broadcasts: (0.0, 4.0) for [1, 2, 3], [1]
+    with pytest.raises(ValueError, match="length"):
+        gershgorin_bounds([1.0, 2.0, 3.0], [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        gershgorin_bounds([1.0, math.nan], [1.0])
+
+
+# Seeded bisection: guesses only choose where to count first, so values and
+# widths must equal the frozen reference's whatever the guesses are.
+
+def _pipeline_operators():
+    # the operators of the balmer and cutoff workloads at seed 0
+    log_grid = Grid("logarithmic", 1e-5, 200.0, 384)
+    ops = {
+        f"coulomb_log_{g.n}": (discretize(Coulomb(1.0), g), 3, 1e-11)
+        for g in (log_grid, log_grid.refined(), log_grid.refined().refined())
+    }
+    neumann = Grid("uniform", 0.0, 10.0, 3200, left_bc="neumann")
+    for eps in (0.2, 0.1, 0.05, 0.025, 0.0125):
+        ops[f"neumann_cutoff_3200_eps{eps}"] = (
+            discretize(RegularizedCoulomb(1.0, eps), neumann), 1, 1e-10)
+    ops["full_line_cutoff_6399"] = (
+        discretize(RegularizedCoulomb(1.0, 0.2), Grid("uniform", -10.0, 10.0, 6399)), 1, 1e-10)
+    return ops
+
+
+def _guess_sets(levels, k, lo, hi):
+    # levels: the k lowest levels, and the next one where it exists
+    exact = levels[:k]
+    following = np.append(levels[1:k + 1], levels[-1] + 1.0)[:k]  # wrong index
+    sets = [exact, following, np.full(k, hi + 1.0), np.full(k, lo - 1.0), np.full(k, -1e300)]
+    for d in (1e-12, 1e-6, 1.0):
+        sets += [exact - d, exact + d]
+    return sets
+
+
+def _assert_seeded_equals_reference(diag, off, k, tol):
+    n = diag.shape[0]
+    # The frozen bisection solves level j from the levels below it only, so
+    # the first k of its k + 1 levels are those of a k-level solve.
+    ref_vals, ref_widths = _reference(_seed_eigvalsh_bisect, diag, off, min(k + 1, n), tol=tol)
+    lo, hi = gershgorin_bounds(diag, off)
+    for guesses in _guess_sets(ref_vals, k, lo, hi):
+        vals, widths = eigvalsh_bisect(diag, off, k, tol=tol, guesses=guesses)
+        assert np.array_equal(vals, ref_vals[:k])
+        assert np.array_equal(widths, ref_widths[:k])
+
+
+def test_seeded_bisection_bit_identical_to_reference_on_random_operators():
+    for diag, off in _random_operators():
+        _assert_seeded_equals_reference(diag, off, min(4, diag.shape[0]), 1e-10)
+
+
+@pytest.mark.parametrize("name", ["coulomb_log_384", "coulomb_log_769", "coulomb_log_1539",
+                                  "neumann_cutoff_3200_eps0.0125", "full_line_cutoff_6399"])
+def test_seeded_bisection_bit_identical_to_reference_on_pipeline_grids(name):
+    H, k, tol = _pipeline_operators()[name]
+    _assert_seeded_equals_reference(H.diagonal, H.offdiagonal, k, tol)
+
+
+def _record_passes(monkeypatch):
+    # (rows, shift) of every Sturm pass made from here on
+    passes = []
+    count_below = tridiag._count_below
+
+    def recording(diag, off2, x, *args):
+        passes.append((len(diag), x))
+        return count_below(diag, off2, x, *args)
+
+    monkeypatch.setattr(tridiag, "_count_below", recording)
+    return passes
+
+
+def _expected_seed_shifts(diag, off, guesses, tol):
+    # level j: g -+ tol * 8^m, each side until it brackets level j or leaves
+    # the Gershgorin interval, with g clamped into that interval
+    lo, hi = gershgorin_bounds(diag, off)
+    xs = []
+    for j, g in enumerate(guesses):
+        g = min(max(float(g), lo), hi)
+        for side in (-1.0, 1.0):
+            delta = tol
+            while lo < g + side * delta < hi:
+                x = g + side * delta
+                xs.append(x)
+                below = sturm_count(diag, off, x)
+                if (below <= j) if side < 0 else (below > j):
+                    break
+                delta *= 8.0
+    return xs
+
+
+def test_seeds_widen_until_they_bracket(monkeypatch):
+    passes = _record_passes(monkeypatch)
+    ops = [(diag, off, min(3, diag.shape[0]), 1e-10) for diag, off in _random_operators()]
+    H, k, tol = _pipeline_operators()["neumann_cutoff_3200_eps0.0125"]
+    ops.append((H.diagonal, H.offdiagonal, k, tol))
+    widened = 0
+    for diag, off, k, tol in ops:
+        levels, _ = _reference(_seed_eigvalsh_bisect, diag, off, min(k + 1, diag.shape[0]), tol=tol)
+        lo, hi = gershgorin_bounds(diag, off)
+        for guesses in _guess_sets(levels, k, lo, hi):
+            want = _expected_seed_shifts(diag, off, guesses, tol)
+            del passes[:]
+            eigvalsh_bisect(diag, off, k, tol=tol, guesses=guesses)
+            assert [x for _, x in passes[:len(want)]] == want
+            widened += len(want) - 2 * k
+    assert widened > 100  # the bad guesses did make the seeds move out
+
+
+def test_sturm_count_monotone_near_pipeline_levels():
+    # The seeds and the count cache both assume the float count is monotone
+    # in x.  Check it across each level's transition, on 401 consecutive
+    # doubles and on a +-1e-9 window, with and without the cap and the
+    # certificate.
+    for H, k, tol in _pipeline_operators().values():
+        diag, off = H.diagonal, H.offdiagonal
+        off2 = off * off
+        tail = _tail_certificate(diag, off, off2)
+        diag_l, off2_l = diag.tolist(), off2.tolist()
+        # tol below every spacing: each bracket ends on two adjacent doubles
+        vals, _ = eigvalsh_bisect(diag, off, k, tol=5e-324)
+        for j, v in enumerate(vals.tolist()):
+            lower, upper = [v], [v]
+            for _ in range(200):
+                lower.append(math.nextafter(lower[-1], -math.inf))
+                upper.append(math.nextafter(upper[-1], math.inf))
+            doubles = lower[:0:-1] + upper
+            window = np.linspace(v - 1e-9, v + 1e-9, 41).tolist()
+            for xs in (doubles, window):
+                for cap, cert in ((None, None), (k, tail)):
+                    counts = [_count_below(diag_l, off2_l, x, cap, cert) for x in xs]
+                    assert counts == sorted(counts)
+                    assert counts[0] <= j < counts[-1]
+
+
+@pytest.mark.parametrize("guesses", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]],
+                                     [1.0, math.nan, 3.0], [1.0, 2.0, math.inf]])
+def test_bad_guesses_rejected(guesses):
+    with pytest.raises(ValueError, match="guesses"):
+        eigvalsh_bisect(np.array([1.0, 2.0, 3.0]), np.array([-1.0, -1.0]), 3, guesses=guesses)
+
+
+@pytest.mark.parametrize("argv, rows, bound", [
+    # the full-line check, seeded from the even-sector level it reproduces
+    (["cutoff-sweep", "--lambda", "1.0", "--epsilon", "0.2,0.1,0.05,0.025,0.0125",
+      "--domain", "0:10.0", "--n", "3200"], 6399, 8),
+    # three grids, the second and third seeded; 467 passes without guesses
+    (["hydrogen", "--lambda", "1.0", "--states", "3", "--n", "384", "--domain", "1e-05:200.0"],
+     None, 320),
+], ids=["cutoff-full-line", "balmer"])
+def test_seeded_solves_take_few_passes(argv, rows, bound, monkeypatch, tmp_path):
+    passes = _record_passes(monkeypatch)
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 0
+    assert 1 <= len([n for n, _ in passes if rows is None or n == rows]) <= bound

@@ -235,8 +235,10 @@ def test_byte_identical_reruns(tmp_path, argv):
 # sha256 of stdout and of the --format both files, recorded from the solver
 # whose Sturm passes walked every row (the benchmark's seed-0 argv and the
 # cutoff-sweep default) and from the bisection without guesses (hydrogen
-# --n 4096).  Outputs carry no paths or timestamps; the JSON does carry the
-# package version.  Plain stdout is the CSV text.
+# --n 4096).  The spectrum, series, convert and critical-scan pins cover the
+# remaining table shapes: a two-table CSV, empty cells and the library's
+# default windows.  Outputs carry no paths or timestamps; the JSON does carry
+# the package version.  Plain stdout is the CSV text.
 _GOLDEN = [
     (["hydrogen", "--lambda", "1.0", "--states", "3", "--n", "384", "--domain", "1e-05:200.0"],
      0, "8752e26bab62b81aad9947d0f1957b5feb8e2d9c205185c5a2a8a395eef93cd7",
@@ -259,6 +261,20 @@ _GOLDEN = [
     (["hydrogen", "--n", "4096"],
      0, "58dbba61cf396e4840321cfd2b7f86cf2db24c71c475a527545a1e588168de3d",
      "85a08d95f93473946c940d06802d8c3de2525a097adc55c44c8636f228c8b7a4"),
+    (["spectrum", "--p", "1", "--domain", "-20:0", "--n", "512", "--states", "2"],
+     0, "d5cd22ebe28a8673de5b99614f58b5bf859f2f7fb205ff096a68dbe013bfdabd",
+     "e033d6722c391e19a4b5a66a9fd30768a3a00ebc0092fbd8b1b0a4f210e8ce6f"),
+    # two CSV tables, each under its own "# table=" line
+    (["series", "--alpha", "0.5", "--nterms", "8"],
+     0, "f453f981f7663ab5cff578d01aafb8dd758b13dcc5032dc61ac12932e53cefbc",
+     "a6ba763bb6775d185e66cb46067439f1f80fbb3b26077527ad071033ce58cd07"),
+    # rows without an SI value: empty CSV cells, JSON null
+    (["convert", "--p", "1", "--energy", "1", "--length", "1", "--alpha", "0.5"],
+     0, "79523689261e219b231f4babd1d2ef624fa1d1419e0ebd819e28320d2f640e4c",
+     "dfa381089ce76ea5bfa1067c2bc31af35a81ccb78b442601680f33cb9cd6c78c"),
+    (["critical-scan"],
+     0, "39eaa33c68cc4ad27137ef835743eea31bbdee9ca01bf41a6aadf2b56a9f3625",
+     "018ccdbb5b8d416f4c1f7de97daf3ac1ac114cb984ee6f1bc219f2e0e67055aa"),
 ]
 
 
@@ -268,7 +284,8 @@ def _sha(data: bytes) -> str:
 
 @pytest.mark.parametrize("argv, code, csv_sha, json_sha", _GOLDEN,
                          ids=["balmer", "dipole-scan", "threshold", "cutoff", "cutoff-sweep",
-                              "hydrogen-4096"])
+                              "hydrogen-4096", "spectrum-p", "series", "convert",
+                              "critical-scan"])
 def test_output_bytes_match_golden(argv, code, csv_sha, json_sha, tmp_path, capsys):
     assert run(argv) == code
     captured = capsys.readouterr()

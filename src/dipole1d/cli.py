@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +31,8 @@ from .critical import (
     physical_dipole_scan,
 )
 from .eigensolver import (
+    DEFAULT_HYDROGEN_GRID,
+    DEFAULT_TOL_ALPHA,
     BracketError,
     ConvergenceError,
     Grid,
@@ -43,6 +44,7 @@ from .eigensolver import (
     zero_energy_node_count,
 )
 from .frobenius import (
+    DEFAULT_N,
     indicial_roots,
     ode_residual,
     recursion_residuals,
@@ -69,7 +71,7 @@ from .units import (
     length_si_to_atomic,
 )
 
-__all__ = ["main", "run", "RunConfig", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 _CONST_KEYS = ("hbar", "m_electron", "q_electron", "epsilon0")
 _POTENTIAL_KEYS = ("kind", "lambda", "epsilon", "p", "Q", "d", "alpha")
@@ -114,35 +116,43 @@ def _constants_hash(c: ConstantSet) -> str:
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
-def _csv_text(meta: dict, columns: list[str], rows: list[tuple]) -> str:
+def _emit(args, c: ConstantSet, params: dict, tables: list[tuple], fields: dict) -> None:
+    """Write one result as CSV, JSON or both, as ``--format``/``--out`` ask.
+
+    The metadata (command, version, ``params``, constants) heads the CSV as
+    ``# key=value`` lines and is the JSON ``config``.  ``tables`` holds
+    ``(title, columns, rows)``; a title other than None is written as a
+    ``# table=`` line above its header.  ``fields`` follow ``command`` and
+    ``config`` in the JSON object.  Equal inputs give identical bytes.
+    """
+    meta = {"command": args.subcommand, "version": __version__, **params,
+            "constants": c.provenance_label, "constants_hash": _constants_hash(c)}
     lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    for title, columns, rows in tables:
+        if title is not None:
+            lines.append(f"# table={title}")
+        lines.append(",".join(columns))
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    text = {
+        "csv": "\n".join(lines) + "\n",
+        "json": json.dumps({"command": args.subcommand, "config": meta, **fields},
+                           indent=2, default=_json_default) + "\n",
+    }
+    if args.format == "both":
+        targets = [(f"{args.out}.{fmt}", text[fmt]) for fmt in ("csv", "json")]
+    else:
+        targets = [(args.out, text[args.format])]
+    for path, body in targets:
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        else:
+            sys.stdout.write(body)
 
 
-def _json_text(obj: dict) -> str:
-    return json.dumps(obj, indent=2, default=_json_default) + "\n"
-
-
-@dataclass
-class RunConfig:
-    """One fully-resolved invocation; equal configs yield identical bytes."""
-
-    subcommand: str
-    constants: ConstantSet
-    params: dict = field(default_factory=dict)
-    fmt: str = "csv"
-    out: str | None = None
-
-    def meta(self) -> dict:
-        m = {"command": self.subcommand, "version": __version__}
-        for k, v in self.params.items():
-            m[k] = v
-        m["constants"] = self.constants.provenance_label
-        m["constants_hash"] = _constants_hash(self.constants)
-        return m
+def _given(**kwargs) -> dict:
+    """The keyword arguments that were given; the library supplies the rest."""
+    return {k: v for k, v in kwargs.items() if v is not None}
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -280,272 +290,172 @@ def _potential_from_args(args, file_cfg: dict[str, str], c: ConstantSet):
     return spec_from_record(rec)
 
 
-def _grid_from_args(args, c: ConstantSet, default_domain: str, default_kind: str,
-                    default_n: int) -> Grid:
-    a, b = _parse_domain(args.domain or default_domain, c)
-    kind = args.grid or default_kind
-    kind = {"log": "logarithmic", "uniform": "uniform"}.get(kind, kind)
-    n = args.n if args.n is not None else default_n
+def _grid_from_args(args, c: ConstantSet, default: Grid) -> Grid:
+    a, b = _parse_domain(args.domain, c) if args.domain else (default.x_min, default.x_max)
+    kind = {"log": "logarithmic", "uniform": "uniform"}.get(args.grid, default.kind)
+    n = args.n if args.n is not None else default.n
     return Grid(kind, a, b, n)
 
 
-def _emit(cfg: RunConfig, csv_text: str | None, json_obj: dict | None) -> None:
-    if cfg.fmt == "both":
-        if not cfg.out:
-            raise _UsageError("--format both needs --out")
-        with open(cfg.out + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        with open(cfg.out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(_json_text(json_obj))
-        return
-    text = csv_text if cfg.fmt == "csv" else _json_text(json_obj)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ----------------------------------------------------------------- handlers
+# Each handler computes its tables and JSON fields, hands them to _emit and
+# returns its exit code.
+
+_SPECTRUM_GRID = Grid("uniform", -30.0, 30.0, 4001)
 
 
-def _cmd_spectrum(args, c: ConstantSet, file_cfg) -> tuple[RunConfig, int]:
+def _cmd_spectrum(args, c: ConstantSet, file_cfg) -> int:
     spec = _potential_from_args(args, file_cfg, c)
-    grid = _grid_from_args(args, c, "-30:30", "uniform", 4001)
-    states = args.states if args.states is not None else 4
+    grid = _grid_from_args(args, c, _SPECTRUM_GRID)
     H = discretize(spec, grid)
-    sp = lowest_eigenvalues(H, states)
-    cfg = RunConfig("spectrum", c, fmt=args.format, out=args.out)
-    cfg.params.update(spec_to_record(spec))
-    cfg.params.update(
+    sp = lowest_eigenvalues(H, args.states)
+    params = dict(
+        spec_to_record(spec),
         grid=grid.kind, x_min=_fmt(grid.x_min), x_max=_fmt(grid.x_max),
-        n=grid.n, states=states, bc_note=H.bc_note,
+        n=grid.n, states=args.states, bc_note=H.bc_note,
     )
-    rows = [
-        (j + 1, sp.energies[j], int(sp.node_counts[j]), sp.bracket_widths[j])
-        for j in range(states)
-    ]
-    csv_text = _csv_text(
-        cfg.meta(),
-        ["index", "energy_hartree", "node_count", "bracket_width_hartree"],
-        rows,
-    )
-    json_obj = {
-        "command": "spectrum",
-        "config": cfg.meta(),
-        "energies_hartree": sp.energies,
-        "node_counts": sp.node_counts,
-        "bracket_widths_hartree": sp.bracket_widths,
-    }
-    _emit(cfg, csv_text, json_obj)
-    return cfg, 0
+    rows = zip(range(1, args.states + 1), sp.energies, sp.node_counts, sp.bracket_widths)
+    _emit(args, c, params,
+          [(None, ["index", "energy_hartree", "node_count", "bracket_width_hartree"], rows)],
+          {"energies_hartree": sp.energies,
+           "node_counts": sp.node_counts,
+           "bracket_widths_hartree": sp.bracket_widths})
+    return 0
 
 
-def _cmd_hydrogen(args, c: ConstantSet, file_cfg) -> tuple[RunConfig, int]:
-    lam = _number(args.lam, "coulomb_strength", c) if args.lam is not None else 1.0
-    states = args.states if args.states is not None else 3
-    refine = args.refine_levels
-    grid = _grid_from_args(args, c, "1e-5:200", "logarithmic", 16384)
-    result = hydrogen_spectrum(lam, states, refine_levels=refine, grid=grid)
-    cfg = RunConfig("hydrogen", c, fmt=args.format, out=args.out)
-    cfg.params.update(
-        lam=_fmt(lam), states=states, refine_levels=refine,
+def _cmd_hydrogen(args, c: ConstantSet, file_cfg) -> int:
+    lam = _number(args.lam, "coulomb_strength", c) if args.lam is not None else None
+    grid = _grid_from_args(args, c, DEFAULT_HYDROGEN_GRID)
+    result = hydrogen_spectrum(grid=grid, **_given(lam=lam, n_states=args.states,
+                                                   refine_levels=args.refine_levels))
+    sp = result.spectrum
+    params = dict(
+        lam=_fmt(result.lam), states=sp.energies.size,
+        refine_levels=len(result.grid_sizes) - 1,
         grid=grid.kind, x_min=_fmt(grid.x_min), x_max=_fmt(grid.x_max), n=grid.n,
         grid_sizes=":".join(str(m) for m in result.grid_sizes),
     )
-    rows = []
-    for j in range(states):
-        rows.append((
-            j + 1,
-            result.spectrum.energies[j],
-            result.balmer[j],
-            result.relative_errors[j],
-            result.spectrum.refinement_estimate[j],
-            result.extrapolated[j],
-        ))
-    csv_text = _csv_text(
-        cfg.meta(),
-        ["n", "energy_hartree", "balmer_hartree", "rel_error",
-         "richardson_estimate_hartree", "extrapolated_hartree"],
-        rows,
-    )
-    json_obj = {
-        "command": "hydrogen",
-        "config": cfg.meta(),
-        "energies_hartree": result.spectrum.energies,
-        "balmer_hartree": result.balmer,
-        "relative_errors": result.relative_errors,
-        "richardson_estimates": result.estimates_by_level,
-        "extrapolated_hartree": result.extrapolated,
-        "node_counts": result.spectrum.node_counts,
-    }
-    _emit(cfg, csv_text, json_obj)
-    return cfg, 0
+    rows = zip(range(1, sp.energies.size + 1), sp.energies, result.balmer,
+               result.relative_errors, sp.refinement_estimate, result.extrapolated)
+    _emit(args, c, params,
+          [(None, ["n", "energy_hartree", "balmer_hartree", "rel_error",
+                   "richardson_estimate_hartree", "extrapolated_hartree"], rows)],
+          {"energies_hartree": sp.energies,
+           "balmer_hartree": result.balmer,
+           "relative_errors": result.relative_errors,
+           "richardson_estimates": result.estimates_by_level,
+           "extrapolated_hartree": result.extrapolated,
+           "node_counts": sp.node_counts})
+    return 0
 
 
-def _cmd_cutoff_sweep(args, c: ConstantSet, file_cfg) -> tuple[RunConfig, int]:
-    lam = _number(args.lam, "coulomb_strength", c) if args.lam is not None else 1.0
-    if args.epsilon is not None:
-        eps = tuple(_number_list(args.epsilon, "length", c))
-    else:
-        eps = (0.2, 0.1, 0.05, 0.025, 0.0125)
-    domain = _parse_domain(args.domain or "0:60", c)
-    if domain[0] != 0.0:
-        raise _UsageError("cutoff-sweep uses the even-parity half line; --domain must be 0:L")
-    result = cutoff_sweep(lam, eps, L=domain[1], n=args.n)
-    cfg = RunConfig("cutoff-sweep", c, fmt=args.format, out=args.out)
-    cfg.params.update(
-        lam=_fmt(lam), L=_fmt(result.L), n=result.n,
-        monotone_decreasing=result.monotone_decreasing,
-    )
+def _cmd_cutoff_sweep(args, c: ConstantSet, file_cfg) -> int:
+    lam = _number(args.lam, "coulomb_strength", c) if args.lam is not None else None
+    eps = tuple(_number_list(args.epsilon, "length", c)) if args.epsilon is not None else None
+    L = None
+    if args.domain:
+        x0, L = _parse_domain(args.domain, c)
+        if x0 != 0.0:
+            raise _UsageError("cutoff-sweep uses the even-parity half line; --domain must be 0:L")
+    result = cutoff_sweep(n=args.n, **_given(lam=lam, eps_list=eps, L=L))
+    params = dict(lam=_fmt(result.lam), L=_fmt(result.L), n=result.n,
+                  monotone_decreasing=result.monotone_decreasing)
     if result.full_line_check is not None:
         e0, even, full = result.full_line_check
-        cfg.params.update(
-            full_line_epsilon=_fmt(e0),
-            full_line_even_hartree=_fmt(even),
-            full_line_full_hartree=_fmt(full),
-        )
-    rows = list(zip(result.epsilons, result.energies))
-    csv_text = _csv_text(cfg.meta(), ["epsilon", "ground_energy_hartree"], rows)
-    json_obj = {
-        "command": "cutoff-sweep",
-        "config": cfg.meta(),
-        "epsilons": list(result.epsilons),
-        "ground_energies_hartree": list(result.energies),
-        "monotone_decreasing": result.monotone_decreasing,
-        "full_line_check": result.full_line_check,
-    }
-    _emit(cfg, csv_text, json_obj)
-    return cfg, 0
+        params.update(full_line_epsilon=_fmt(e0), full_line_even_hartree=_fmt(even),
+                      full_line_full_hartree=_fmt(full))
+    _emit(args, c, params,
+          [(None, ["epsilon", "ground_energy_hartree"], zip(result.epsilons, result.energies))],
+          {"epsilons": list(result.epsilons),
+           "ground_energies_hartree": list(result.energies),
+           "monotone_decreasing": result.monotone_decreasing,
+           "full_line_check": result.full_line_check})
+    return 0
 
 
-def _cmd_critical_scan(args, c: ConstantSet, file_cfg) -> tuple[RunConfig, int]:
+def _cmd_critical_scan(args, c: ConstantSet, file_cfg) -> int:
     windows = _parse_windows(args.windows) if args.windows else None
-    tol = args.tol_alpha
-    report = critical_report(c, windows=windows, tol_alpha=tol) if windows else \
-        critical_report(c, tol_alpha=tol)
-    cfg = RunConfig("critical-scan", c, fmt=args.format, out=args.out)
-    cfg.params.update(
-        windows=",".join(f"{_fmt(d)}:{_fmt(L)}" for d, L in report.windows),
-        tol_alpha=_fmt(tol),
-    )
-    p_rows = []
-    for est in report.per_window:
-        p_rows.append((est.delta, est.L, math.log(est.L / est.delta), est.value,
-                       est.half_width, est.predicted_threshold))
-    csv_text = _csv_text(
-        cfg.meta(),
-        ["delta", "L", "ln_ratio", "alpha_hat", "half_width", "predicted_threshold"],
-        p_rows,
-    )
-    json_obj = {
-        "command": "critical-scan",
-        "config": cfg.meta(),
-        "alpha_crit_numeric": report.alpha_crit_numeric,
-        "alpha_crit_half_width": report.alpha_crit_half_width,
-        "p_crit_exact_au": report.p_crit_exact_au,
-        "p_crit_exact_si": report.p_crit_exact_si,
-        "p_crit_numeric_au": report.p_crit_numeric_au,
-        "p_crit_numeric_half_width": report.p_crit_numeric_half_width,
-        "p_crit_numeric_si": report.p_crit_numeric_si,
-        "p_estimate_au": report.p_estimate_au,
-        "p_estimate_si": report.p_estimate_si,
-        "ratio_estimate_to_exact": report.ratio_estimate_to_exact,
-        "windows": [list(w) for w in report.windows],
-        "constants": report.constants_label,
-    }
-    _emit(cfg, csv_text, json_obj)
-    return cfg, 0
+    report = critical_report(c, tol_alpha=args.tol_alpha, **_given(windows=windows))
+    params = dict(windows=",".join(f"{_fmt(d)}:{_fmt(L)}" for d, L in report.windows),
+                  tol_alpha=_fmt(args.tol_alpha))
+    rows = [(est.delta, est.L, math.log(est.L / est.delta), est.value,
+             est.half_width, est.predicted_threshold) for est in report.per_window]
+    _emit(args, c, params,
+          [(None, ["delta", "L", "ln_ratio", "alpha_hat", "half_width",
+                   "predicted_threshold"], rows)],
+          {"alpha_crit_numeric": report.alpha_crit_numeric,
+           "alpha_crit_half_width": report.alpha_crit_half_width,
+           "p_crit_exact_au": report.p_crit_exact_au,
+           "p_crit_exact_si": report.p_crit_exact_si,
+           "p_crit_numeric_au": report.p_crit_numeric_au,
+           "p_crit_numeric_half_width": report.p_crit_numeric_half_width,
+           "p_crit_numeric_si": report.p_crit_numeric_si,
+           "p_estimate_au": report.p_estimate_au,
+           "p_estimate_si": report.p_estimate_si,
+           "ratio_estimate_to_exact": report.ratio_estimate_to_exact,
+           "windows": [list(w) for w in report.windows],
+           "constants": report.constants_label})
+    return 0
 
 
-def _cmd_series(args, c: ConstantSet, file_cfg) -> tuple[RunConfig, int]:
+def _cmd_series(args, c: ConstantSet, file_cfg) -> int:
     if args.alpha is None:
         raise _UsageError("series needs --alpha")
     alpha = float(args.alpha)
     xi = float(args.xi)
-    nterms = args.nterms
     pair = indicial_roots(alpha)
     nu = pair.nu_plus if args.branch == "plus" else pair.nu_minus
-    sol = series_coefficients(alpha, xi, nu, N=nterms)
+    sol = series_coefficients(alpha, xi, nu, N=args.nterms)
     ys = [float(part) for part in args.ys.split(",") if part.strip()]
-    cfg = RunConfig("series", c, fmt=args.format, out=args.out)
-    cfg.params.update(
-        alpha=_fmt(alpha), xi=_fmt(xi), nterms=nterms, branch=args.branch,
-        nu_re=_fmt(nu.real), nu_im=_fmt(nu.imag),
-    )
-    lines = [f"# {k}={_fmt(v)}" for k, v in cfg.meta().items()]
-    lines.append("# table=coefficients")
-    lines.append("j,re_a,im_a")
-    for j in range(sol.a.shape[0]):
-        lines.append(f"{j},{_fmt(sol.a[j].real)},{_fmt(sol.a[j].imag)}")
-    lines.append("# table=residuals")
-    lines.append("y,ode_residual")
-    residuals = []
-    for y in ys:
-        r = ode_residual(sol, y)
-        residuals.append((y, r))
-        lines.append(f"{_fmt(y)},{_fmt(r)}")
-    csv_text = "\n".join(lines) + "\n"
-    json_obj = {
-        "command": "series",
-        "config": cfg.meta(),
-        "nu": [nu.real, nu.imag],
-        "coefficients_re": [float(v.real) for v in sol.a],
-        "coefficients_im": [float(v.imag) for v in sol.a],
-        "recursion_residual_max": float(np.max(np.abs(recursion_residuals(sol)))),
-        "ode_residuals": [[y, r] for y, r in residuals],
-    }
-    _emit(cfg, csv_text, json_obj)
-    return cfg, 0
+    residuals = [(y, ode_residual(sol, y)) for y in ys]
+    params = dict(alpha=_fmt(alpha), xi=_fmt(xi), nterms=args.nterms, branch=args.branch,
+                  nu_re=_fmt(nu.real), nu_im=_fmt(nu.imag))
+    _emit(args, c, params,
+          [("coefficients", ["j", "re_a", "im_a"],
+            [(j, a.real, a.imag) for j, a in enumerate(sol.a)]),
+           ("residuals", ["y", "ode_residual"], residuals)],
+          {"nu": [nu.real, nu.imag],
+           "coefficients_re": [float(v.real) for v in sol.a],
+           "coefficients_im": [float(v.imag) for v in sol.a],
+           "recursion_residual_max": float(np.max(np.abs(recursion_residuals(sol)))),
+           "ode_residuals": [[y, r] for y, r in residuals]})
+    return 0
 
 
-def _cmd_dipole_limit(args, c: ConstantSet, file_cfg) -> tuple[RunConfig, int]:
-    d_list = tuple(_number_list(args.d, "length", c)) if args.d else (1.0, 0.5, 0.2, 0.1, 0.05)
-    epsilon = _number(args.epsilon, "length", c) if args.epsilon is not None else 1e-3
-    domain = _parse_domain(args.domain or "-30:30", c)
-    result = physical_dipole_scan(d_list=d_list, epsilon=epsilon, domain=domain, n=args.n)
-    cfg = RunConfig("dipole-limit", c, fmt=args.format, out=args.out)
-    cfg.params.update(
-        epsilon=_fmt(epsilon), domain=f"{_fmt(domain[0])}:{_fmt(domain[1])}",
-        n=result.n, exploratory=True,
+def _cmd_dipole_limit(args, c: ConstantSet, file_cfg) -> int:
+    d_list = tuple(_number_list(args.d, "length", c)) if args.d else None
+    epsilon = _number(args.epsilon, "length", c) if args.epsilon is not None else None
+    domain = _parse_domain(args.domain, c) if args.domain else None
+    result = physical_dipole_scan(n=args.n, **_given(d_list=d_list, epsilon=epsilon,
+                                                     domain=domain))
+    a, b = result.domain
+    params = dict(
+        epsilon=_fmt(result.epsilon), domain=f"{_fmt(a)}:{_fmt(b)}",
+        n=result.n, exploratory=result.exploratory,
         point_dipole_reference=_fmt(result.point_dipole_reference),
         spread=_fmt(result.spread),
         note=result.note,
     )
-    rows = [
-        (r.d, r.p_critical, r.bracket[0], r.bracket[1], r.status)
-        for r in result.rows
-    ]
-    csv_text = _csv_text(
-        cfg.meta(),
-        ["d", "critical_p_au", "bracket_lo", "bracket_hi", "status"],
-        rows,
-    )
-    json_obj = {
-        "command": "dipole-limit",
-        "config": cfg.meta(),
-        "rows": [
-            {"d": r.d, "critical_p_au": r.p_critical, "bracket": list(r.bracket),
-             "conclusive": r.conclusive, "status": r.status}
-            for r in result.rows
-        ],
-        "point_dipole_reference_au": result.point_dipole_reference,
-        "spread": result.spread,
-        "exploratory": True,
-        "note": result.note,
-    }
-    _emit(cfg, csv_text, json_obj)
-    code = 0 if all(r.conclusive for r in result.rows) else 3
-    return cfg, code
+    rows = [(r.d, r.p_critical, r.bracket[0], r.bracket[1], r.status) for r in result.rows]
+    _emit(args, c, params,
+          [(None, ["d", "critical_p_au", "bracket_lo", "bracket_hi", "status"], rows)],
+          {"rows": [{"d": r.d, "critical_p_au": r.p_critical, "bracket": list(r.bracket),
+                     "conclusive": r.conclusive, "status": r.status}
+                    for r in result.rows],
+           "point_dipole_reference_au": result.point_dipole_reference,
+           "spread": result.spread,
+           "exploratory": result.exploratory,
+           "note": result.note})
+    return 0 if all(r.conclusive for r in result.rows) else 3
 
 
-def _cmd_convert(args, c: ConstantSet, file_cfg) -> tuple[RunConfig, int]:
+def _cmd_convert(args, c: ConstantSet, file_cfg) -> int:
     rows = []
     if args.p is not None:
         p_au = _number(args.p, "dipole_moment", c)
         rows.append(("dipole_moment", p_au, dipole_atomic_to_si(c, p_au), "C*m"))
         if p_au > 0:
-            rows.append(("alpha", 2.0 * p_au, "", ""))
+            rows.append(("alpha", 2.0 * p_au, None, None))
     if args.energy is not None:
         e_au = _number(args.energy, "energy", c)
         rows.append(("energy", e_au, energy_atomic_to_si(c, e_au), "J"))
@@ -554,46 +464,33 @@ def _cmd_convert(args, c: ConstantSet, file_cfg) -> tuple[RunConfig, int]:
         rows.append(("length", x_au, length_atomic_to_si(c, x_au), "m"))
     if args.alpha is not None:
         alpha = float(args.alpha)
-        rows.append(("alpha", alpha, "", ""))
+        rows.append(("alpha", alpha, None, None))
         if alpha > 0:
             p_au = alpha / 2.0
             rows.append(("equivalent_dipole", p_au, dipole_atomic_to_si(c, p_au), "C*m"))
     if args.pcrit_si:
         rows.append(("p_crit_exact", 0.125, p_crit_exact(c), "C*m"))
         rows.append(("p_crit_estimate", 2.0, p_crit_estimate(c), "C*m"))
-        rows.append(("estimate_to_exact_ratio", estimate_to_exact_ratio(), "", ""))
+        rows.append(("estimate_to_exact_ratio", estimate_to_exact_ratio(), None, None))
     if not rows:
         raise _UsageError("convert needs at least one of --p, --energy, --length, "
                           "--alpha, --pcrit-si")
     rows.append(("bohr_radius_si", 1.0, bohr_radius(c), "m"))
     rows.append(("hartree_si", 1.0, hartree_energy(c), "J"))
-    cfg = RunConfig("convert", c, fmt=args.format, out=args.out)
-    csv_text = _csv_text(
-        cfg.meta(), ["quantity", "atomic_value", "si_value", "si_unit"], rows
-    )
-    json_obj = {
-        "command": "convert",
-        "config": cfg.meta(),
-        "rows": [
-            {"quantity": q, "atomic_value": a,
-             "si_value": (s if s != "" else None), "si_unit": (u or None)}
-            for q, a, s, u in rows
-        ],
-    }
-    _emit(cfg, csv_text, json_obj)
-    return cfg, 0
+    columns = ["quantity", "atomic_value", "si_value", "si_unit"]
+    _emit(args, c, {}, [(None, columns, rows)],
+          {"rows": [dict(zip(columns, row)) for row in rows]})
+    return 0
 
 
-def _cmd_selftest(args, c: ConstantSet, file_cfg) -> tuple[RunConfig, int]:
-    from .frobenius import indicial_roots as _roots
-
+def _cmd_selftest(args, c: ConstantSet, file_cfg) -> int:
     rng = np.random.default_rng(args.seed)
     checks: list[tuple[str, bool]] = []
 
     alphas = rng.uniform(-5.0, 5.0, size=100)
     ok = True
     for a in alphas:
-        pair = _roots(float(a))
+        pair = indicial_roots(float(a))
         ok &= abs(pair.nu_plus + pair.nu_minus - 1.0) <= 1e-12
         ok &= abs(pair.nu_plus * pair.nu_minus - a) <= 1e-12 * max(1.0, abs(a))
     checks.append(("indicial_vieta", bool(ok)))
@@ -639,8 +536,7 @@ def _cmd_selftest(args, c: ConstantSet, file_cfg) -> tuple[RunConfig, int]:
     failed = [name for name, good in checks if not good]
     for name, good in checks:
         sys.stdout.write(f"{'PASS' if good else 'FAIL'} {name}\n")
-    cfg = RunConfig("selftest", c)
-    return cfg, 0 if not failed else 2
+    return 0 if not failed else 2
 
 
 _HANDLERS = {
@@ -655,11 +551,15 @@ _HANDLERS = {
 }
 
 
+def _add_constants(sp):
+    sp.add_argument("--config", default=None, help="key=value file (constants, potential)")
+    sp.add_argument("--const", action="append", default=None, metavar="KEY=VALUE")
+
+
 def _add_common(sp):
     sp.add_argument("--format", choices=("csv", "json", "both"), default="csv")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--config", default=None, help="key=value file (constants, potential)")
-    sp.add_argument("--const", action="append", default=None, metavar="KEY=VALUE")
+    _add_constants(sp)
 
 
 def build_parser() -> _Parser:
@@ -676,13 +576,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--domain", default=None, metavar="A:B")
     sp.add_argument("--grid", choices=("uniform", "log"), default=None)
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--states", type=int, default=None)
+    sp.add_argument("--states", type=int, default=4)
     _add_common(sp)
 
     sp = sub.add_parser("hydrogen", help="half-line Coulomb levels vs the Balmer form")
     sp.add_argument("--lambda", dest="lam", default=None)
     sp.add_argument("--states", type=int, default=None)
-    sp.add_argument("--refine-levels", type=int, default=2)
+    sp.add_argument("--refine-levels", type=int, default=None)
     sp.add_argument("--domain", default=None, metavar="A:B")
     sp.add_argument("--grid", choices=("uniform", "log"), default=None)
     sp.add_argument("--n", type=int, default=None)
@@ -697,13 +597,13 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("critical-scan", help="binding threshold and critical moment")
     sp.add_argument("--windows", default=None, metavar="D:L[,D:L...]")
-    sp.add_argument("--tol-alpha", type=float, default=1e-4)
+    sp.add_argument("--tol-alpha", type=float, default=DEFAULT_TOL_ALPHA)
     _add_common(sp)
 
     sp = sub.add_parser("series", help="local power-series coefficients and residuals")
     sp.add_argument("--alpha", default=None)
     sp.add_argument("--xi", default="1.0")
-    sp.add_argument("--nterms", type=int, default=30)
+    sp.add_argument("--nterms", type=int, default=DEFAULT_N)
     sp.add_argument("--branch", choices=("plus", "minus"), default="plus")
     sp.add_argument("--ys", default="0.01,0.02,0.05,0.1,0.2,0.5")
     _add_common(sp)
@@ -725,7 +625,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("selftest", help="quick invariant battery")
     sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp)
+    _add_constants(sp)
 
     return parser
 
@@ -761,9 +661,10 @@ def run(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_merge_negative_values(list(argv)))
+        if getattr(args, "format", None) == "both" and not args.out:
+            raise _UsageError("--format both needs --out")
         constants, file_cfg = _resolve_constants(args)
-        _, code = _HANDLERS[args.subcommand](args, constants, file_cfg)
-        return code
+        return _HANDLERS[args.subcommand](args, constants, file_cfg)
     except _UsageError as exc:
         sys.stderr.write(f"error: code=usage {exc}\n")
         return 1

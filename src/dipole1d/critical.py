@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import (
+    DEFAULT_TOL_ALPHA,
     DEFAULT_WINDOWS,
     AlphaCritEstimate,
     Grid,
@@ -108,7 +109,7 @@ class NumericCriticalMoment:
 
 def p_crit_numeric(
     windows: tuple[tuple[float, float], ...] = DEFAULT_WINDOWS,
-    tol_alpha: float = 1e-4,
+    tol_alpha: float = DEFAULT_TOL_ALPHA,
 ) -> NumericCriticalMoment:
     """Extrapolate the detected oscillation thresholds to an infinite window.
 
@@ -178,7 +179,7 @@ class CriticalReport:
 def critical_report(
     c: ConstantSet | None = None,
     windows: tuple[tuple[float, float], ...] = DEFAULT_WINDOWS,
-    tol_alpha: float = 1e-4,
+    tol_alpha: float = DEFAULT_TOL_ALPHA,
 ) -> CriticalReport:
     """Assemble the full critical-moment report in both unit systems."""
     if c is None:
@@ -235,7 +236,6 @@ class DipoleScanResult:
     epsilon: float
     domain: tuple[float, float]
     n: int
-    bind_threshold: float
     spread: float | None
     exploratory: bool = True
     note: str = (
@@ -245,17 +245,17 @@ class DipoleScanResult:
     )
 
 
-def _binds(spec, grid: Grid, bind_threshold: float) -> bool:
-    """Whether ``spec`` has a level below ``bind_threshold`` on ``grid``.
+def _binds(spec, grid: Grid) -> bool:
+    """Whether ``spec`` has a level below zero energy on ``grid``.
 
-    The discrete oscillation theorem: the Sturm count of the operator at
-    ``bind_threshold`` is the number of levels strictly below it, so binding
-    is that count being >= 1.  One Sturm pass, which stops at the first
+    The discrete oscillation theorem at zero energy: the Sturm count of the
+    operator at 0 is the number of levels strictly below 0, so binding is
+    that count being >= 1.  One Sturm pass, which stops at the first
     negative pivot, exact on the discrete operator, with no eigenvalue
     bisected.
     """
     H = discretize(spec, grid)
-    return _has_eigenvalue_below(H.diagonal, H.offdiagonal, bind_threshold)
+    return _has_eigenvalue_below(H.diagonal, H.offdiagonal, 0.0)
 
 
 def _bisect_p(predicate, p_lo: float, p_hi: float, tol_p: float):
@@ -279,7 +279,6 @@ def physical_dipole_scan(
     epsilon: float = 1e-3,
     domain: tuple[float, float] = (-30.0, 30.0),
     n: int | None = None,
-    bind_threshold: float = -1e-8,
     tol_p: float = 1e-3,
     bracket_factor: float = 10.0,
 ) -> DipoleScanResult:
@@ -312,7 +311,7 @@ def physical_dipole_scan(
     rows = []
     for d in d_list:
         def binds(p: float, d=d) -> bool:
-            return _binds(PhysicalDipole(Q=p / d, d=d, epsilon=epsilon), grid, bind_threshold)
+            return _binds(PhysicalDipole(Q=p / d, d=d, epsilon=epsilon), grid)
 
         p_c, bracket, status = _bisect_p(binds, p_lo, p_hi, tol_p)
         rows.append(
@@ -321,7 +320,7 @@ def physical_dipole_scan(
         )
 
     def point_binds(p: float) -> bool:
-        return _binds(PointDipole(p), grid, bind_threshold)
+        return _binds(PointDipole(p), grid)
 
     try:
         p_ref, _, _ = _bisect_p(point_binds, p_lo, p_hi, tol_p)
@@ -336,6 +335,5 @@ def physical_dipole_scan(
         epsilon=epsilon,
         domain=(a, b),
         n=n,
-        bind_threshold=bind_threshold,
         spread=spread,
     )

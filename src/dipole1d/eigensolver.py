@@ -65,6 +65,7 @@ __all__ = [
     "DEFAULT_HYDROGEN_GRID",
     "DEFAULT_CUTOFF_EPS",
     "DEFAULT_WINDOWS",
+    "DEFAULT_TOL_ALPHA",
 ]
 
 
@@ -171,6 +172,7 @@ class Grid:
 DEFAULT_HYDROGEN_GRID = Grid("logarithmic", 1e-5, 200.0, 16384)
 DEFAULT_CUTOFF_EPS = (0.2, 0.1, 0.05, 0.025, 0.0125)
 DEFAULT_WINDOWS = ((1e-8, 1e8), (1e-10, 1e10), (1e-12, 1e12))
+DEFAULT_TOL_ALPHA = 1e-4
 
 
 @dataclass(frozen=True)
@@ -431,15 +433,19 @@ def hydrogen_spectrum(
     grids = [grid]
     for _ in range(refine_levels):
         grids.append(grids[-1].refined())
+    n_idx = np.arange(1, n_states + 1, dtype=float)
+    balmer = -(lam**2) / (2.0 * n_idx**2)
 
     spectra = []
     for g in grids:
-        # Seed each solve with the level it should land near: the previous
-        # grid's, or the O(h^2) prediction fine + (fine - coarse) / 4.
-        guesses = None
-        if len(spectra) == 1:
+        # Seed each solve with the level it should land near: the Balmer
+        # level on the first grid, then the previous grid's, then the O(h^2)
+        # prediction fine + (fine - coarse) / 4.
+        if not spectra:
+            guesses = balmer
+        elif len(spectra) == 1:
             guesses = spectra[0].energies
-        elif spectra:
+        else:
             coarse, fine = spectra[-2].energies, spectra[-1].energies
             guesses = fine + (fine - coarse) / 4.0
         H = discretize(Coulomb(lam), g)
@@ -458,8 +464,6 @@ def hydrogen_spectrum(
                 )
 
     extrapolated, _ = richardson_step(E[-2], E[-1])
-    n_idx = np.arange(1, n_states + 1, dtype=float)
-    balmer = -(lam**2) / (2.0 * n_idx**2)
     rel = np.abs(E[-1] - balmer) / np.abs(balmer)
 
     final = replace(spectra[-1], refinement_estimate=estimates[-1])
@@ -643,7 +647,7 @@ class AlphaCritEstimate:
 def find_alpha_crit(
     delta: float,
     L: float,
-    tol_alpha: float = 1e-4,
+    tol_alpha: float = DEFAULT_TOL_ALPHA,
     bracket: tuple[float, float] = (0.0, 2.0),
 ) -> AlphaCritEstimate:
     """Bisect the coupling for the onset of zero-energy oscillation.

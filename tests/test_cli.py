@@ -198,6 +198,15 @@ def test_format_both_requires_out(capsys):
     assert run(["convert", "--pcrit-si", "--format", "both"]) == 1
 
 
+def test_format_both_without_out_rejected_before_solving(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise ConvergenceError("the pipeline ran", diagnostics=None)
+
+    monkeypatch.setattr(cli, "hydrogen_spectrum", boom)
+    assert run(["hydrogen", "--format", "both"]) == 1
+    assert "code=usage" in capsys.readouterr().err
+
+
 def test_format_both_writes_pair(tmp_path):
     out = tmp_path / "pair"
     assert run(["convert", "--pcrit-si", "--format", "both", "--out", str(out)]) == 0
@@ -211,6 +220,16 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
+
+
+def test_selftest_has_no_output_options(tmp_path, capsys):
+    # selftest prints PASS/FAIL lines only, so it takes no --format or --out
+    for flags in (["--format", "json"], ["--out", str(tmp_path / "x")]):
+        assert run(["selftest"] + flags) == 1
+        captured = capsys.readouterr()
+        assert "code=usage" in captured.err
+        assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -143,12 +143,13 @@ def test_dipole_scan_statuses_and_reference():
 
 
 def test_dipole_scan_no_binding_status():
-    r = physical_dipole_scan(
-        d_list=(0.5,), epsilon=4e-3, domain=(-15.0, 15.0), bind_threshold=-1e6,
-    )
+    # a box narrower than the separation confines the two-centre level above
+    # zero energy even at the bracket top; the scale-free point dipole still
+    # has an onset in the same box
+    r = physical_dipole_scan(d_list=(0.5,), epsilon=4e-3, domain=(-0.2, 0.2))
     assert r.rows[0].status == "no_binding"
+    assert not r.rows[0].conclusive and r.rows[0].p_critical is None
     assert r.spread is None
-    assert r.point_dipole_reference is None
 
 
 def test_dipole_scan_asymmetric_domain_skips_reference():
@@ -168,10 +169,10 @@ def test_dipole_scan_validation():
         physical_dipole_scan(d_list=(1.0,), epsilon=1e-3, domain=(1.0, 2.0))
 
 
-def _bisection_binds(spec, grid, bind_threshold):
-    # the binding predicate as a bisected ground state: E0 < threshold
+def _bisection_binds(spec, grid):
+    # the binding predicate as a bisected ground state: E0 < 0
     sp = lowest_eigenvalues(discretize(spec, grid), 1, want_vectors=False)
-    return float(sp.energies[0]) < bind_threshold
+    return float(sp.energies[0]) < 0.0
 
 
 def test_binds_matches_bisected_ground_state_on_dipole_scan_grid():
@@ -181,15 +182,15 @@ def test_binds_matches_bisected_ground_state_on_dipole_scan_grid():
     ladder = [0.1759 + 2e-4 * k for k in range(-5, 6)]
     on_ladder = []
     for p in ladder:
-        want = _bisection_binds(PointDipole(p), grid, -1e-8)
-        assert crit._binds(PointDipole(p), grid, -1e-8) is want
+        want = _bisection_binds(PointDipole(p), grid)
+        assert crit._binds(PointDipole(p), grid) is want
         on_ladder.append(want)
     assert on_ladder == sorted(on_ladder) and on_ladder[0] is False and on_ladder[-1] is True
     ends = [PointDipole(p) for p in bracket]
     ends += [PhysicalDipole(Q=p / d, d=d, epsilon=1e-3)
              for d in (1.0, 0.5, 0.2, 0.1, 0.05) for p in bracket]
     for spec in ends:
-        assert crit._binds(spec, grid, -1e-8) is _bisection_binds(spec, grid, -1e-8)
+        assert crit._binds(spec, grid) is _bisection_binds(spec, grid)
 
 
 # Reference copy of the stepped RK4 node count that the closed-form

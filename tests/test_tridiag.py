@@ -744,9 +744,10 @@ def test_bad_guesses_rejected(guesses):
     # the full-line check, seeded from the even-sector level it reproduces
     (["cutoff-sweep", "--lambda", "1.0", "--epsilon", "0.2,0.1,0.05,0.025,0.0125",
       "--domain", "0:10.0", "--n", "3200"], 6399, 8),
-    # three grids, the second and third seeded; 467 passes without guesses
+    # three grids, each seeded (the first with the Balmer levels); 467 passes
+    # without guesses
     (["hydrogen", "--lambda", "1.0", "--states", "3", "--n", "384", "--domain", "1e-05:200.0"],
-     None, 320),
+     None, 249),
 ], ids=["cutoff-full-line", "balmer"])
 def test_seeded_solves_take_few_passes(argv, rows, bound, monkeypatch, tmp_path):
     passes = _record_passes(monkeypatch)

@@ -280,7 +280,7 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
         if abs(nodes[idx] - p) > atol:
             raise GridAlignmentError(
                 f"interior pinned zero at x = {p!r} is not on a grid node "
-                f"(nearest node {nodes[idx]!r})"
+                f"(nearest node {float(nodes[idx])!r})"
             )
         drop[idx] = True
         notes.append(f"interior Dirichlet zero at x = {p!r} decouples the operator")
@@ -421,6 +421,9 @@ def hydrogen_spectrum(
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be finite and > 0")
+    if not math.isfinite(float(lam) * float(lam)):
+        # the Balmer levels -lam^2 / (2 n^2) would overflow
+        raise ValueError(f"lam^2 must be finite, got lam = {float(lam)!r}")
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
     if refine_levels < 1:

@@ -1,11 +1,14 @@
 """Symmetric tridiagonal eigenvalues by Sturm-sequence bisection.
 
-Self-contained: the Sturm count gives guaranteed index bracketing, which the
-node-theorem checks elsewhere rely on, so no LAPACK-backed solver is used on
-this path.  Eigenvectors come from inverse iteration with a pivoted
-tridiagonal solve.  The kernels loop over ``tolist()`` copies of the operator:
-Python float arithmetic is the same IEEE double arithmetic as numpy float64,
-at a fraction of the cost of reading numpy scalars one at a time.
+Eigenvalues come from Sturm-sequence bisection: the count gives guaranteed
+index bracketing, which the node-theorem checks elsewhere rely on.  The Sturm
+kernels loop over ``tolist()`` copies of the operator: Python float
+arithmetic is the same IEEE double arithmetic as numpy float64, at a fraction
+of the cost of reading numpy scalars one at a time.  Eigenvectors come from
+inverse iteration, each solve LAPACK's ``dgtsv``: Gaussian elimination with
+partial pivoting on the general tridiagonal matrix (Anderson et al., LAPACK
+Users' Guide, 3rd ed., SIAM 1999).  scipy is imported only there, so
+importing the package does not load it.
 
 A Sturm pass stops as soon as its answer is decided.  A bisection step only
 asks whether count(x) > j for some j < k, so the pass may stop once the count
@@ -33,7 +36,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -271,80 +273,27 @@ def eigvalsh_bisect(
     return values, widths
 
 
-def _factor_shifted(diag, off, lam):
-    # Gaussian elimination with partial pivoting on T - lam*I.  Pivoting
-    # introduces a second superdiagonal (u2).  Returns the pivots, both
-    # superdiagonals, the multipliers and which steps swapped rows, so that
-    # every solve with this shift reuses one factorization.
-    n = len(diag)
-    d = [a - lam for a in diag]
-    u1 = off + [0.0]
-    u2 = [0.0] * n
-    mult = [0.0] * (n - 1)
-    swap = [False] * (n - 1)
-    for i in range(n - 1):
-        sub = off[i]
-        if abs(sub) > abs(d[i]):
-            # swap rows i and i+1
-            td, tu1, tu2 = d[i], u1[i], u2[i]
-            d[i] = sub
-            u1[i] = d[i + 1]
-            u2[i] = u1[i + 1]
-            d[i + 1] = tu1
-            u1[i + 1] = tu2
-            sub = td
-            swap[i] = True
-        piv = d[i]
-        if piv == 0.0:
-            piv = _TINY
-            d[i] = piv
-        m = sub / piv
-        mult[i] = m
-        d[i + 1] = d[i + 1] - m * u1[i]
-        u1[i + 1] = u1[i + 1] - m * u2[i]
-    if d[n - 1] == 0.0:
-        d[n - 1] = _TINY
-    return d, u1, u2, mult, swap
-
-
-def _solve_shifted(factors, rhs):
-    # (T - lam*I) x = rhs from the factors of _factor_shifted: the same row
-    # operations on rhs, then back substitution.
-    d, u1, u2, mult, swap = factors
-    n = len(d)
-    x = list(rhs)
-    for i in range(n - 1):
-        if swap[i]:
-            x[i], x[i + 1] = x[i + 1], x[i]
-        x[i + 1] = x[i + 1] - mult[i] * x[i]
-    x[n - 1] = x[n - 1] / d[n - 1]
-    if n > 1:
-        x[n - 2] = (x[n - 2] - u1[n - 2] * x[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / d[i]
-    return x
-
-
-@lru_cache(maxsize=4)
 def _start_vector(n):
     # deterministic, generic unit start vector (float-hash; no RNG state needed)
-    v = np.empty(n)
-    for i in range(n):
-        x = np.sin((i + 1.0) * 12.9898) * 43758.5453
-        v[i] = (x - np.floor(x)) - 0.5
-    v /= np.sqrt(np.sum(v * v))
-    v.flags.writeable = False
-    return v
+    x = np.sin(np.arange(1.0, n + 1.0) * 12.9898) * 43758.5453
+    v = (x - np.floor(x)) - 0.5
+    return v / np.sqrt(np.sum(v * v))
 
 
 def _inverse_iteration(diag, off, lam, iters):
-    factors = _factor_shifted(diag, off, lam)
-    v = _start_vector(len(diag))
+    # None where a solve fails: see inverse_iteration
+    from scipy.linalg.lapack import dgtsv
+
+    shifted = diag - lam
+    v = _start_vector(diag.shape[0])
     for _ in range(iters):
-        w = np.array(_solve_shifted(factors, v.tolist()))
-        nrm = np.sqrt(np.sum(w * w))
+        _, _, _, w, info = dgtsv(off, shifted, off, v)
+        if info != 0:
+            return None
+        with np.errstate(over="ignore"):
+            nrm = np.sqrt(np.sum(w * w))
         if nrm == 0.0 or not np.isfinite(nrm):
-            break
+            return None
         v = w / nrm
     return v
 
@@ -355,21 +304,29 @@ def inverse_iteration(
     lam: float,
     iters: int = 3,
 ) -> np.ndarray:
-    """Unit eigenvector estimate for the eigenvalue nearest lam."""
+    """Unit eigenvector estimate for the eigenvalue nearest lam.
+
+    Each of the ``iters`` solves is LAPACK's ``dgtsv``.  A solve that meets
+    an exact zero pivot, or gives a zero or overflowing norm, fails the
+    attempt, which is then repeated once at lam + 1e-13 * max(1, max|diag|);
+    ValueError if that fails too.
+    """
     diag, off = _operator(diag, off)
     lam = _shift(lam, "lam")
     iters = int(iters)
     if iters < 1:
         # no solve would leave the pseudo-random start vector as the answer
         raise ValueError(f"iters must be >= 1, got {iters}")
-    diag_l = diag.tolist()
-    off_l = off.tolist()
-    v = _inverse_iteration(diag_l, off_l, lam, iters)
-    if not np.all(np.isfinite(v)):
+    if diag.shape[0] == 1:
+        return np.ones(1)  # dgtsv's wrapper refuses n = 1
+    v = _inverse_iteration(diag, off, lam, iters)
+    if v is None:
         # retry with a tiny relative shift away from an exact pivot kill
         scale = max(1.0, float(np.max(np.abs(diag))))
-        v = _inverse_iteration(diag_l, off_l, lam + 1e-13 * scale, iters)
-    return np.array(v)  # a copy: v may still be the cached start vector
+        v = _inverse_iteration(diag, off, lam + 1e-13 * scale, iters)
+    if v is None:
+        raise ValueError(f"inverse iteration failed at lam = {lam!r} and at the shifted retry")
+    return v
 
 
 def count_sign_changes(v: np.ndarray, rel_tol: float = 1e-8) -> int:

@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dipole1d.cli as cli
+import dipole1d.eigensolver as eigensolver
 from dipole1d.cli import run
 from dipole1d.eigensolver import ConvergenceError
 
@@ -183,6 +188,36 @@ def test_critical_scan_overflowing_window_is_invalid(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: code=invalid")
     assert "\n" not in err.strip()
+
+
+def test_hydrogen_overflowing_lambda_is_invalid(monkeypatch, capsys):
+    # lam^2 overflows, so the Balmer levels cannot be formed: refused up front
+    def no_solve(*args, **kwargs):
+        raise AssertionError("no solve expected")
+
+    monkeypatch.setattr(eigensolver, "discretize", no_solve)
+    assert run(["hydrogen", "--lambda", "1e200", "--n", "64", "--refine-levels", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: code=invalid lam^2 must be finite")
+    assert "\n" not in err.strip()
+
+
+def test_grid_alignment_error_prints_a_plain_float(capsys):
+    assert run(["spectrum", "--lambda", "1", "--n", "64"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: code=invalid interior pinned zero at x = 0.0 is not on a "
+                   "grid node (nearest node -0.4615384615384599)\n")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported lazily by the eigenvector solve; the CLI's start-up
+    # time (perfbench's setup_s) must not pay for it
+    code = "import sys, dipole1d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_convergence_maps_to_exit_2(monkeypatch, capsys):

@@ -596,6 +596,33 @@ def test_inverse_iteration_needs_at_least_one_solve():
             inverse_iteration(diag, off, 0.5, iters=iters)
 
 
+@pytest.mark.parametrize("diag, off, lam, want", [
+    # T - I = [[1, -1], [-1, 1]] is singular: elimination leaves a zero last pivot
+    ([2.0, 2.0], [-1.0], 1.0, np.array([1.0, 1.0]) / math.sqrt(2.0)),
+    # decoupled rows; lam sits exactly on the middle one
+    ([1.0, 2.0, 3.0], [0.0, 0.0], 2.0, np.array([0.0, 1.0, 0.0])),
+])
+def test_inverse_iteration_retries_an_exact_zero_pivot(diag, off, lam, want):
+    # the solve at lam itself meets a zero pivot; the shifted retry must give
+    # the eigenvector, not the pseudo-random start vector, and warn nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = inverse_iteration(diag, off, lam)
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+    assert abs(float(np.dot(v, want))) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_inverse_iteration_raises_when_the_retry_fails_too(monkeypatch):
+    monkeypatch.setattr(tridiag, "_inverse_iteration", lambda *args: None)
+    with pytest.raises(ValueError, match="inverse iteration failed"):
+        inverse_iteration([2.0, 2.0], [-1.0], 1.0)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.3, 1.0, 2.0])
+def test_inverse_iteration_single_node(lam):
+    assert np.array_equal(inverse_iteration([1.0], [], lam), [1.0])
+
+
 def test_gershgorin_bounds_validates_its_operator():
     # unvalidated, an off of the wrong length broadcasts: (0.0, 4.0) for [1, 2, 3], [1]
     with pytest.raises(ValueError, match="length"):

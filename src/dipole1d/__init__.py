@@ -23,11 +23,9 @@ from .units import (
     dipole_atomic_to_si,
     dipole_si_to_atomic,
     hartree_energy,
-    xi_from_energy,
 )
 from .potentials import (
     Coulomb,
-    DomainProfile,
     InverseSquare,
     PhysicalDipole,
     PointDipole,
@@ -39,13 +37,10 @@ from .potentials import (
     spec_to_record,
 )
 from .frobenius import (
-    CriticalityClass,
-    Criticality,
     DegenerateRecursionError,
     IndicialPair,
     SeriesSolution,
     SeriesTruncationError,
-    classify_criticality,
     eval_series,
     indicial_roots,
     ode_residual,

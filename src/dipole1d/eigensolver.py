@@ -34,9 +34,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .potentials import (
+    Coulomb,
     InverseSquare,
     PointDipole,
     PotentialSpec,
+    RegularizedCoulomb,
     SingularPointError,
     eval_potential_grid,
 )
@@ -257,11 +259,10 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
     Raises
     ------
     SingularPointError
-        if the grid spans a singular point that is not a pinned zero.
+        if an active grid node sits exactly on a pinned zero.
     GridAlignmentError
         if an interior pinned zero falls between grid nodes.
     """
-    profile = spec.profile()
     if isinstance(spec, InverseSquare) and grid.x_min < 0.0:
         raise ValueError("inverse-square problems are posed on y > 0")
     nodes = grid.nodes
@@ -271,11 +272,9 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
     notes = []
 
     drop = np.zeros(n, dtype=bool)
-    for p in profile.singular_points:
+    for p in spec.pinned_zeros:
         if not (grid.x_min + atol < p < grid.x_max - atol):
             continue
-        if p not in profile.hard_nodes:
-            raise SingularPointError(p, f"grid spans the singular point x = {p!r}")
         idx = int(np.argmin(np.abs(nodes - p)))
         if abs(nodes[idx] - p) > atol:
             raise GridAlignmentError(
@@ -297,7 +296,7 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
     if keep.shape[0] < 2:
         raise ValueError("fewer than 2 active nodes remain after restrictions")
     act_nodes = nodes[keep]
-    for p in profile.singular_points:
+    for p in spec.pinned_zeros:
         if np.any(act_nodes == p):
             raise SingularPointError(p, f"grid node touches the singular point x = {p!r}")
 
@@ -431,8 +430,6 @@ def hydrogen_spectrum(
     if grid is None:
         grid = DEFAULT_HYDROGEN_GRID
 
-    from .potentials import Coulomb
-
     grids = [grid]
     for _ in range(refine_levels):
         grids.append(grids[-1].refined())
@@ -531,8 +528,6 @@ def cutoff_sweep(
         if e < 2.0 * h:
             raise ResolutionError(e, h)
 
-    from .potentials import RegularizedCoulomb
-
     grid = Grid("uniform", 0.0, L, n, left_bc="neumann")
     energies = []
     for e in eps:
@@ -630,6 +625,20 @@ def window_bias(delta: float, L: float) -> float:
     return 0.25 + (math.pi / math.log(L / delta)) ** 2
 
 
+def _narrow_bracket(predicate, lo: float, hi: float, width: float) -> tuple[float, float]:
+    """Bisect [lo, hi], where ``predicate`` is false at lo and true at hi,
+    until hi - lo <= ``width`` or no float lies strictly between the ends."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class AlphaCritEstimate:
     """Bisection estimate of the binding threshold on one (delta, L) window.
@@ -655,14 +664,16 @@ def find_alpha_crit(
 ) -> AlphaCritEstimate:
     """Bisect the coupling for the onset of zero-energy oscillation.
 
-    The predicate is ``zero_energy_node_count >= 1``.  Raises
+    The predicate is ``zero_energy_node_count >= 1``.  The bracket narrows
+    to a half-width of ``tol_alpha`` or, for a ``tol_alpha`` below the float
+    spacing, to two adjacent floats; ``half_width`` reports which.  Raises
     :class:`BracketError` when the predicate does not change across
     ``bracket``.
     """
     if not (0.0 < delta < L):
         raise ValueError("need 0 < delta < L")
-    if not tol_alpha > 0.0:
-        raise ValueError("tol_alpha must be > 0")
+    if not (math.isfinite(tol_alpha) and tol_alpha > 0.0):
+        raise ValueError(f"tol_alpha must be finite and > 0, got {tol_alpha!r}")
     lo, hi = bracket
     if not lo < hi:
         raise ValueError("bracket must be increasing")
@@ -674,12 +685,7 @@ def find_alpha_crit(
         raise BracketError(
             f"oscillation predicate does not change over alpha in [{lo!r}, {hi!r}]"
         )
-    while hi - lo > 2.0 * tol_alpha:
-        mid = 0.5 * (lo + hi)
-        if oscillates(mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _narrow_bracket(oscillates, lo, hi, 2.0 * tol_alpha)
     return AlphaCritEstimate(
         value=0.5 * (lo + hi),
         half_width=0.5 * (hi - lo),

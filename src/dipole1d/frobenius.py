@@ -27,7 +27,6 @@ branches.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -40,23 +39,15 @@ __all__ = [
     "series_coefficients",
     "eval_series",
     "ode_residual",
-    "tail_estimate",
     "recursion_residuals",
-    "Criticality",
-    "CriticalityClass",
-    "classify_criticality",
     "DegenerateRecursionError",
     "SeriesTruncationError",
-    "CRITICAL_ALPHA",
     "DEFAULT_N",
     "DEFAULT_TAIL_TOL",
-    "DEFAULT_CRITICAL_TOL",
 ]
 
-CRITICAL_ALPHA = 0.25
 DEFAULT_N = 30
 DEFAULT_TAIL_TOL = 1e-8
-DEFAULT_CRITICAL_TOL = 1e-9
 
 
 class DegenerateRecursionError(ValueError):
@@ -169,7 +160,7 @@ def recursion_residuals(s: SeriesSolution) -> np.ndarray:
     return np.asarray(out, dtype=complex)
 
 
-def tail_estimate(s: SeriesSolution, y: float) -> float:
+def _tail_estimate(s: SeriesSolution, y: float) -> float:
     """A-posteriori truncation proxy |a_L y^L / a_0| for the last nonzero L >= 1.
 
     A series whose coefficients terminate (xi = 0 gives the pure power
@@ -198,8 +189,9 @@ def eval_series(
 ) -> complex:
     """Evaluate psi(y) = y^nu * sum_j a_j y^j at y > 0.
 
-    Evaluation is refused (SeriesTruncationError) where the tail proxy of
-    :func:`tail_estimate` exceeds ``tail_tol``, so answers carry a bounded
+    Evaluation is refused (SeriesTruncationError) where the tail proxy
+    |a_L y^L / a_0| of the last nonzero coefficient exceeds ``tail_tol``, so
+    answers carry a bounded
     truncation error instead of silently degrading at large y.
     """
     try:
@@ -210,7 +202,7 @@ def eval_series(
         raise ValueError("y must be a finite real number")
     if y <= 0.0:
         raise ValueError("series is defined for y > 0")
-    est = tail_estimate(s, y)
+    est = _tail_estimate(s, y)
     if est >= tail_tol:
         raise SeriesTruncationError(
             f"truncation tail estimate {est:.3e} exceeds {tail_tol:.1e} at y = {y!r}; "
@@ -240,43 +232,3 @@ def ode_residual(s: SeriesSolution, y: float, floor: float = 1e-12) -> float:
     scale = max(abs(psi) / y**2, floor)
     return abs(res) / scale
 
-
-class Criticality(enum.Enum):
-    SUBCRITICAL = "subcritical"
-    CRITICAL = "critical"
-    SUPERCRITICAL = "supercritical"
-
-
-@dataclass(frozen=True)
-class CriticalityClass:
-    """Which side of the alpha = 1/4 boundary a coupling sits on.
-
-    ``oscillation_exponent`` is sqrt(alpha - 1/4), the local log-periodic wave
-    number of the supercritical solutions; None otherwise.
-    """
-
-    kind: Criticality
-    oscillation_exponent: float | None = None
-
-
-def classify_criticality(
-    alpha: float,
-    tol: float = DEFAULT_CRITICAL_TOL,
-) -> CriticalityClass:
-    """Classify alpha against the binding threshold 1/4 within +-tol.
-
-    Supercritical couplings are exactly those whose indicial roots form a
-    complex-conjugate pair off the real axis.
-    """
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    if tol < 0.0:
-        raise ValueError("tol must be >= 0")
-    if alpha < CRITICAL_ALPHA - tol:
-        return CriticalityClass(Criticality.SUBCRITICAL)
-    if alpha <= CRITICAL_ALPHA + tol:
-        return CriticalityClass(Criticality.CRITICAL)
-    return CriticalityClass(
-        Criticality.SUPERCRITICAL,
-        oscillation_exponent=math.sqrt(alpha - CRITICAL_ALPHA),
-    )

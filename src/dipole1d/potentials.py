@@ -1,4 +1,4 @@
-"""The five 1D potential families and their singularity/sign structure.
+"""The five 1D potential families and the points where their states vanish.
 
 All parameters and coordinates are in hartree atomic units, where the Coulomb
 strength per unit source charge kappa = q/(4*pi*eps0) equals 1.  The families:
@@ -9,10 +9,10 @@ strength per unit source charge kappa = q/(4*pi*eps0) equals 1.  The families:
 * ``PhysicalDipole(Q,d,eps)``    two opposite capped Coulomb centres at +-d/2
 * ``InverseSquare(alpha)``       V(y) = -alpha/y^2 on y > 0 (scaled form)
 
-Each family carries its own formula (``potential``), its domain profile
-(``profile``: singular points, points where the wavefunction is pinned to zero
-under the vanish-at-singularity policy, and the maximal open intervals of
-definite sign) and its record layout (``KIND`` and ``RECORD``).  Every
+Each family carries its own formula (``potential``), its pinned zeros
+(``pinned_zeros``: its singular points, where the wavefunction is required to
+vanish, which is the boundary condition under which the 1D hydrogen spectrum
+is the Balmer series) and its record layout (``KIND`` and ``RECORD``).  Every
 evaluation is pure.
 """
 
@@ -32,7 +32,6 @@ __all__ = [
     "InverseSquare",
     "PotentialSpec",
     "SingularPointError",
-    "DomainProfile",
     "eval_potential_grid",
     "spec_to_record",
     "spec_from_record",
@@ -57,27 +56,6 @@ def _finite(*vals: float) -> bool:
 
 
 @dataclass(frozen=True)
-class DomainProfile:
-    """Singularities, pinned-zero points and sign regions of one potential.
-
-    ``attractive`` and ``repulsive`` are maximal open intervals of strict
-    sign; together with the singular points and the finitely many sign-change
-    points they cover the natural domain.  Every non-integrable (Coulomb-type
-    or stronger) singular point appears in ``hard_nodes``: the wavefunction is
-    required to vanish there, which is the boundary condition under which the
-    1D hydrogen spectrum is the Balmer series.
-    """
-
-    singular_points: tuple[float, ...]
-    hard_nodes: tuple[float, ...]
-    attractive: tuple[tuple[float, float], ...]
-    repulsive: tuple[tuple[float, float], ...]
-
-
-_INF = math.inf
-
-
-@dataclass(frozen=True)
 class Coulomb:
     """Attractive Coulomb well -lam/|x|.  lam = 0 degenerates to a free particle."""
 
@@ -89,20 +67,14 @@ class Coulomb:
     def __post_init__(self) -> None:
         _require(_finite(self.lam) and self.lam >= 0.0, "lam must be finite and >= 0")
 
+    @property
+    def pinned_zeros(self) -> tuple[float, ...]:
+        return () if self.lam == 0.0 else (0.0,)
+
     def potential(self, xs: np.ndarray) -> np.ndarray:
         if self.lam == 0.0:
             return np.zeros_like(xs)
         return -self.lam / np.abs(xs)
-
-    def profile(self) -> DomainProfile:
-        if self.lam == 0.0:
-            return DomainProfile((), (), (), ())
-        return DomainProfile(
-            singular_points=(0.0,),
-            hard_nodes=(0.0,),
-            attractive=((-_INF, 0.0), (0.0, _INF)),
-            repulsive=(),
-        )
 
 
 @dataclass(frozen=True)
@@ -111,6 +83,7 @@ class RegularizedCoulomb:
 
     KIND = "regularized_coulomb"
     RECORD = (("lambda", "lam"), ("epsilon", "epsilon"))
+    pinned_zeros = ()
 
     lam: float
     epsilon: float
@@ -122,9 +95,6 @@ class RegularizedCoulomb:
     def potential(self, xs: np.ndarray) -> np.ndarray:
         return -self.lam / np.maximum(np.abs(xs), self.epsilon)
 
-    def profile(self) -> DomainProfile:
-        return DomainProfile((), (), attractive=((-_INF, _INF),), repulsive=())
-
 
 @dataclass(frozen=True)
 class PointDipole:
@@ -132,6 +102,7 @@ class PointDipole:
 
     KIND = "point_dipole"
     RECORD = (("p", "p"),)
+    pinned_zeros = (0.0,)
 
     p: float
 
@@ -140,14 +111,6 @@ class PointDipole:
 
     def potential(self, xs: np.ndarray) -> np.ndarray:
         return self.p / (xs * np.abs(xs))
-
-    def profile(self) -> DomainProfile:
-        return DomainProfile(
-            singular_points=(0.0,),
-            hard_nodes=(0.0,),
-            attractive=((-_INF, 0.0),),
-            repulsive=((0.0, _INF),),
-        )
 
 
 @dataclass(frozen=True)
@@ -161,6 +124,7 @@ class PhysicalDipole:
 
     KIND = "physical_dipole"
     RECORD = (("Q", "Q"), ("d", "d"), ("epsilon", "epsilon"))
+    pinned_zeros = ()
 
     Q: float
     d: float
@@ -185,17 +149,6 @@ class PhysicalDipole:
             - 1.0 / np.maximum(np.abs(xs + half), self.epsilon)
         )
 
-    def profile(self) -> DomainProfile:
-        # Plateau overlap cancels the potential on |x| <= eps - d/2 when the
-        # caps cover both centres; outside that the sign is the dipole sign.
-        z0 = max(0.0, self.epsilon - 0.5 * self.d)
-        return DomainProfile(
-            singular_points=(),
-            hard_nodes=(),
-            attractive=((-_INF, -z0),),
-            repulsive=((z0, _INF),),
-        )
-
 
 @dataclass(frozen=True)
 class InverseSquare:
@@ -203,6 +156,7 @@ class InverseSquare:
 
     KIND = "inverse_square"
     RECORD = (("alpha", "alpha"),)
+    pinned_zeros = (0.0,)
 
     alpha: float
 
@@ -211,13 +165,6 @@ class InverseSquare:
 
     def potential(self, xs: np.ndarray) -> np.ndarray:
         return -self.alpha / (xs * xs)
-
-    def profile(self) -> DomainProfile:
-        if self.alpha > 0.0:
-            return DomainProfile((0.0,), (0.0,), attractive=((0.0, _INF),), repulsive=())
-        if self.alpha < 0.0:
-            return DomainProfile((0.0,), (0.0,), attractive=(), repulsive=((0.0, _INF),))
-        return DomainProfile((0.0,), (0.0,), (), ())
 
 
 PotentialSpec = Union[Coulomb, RegularizedCoulomb, PointDipole, PhysicalDipole, InverseSquare]

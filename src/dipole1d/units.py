@@ -19,7 +19,6 @@ __all__ = [
     "bohr_radius",
     "hartree_energy",
     "alpha_from_p",
-    "xi_from_energy",
     "dipole_si_to_atomic",
     "dipole_atomic_to_si",
     "length_si_to_atomic",
@@ -98,16 +97,6 @@ def alpha_from_p(c: ConstantSet, p: float) -> float:
     return 2.0 * c.m_electron * p * c.q_electron / (
         4.0 * math.pi * c.epsilon0 * c.hbar**2
     )
-
-
-def xi_from_energy(c: ConstantSet, E: float) -> float:
-    """Inverse-length-squared decay parameter -2 m E / hbar^2.
-
-    Positive exactly when E < 0, i.e. for bound states.
-    """
-    if not math.isfinite(E):
-        raise ValueError("energy must be finite")
-    return -2.0 * c.m_electron * E / c.hbar**2
 
 
 def _dipole_unit_si(c: ConstantSet) -> float:

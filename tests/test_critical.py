@@ -167,6 +167,25 @@ def test_dipole_scan_validation():
         physical_dipole_scan(d_list=(1.0,), epsilon=-1.0)
     with pytest.raises(ValueError):
         physical_dipole_scan(d_list=(1.0,), epsilon=1e-3, domain=(1.0, 2.0))
+    for tol_p in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            physical_dipole_scan(d_list=(1.0,), epsilon=1e-3, tol_p=tol_p)
+
+
+def test_dipole_scan_tolerance_below_float_spacing():
+    r = physical_dipole_scan(d_list=(1.0,), epsilon=0.1, n=401, tol_p=1e-300)
+    lo, hi = r.rows[0].bracket
+    assert r.rows[0].status == "bisected"
+    assert math.nextafter(lo, math.inf) == hi
+
+
+def test_numeric_half_width_covers_float_spacing_stop():
+    # below the float spacing the per-window half-widths, not tol_alpha,
+    # bound the error, and the propagated bar must cover them
+    num = p_crit_numeric(tol_alpha=1e-17)
+    widest = max(e.half_width for e in num.per_window)
+    assert widest > 1e-17
+    assert num.alpha_half_width >= widest
 
 
 def _bisection_binds(spec, grid):

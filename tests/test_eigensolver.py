@@ -377,5 +377,13 @@ def test_find_alpha_crit_bracket_errors():
 def test_find_alpha_crit_validation():
     with pytest.raises(ValueError):
         find_alpha_crit(1.0, 0.5)
-    with pytest.raises(ValueError):
-        find_alpha_crit(1e-8, 1e8, tol_alpha=0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            find_alpha_crit(1e-8, 1e8, tol_alpha=tol)
+
+
+def test_find_alpha_crit_tolerance_below_float_spacing():
+    # the bisection stops at adjacent floats and reports their half-width
+    est = find_alpha_crit(1e-8, 1e8, tol_alpha=1e-17)
+    assert 1e-17 < est.half_width <= math.ulp(est.value)
+    assert abs(est.value - est.predicted_threshold) <= est.half_width + 1e-12

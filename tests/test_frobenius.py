@@ -7,17 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipole1d.frobenius import (
-    Criticality,
     DegenerateRecursionError,
     SeriesSolution,
     SeriesTruncationError,
-    classify_criticality,
     eval_series,
     indicial_roots,
     ode_residual,
     recursion_residuals,
     series_coefficients,
-    tail_estimate,
 )
 
 
@@ -48,7 +45,6 @@ def test_supercritical_roots_off_axis(alpha):
     assert pair.nu_plus.imag > 0.0
     assert pair.nu_plus.real == pytest.approx(0.5)
     assert pair.nu_minus == pair.nu_plus.conjugate()
-    assert classify_criticality(alpha, tol=0.0).kind is Criticality.SUPERCRITICAL
 
 
 def test_series_hand_computed_coefficients():
@@ -108,7 +104,6 @@ def test_eval_refuses_outside_trust_region():
     s = series_coefficients(3.0 / 16.0, 1.0, 0.75, N=6)
     with pytest.raises(SeriesTruncationError):
         eval_series(s, 10.0)
-    assert tail_estimate(s, 10.0) > 1e-8
 
 
 def test_ode_residual_small_in_trust_region():
@@ -164,19 +159,6 @@ def test_series_matches_direct_integration():
     series_vals = np.array([eval_series(s, float(y)).real for y in ys])
     rel = np.abs(series_vals - ivp.y[0]) / np.abs(series_vals)
     assert np.max(rel) < 1e-6
-
-
-def test_classify_criticality():
-    assert classify_criticality(0.2, tol=0.0).kind is Criticality.SUBCRITICAL
-    assert classify_criticality(0.25, tol=0.0).kind is Criticality.CRITICAL
-    sup = classify_criticality(0.5, tol=0.0)
-    assert sup.kind is Criticality.SUPERCRITICAL
-    assert sup.oscillation_exponent == pytest.approx(0.5, rel=1e-14)
-    # default tolerance band around the analytic boundary
-    assert classify_criticality(0.25 + 1e-10).kind is Criticality.CRITICAL
-    assert classify_criticality(0.25 - 1e-10).kind is Criticality.CRITICAL
-    with pytest.raises(ValueError):
-        classify_criticality(0.3, tol=-1.0)
 
 
 def test_series_input_validation():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -52,9 +50,7 @@ def test_coulomb_values_and_singularity():
 def test_coulomb_free_particle_degenerate_case():
     free = Coulomb(0.0)
     assert eval_potential_grid(free, [0.5]).tolist() == [0.0]
-    prof = free.profile()
-    assert prof.singular_points == ()
-    assert prof.hard_nodes == ()
+    assert free.pinned_zeros == ()
 
 
 def test_point_dipole_singularity():
@@ -110,61 +106,49 @@ def test_physical_dipole_sup_vanishes_with_separation():
 
 
 def test_classify_point_dipole():
-    prof = PointDipole(1.0).profile()
-    assert prof.singular_points == (0.0,)
-    assert prof.hard_nodes == (0.0,)
-    assert prof.attractive == ((-math.inf, 0.0),)
-    assert prof.repulsive == ((0.0, math.inf),)
+    assert PointDipole(1.0).pinned_zeros == (0.0,)
 
 
 def test_classify_coulomb():
-    prof = Coulomb(1.0).profile()
-    assert prof.hard_nodes == (0.0,)
-    assert prof.attractive == ((-math.inf, 0.0), (0.0, math.inf))
-    assert prof.repulsive == ()
+    assert Coulomb(1.0).pinned_zeros == (0.0,)
 
 
 def test_classify_regularized_coulomb():
-    prof = RegularizedCoulomb(1.0, 0.1).profile()
-    assert prof.singular_points == ()
-    assert prof.hard_nodes == ()
-    assert prof.attractive == ((-math.inf, math.inf),)
+    assert RegularizedCoulomb(1.0, 0.1).pinned_zeros == ()
 
 
 def test_classify_inverse_square():
-    prof = InverseSquare(0.5).profile()
-    assert prof.singular_points == (0.0,)
-    assert prof.hard_nodes == (0.0,)
-    assert prof.attractive == ((0.0, math.inf),)
-    rep = InverseSquare(-0.5).profile()
-    assert rep.repulsive == ((0.0, math.inf),)
-    assert rep.attractive == ()
+    for alpha in (0.5, 0.0, -0.5):
+        assert InverseSquare(alpha).pinned_zeros == (0.0,)
 
 
 def test_classify_physical_dipole_plateau():
-    small_cap = PhysicalDipole(1.0, 1.0, 1e-3).profile()
-    assert small_cap.singular_points == ()
-    assert small_cap.attractive == ((-math.inf, 0.0),)
-    big_cap = PhysicalDipole(1.0, 0.5, 1.0).profile()
-    (lo, hi), = big_cap.attractive
-    assert hi == pytest.approx(-0.75)  # zero plateau spans |x| <= eps - d/2
+    assert PhysicalDipole(1.0, 1.0, 1e-3).pinned_zeros == ()
+    big_cap = PhysicalDipole(1.0, 0.5, 1.0)
+    assert big_cap.pinned_zeros == ()
+    # the overlapping caps cancel the potential on |x| <= eps - d/2 = 0.75
+    plateau = eval_potential_grid(big_cap, np.linspace(-0.75, 0.75, 31))
+    assert np.all(plateau == 0.0)
+    assert np.all(eval_potential_grid(big_cap, [-0.76, -5.0]) < 0.0)
+    assert np.all(eval_potential_grid(big_cap, [0.76, 5.0]) > 0.0)
 
 
 def test_sign_regions_match_evaluation():
     rng = np.random.default_rng(11)
-    for spec in (
-        PointDipole(0.4),
-        Coulomb(2.0),
-        RegularizedCoulomb(1.0, 0.2),
-        PhysicalDipole(1.0, 0.3, 1e-3),
-        InverseSquare(1.2),
-    ):
-        prof = spec.profile()
-        for lo, hi in prof.attractive:
-            xs = rng.uniform(max(lo, -50.0) + 1e-6, min(hi, 50.0) - 1e-6, size=20)
+    cases = (
+        (PointDipole(0.4), ((-50.0, 0.0),), ((0.0, 50.0),)),
+        (Coulomb(2.0), ((-50.0, 0.0), (0.0, 50.0)), ()),
+        (RegularizedCoulomb(1.0, 0.2), ((-50.0, 50.0),), ()),
+        (PhysicalDipole(1.0, 0.3, 1e-3), ((-50.0, 0.0),), ((0.0, 50.0),)),
+        (InverseSquare(1.2), ((0.0, 50.0),), ()),
+        (InverseSquare(-0.5), (), ((0.0, 50.0),)),
+    )
+    for spec, attractive, repulsive in cases:
+        for lo, hi in attractive:
+            xs = rng.uniform(lo + 1e-6, hi - 1e-6, size=20)
             assert np.all(eval_potential_grid(spec, xs) < 0.0)
-        for lo, hi in prof.repulsive:
-            xs = rng.uniform(max(lo, -50.0) + 1e-6, min(hi, 50.0) - 1e-6, size=20)
+        for lo, hi in repulsive:
+            xs = rng.uniform(lo + 1e-6, hi - 1e-6, size=20)
             assert np.all(eval_potential_grid(spec, xs) > 0.0)
 
 

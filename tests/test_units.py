@@ -1,8 +1,6 @@
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from dipole1d.units import (
     ATOMIC_UNITS,
@@ -13,7 +11,6 @@ from dipole1d.units import (
     dipole_atomic_to_si,
     dipole_si_to_atomic,
     hartree_energy,
-    xi_from_energy,
 )
 
 
@@ -61,17 +58,6 @@ def test_alpha_from_p_rejects_nonpositive():
         alpha_from_p(CODATA, 0.0)
     with pytest.raises(ValueError):
         alpha_from_p(CODATA, -1e-30)
-
-
-def test_xi_from_energy_values():
-    assert xi_from_energy(ATOMIC_UNITS, -0.5) == pytest.approx(1.0, rel=1e-14)
-    assert xi_from_energy(ATOMIC_UNITS, 0.0) == 0.0
-    assert xi_from_energy(ATOMIC_UNITS, 1.0) == pytest.approx(-2.0, rel=1e-14)
-
-
-@given(st.floats(-10, 10), st.floats(1e-6, 10))
-def test_xi_from_energy_strictly_decreasing(e, de):
-    assert xi_from_energy(ATOMIC_UNITS, e + de) < xi_from_energy(ATOMIC_UNITS, e)
 
 
 def test_dipole_unit_value():

@@ -31,7 +31,6 @@ from .critical import (
     physical_dipole_scan,
 )
 from .eigensolver import (
-    DEFAULT_HYDROGEN_GRID,
     DEFAULT_TOL_ALPHA,
     BracketError,
     ConvergenceError,
@@ -39,6 +38,7 @@ from .eigensolver import (
     IntegrationError,
     cutoff_sweep,
     discretize,
+    hydrogen_grid,
     hydrogen_spectrum,
     lowest_eigenvalues,
 )
@@ -319,7 +319,8 @@ def _cmd_spectrum(args, c: ConstantSet, file_cfg) -> int:
 
 def _cmd_hydrogen(args, c: ConstantSet, file_cfg) -> int:
     lam = _number(args.lam, "coulomb_strength", c) if args.lam is not None else None
-    grid = _grid_from_args(args, c, DEFAULT_HYDROGEN_GRID)
+    # without --domain the default grid is read in Bohr radii 1/lam
+    grid = _grid_from_args(args, c, hydrogen_grid(**_given(lam=lam)))
     result = hydrogen_spectrum(grid=grid, **_given(lam=lam, n_states=args.states,
                                                    refine_levels=args.refine_levels))
     sp = result.spectrum

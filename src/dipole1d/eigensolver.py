@@ -58,6 +58,7 @@ __all__ = [
     "BracketError",
     "discretize",
     "lowest_eigenvalues",
+    "hydrogen_grid",
     "hydrogen_spectrum",
     "cutoff_sweep",
     "zero_energy_node_count",
@@ -171,7 +172,7 @@ class Grid:
         return replace(self, n=2 * self.n + 1)
 
 
-DEFAULT_HYDROGEN_GRID = Grid("logarithmic", 1e-5, 200.0, 16384)
+DEFAULT_HYDROGEN_GRID = Grid("logarithmic", 1e-5, 200.0, 16384)  # in Bohr radii 1/lam
 DEFAULT_CUTOFF_EPS = (0.2, 0.1, 0.05, 0.025, 0.0125)
 DEFAULT_WINDOWS = ((1e-8, 1e8), (1e-10, 1e10), (1e-12, 1e12))
 DEFAULT_TOL_ALPHA = 1e-4
@@ -248,6 +249,9 @@ def _potential_column(spec: PotentialSpec, xs: np.ndarray) -> np.ndarray:
     return v
 
 
+# Entries that overflow (a log grid reaching far below x = 1e-150, say) are
+# refused by DiscreteHamiltonian as a ValueError, not left to warn on the way.
+@np.errstate(over="ignore", invalid="ignore")
 def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
     """Assemble the symmetric tridiagonal operator for ``spec`` on ``grid``.
 
@@ -340,6 +344,34 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
     )
 
 
+def _rayleigh_seeds(H: DiscreteHamiltonian, guesses):
+    # Sharpen each guess g to theta = v^T H v, v = inverse_iteration(H, g).
+    # For a unit v, |theta - lambda| <= ||H v - theta v||^2 / gap (Parlett, The
+    # Symmetric Eigenvalue Problem, ch. 4), so a guess within a fraction of
+    # the gap of its level gives a seed within about 1e-14 of it, and the
+    # seeded bisection brackets the level in a few passes.  A guess whose
+    # solve fails or whose theta is not finite is kept as it is; guesses of
+    # the wrong shape go through unchanged for eigvalsh_bisect to reject.
+    g = np.asarray(guesses, dtype=float)
+    if g.ndim != 1:
+        return guesses
+    d, e = H.diagonal, H.offdiagonal
+    seeds = []
+    for x in g.tolist():
+        try:
+            v = inverse_iteration(d, e, x)
+        except ValueError:
+            seeds.append(x)
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            hv = d * v
+            hv[:-1] += e * v[1:]
+            hv[1:] += e * v[:-1]
+            theta = float(np.dot(v, hv))
+        seeds.append(theta if math.isfinite(theta) else x)
+    return seeds
+
+
 def lowest_eigenvalues(
     H: DiscreteHamiltonian,
     k: int,
@@ -354,10 +386,18 @@ def lowest_eigenvalues(
     ``tol`` (or ``maxit`` iterations); the Sturm count guarantees the index of
     every returned bracket.  ``guesses`` (one per level) only save Sturm
     passes: the returned values do not depend on them (see
-    :func:`~dipole1d.tridiag.eigvalsh_bisect`).
+    :func:`~dipole1d.tridiag.eigvalsh_bisect`).  When vectors are wanted,
+    each guess is first replaced by the Rayleigh quotient v^T H v of one
+    inverse iteration at it, which is far closer to the level; a guess whose
+    solve fails, or whose quotient is not finite, is kept as it is.  The
+    vectorless path passes the guesses on unchanged and so never loads
+    scipy.  The returned vectors are solved at the bisected values, so they
+    do not depend on the guesses either.
     """
     if not 1 <= k <= H.size:
         raise ValueError(f"k must be in [1, {H.size}], got {k}")
+    if want_vectors and guesses is not None:
+        guesses = _rayleigh_seeds(H, guesses)
     values, widths = eigvalsh_bisect(H.diagonal, H.offdiagonal, k, tol=tol, maxit=maxit,
                                      guesses=guesses)
     vectors = None
@@ -404,6 +444,24 @@ class HydrogenResult:
     estimates_by_level: np.ndarray = field(repr=False)
 
 
+# The largest first-order inner-wall shift of the ground level, relative,
+# that hydrogen_spectrum accepts; the default grid's is 4e-5.
+_WALL_SHIFT_MAX = 1e-3
+
+
+def hydrogen_grid(lam: float = 1.0) -> Grid:
+    """``DEFAULT_HYDROGEN_GRID`` read in units of the Bohr radius 1/lam.
+
+    x -> x / lam maps the Coulomb problem exactly onto lam = 1 with energies
+    times lam^2, so this grid resolves every lam as the default grid resolves
+    lam = 1; at lam = 1 it is the default grid.
+    """
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError("lam must be finite and > 0")
+    g = DEFAULT_HYDROGEN_GRID
+    return replace(g, x_min=g.x_min / lam, x_max=g.x_max / lam)
+
+
 def hydrogen_spectrum(
     lam: float = 1.0,
     n_states: int = 3,
@@ -413,10 +471,17 @@ def hydrogen_spectrum(
 ) -> HydrogenResult:
     """Solve the half-line Coulomb problem and compare against the Balmer form.
 
-    The problem is solved on ``grid`` and on ``refine_levels`` exact spacing
-    halvings; per-state Richardson error estimates must shrink from level to
-    level (while they sit above the eigenvalue-bisection noise floor) or a
+    The problem is solved on ``grid`` (default :func:`hydrogen_grid` of
+    ``lam``) and on ``refine_levels`` exact spacing halvings; per-state
+    Richardson error estimates must shrink from level to level (while they
+    sit above the eigenvalue-bisection noise floor) or a
     :class:`ConvergenceError` carrying the estimates is raised.
+
+    The Dirichlet wall at ``grid.x_min`` > 0 raises the ground level by about
+    (1/2) psi_1'(0)^2 x_min = 2 lam^3 x_min hartree to first order, i.e.
+    4 lam x_min relative to |E_1| = lam^2 / 2.  The Richardson estimates see
+    only the spacing, not this shift, so a grid on which it exceeds 1e-3
+    relative is refused with ValueError before any solve.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be finite and > 0")
@@ -428,7 +493,14 @@ def hydrogen_spectrum(
     if refine_levels < 1:
         raise ValueError("refine_levels must be >= 1")
     if grid is None:
-        grid = DEFAULT_HYDROGEN_GRID
+        grid = hydrogen_grid(lam)
+    wall_shift = 4.0 * lam * grid.x_min
+    if not wall_shift <= _WALL_SHIFT_MAX:
+        raise ValueError(
+            f"the inner wall at x_min = {grid.x_min!r} shifts the ground level by "
+            f"{wall_shift:.3g} relative (4 lam x_min), above {_WALL_SHIFT_MAX:g}; "
+            f"put x_min well below the Bohr radius 1/lam = {1.0 / lam!r}"
+        )
 
     grids = [grid]
     for _ in range(refine_levels):
@@ -436,20 +508,11 @@ def hydrogen_spectrum(
     n_idx = np.arange(1, n_states + 1, dtype=float)
     balmer = -(lam**2) / (2.0 * n_idx**2)
 
-    spectra = []
-    for g in grids:
-        # Seed each solve with the level it should land near: the Balmer
-        # level on the first grid, then the previous grid's, then the O(h^2)
-        # prediction fine + (fine - coarse) / 4.
-        if not spectra:
-            guesses = balmer
-        elif len(spectra) == 1:
-            guesses = spectra[0].energies
-        else:
-            coarse, fine = spectra[-2].energies, spectra[-1].energies
-            guesses = fine + (fine - coarse) / 4.0
-        H = discretize(Coulomb(lam), g)
-        spectra.append(lowest_eigenvalues(H, n_states, tol=eig_tol, guesses=guesses))
+    # Every rung is seeded with the Balmer levels; lowest_eigenvalues sharpens
+    # them to Rayleigh quotients, and the values do not depend on the seeds.
+    spectra = [lowest_eigenvalues(discretize(Coulomb(lam), g), n_states, tol=eig_tol,
+                                  guesses=balmer)
+               for g in grids]
     E = np.vstack([sp.energies for sp in spectra])
 
     estimates = np.abs(E[1:] - E[:-1]) / 3.0

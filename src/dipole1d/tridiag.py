@@ -18,8 +18,11 @@ enough at x, no later pivot can be negative (Barth, Martin and Wilkinson
 operations the pass performs, once per operator, so the early stop gives the
 exact count that the full pass gives.
 
-A caller that already knows roughly where each level lies (a coarser grid's
-level, the same level of a symmetric reduction) passes it as a guess.  The
+A caller that already knows roughly where each level lies (an analytic
+level, the same level of a symmetric reduction) passes it as a guess;
+``eigensolver.lowest_eigenvalues`` first sharpens a guess to a Rayleigh
+quotient when it solves for vectors anyway, so a seed is then usually
+within a rounding error of its level and brackets it in two passes.  The
 bisection then first counts at two shifts around each guess, widening a side
 by a factor of 8 until the two counts bracket the level, and keeps those
 counts with the others.  The midpoints stay those of the plain bisection

@@ -224,15 +224,70 @@ def test_grid_alignment_error_prints_a_plain_float(capsys):
                    "grid node (nearest node -0.4615384615384599)\n")
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported lazily by the eigenvector solve; the CLI's start-up
-    # time (perfbench's setup_s) must not pay for it
-    code = "import sys, dipole1d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _scipy_after(runs):
+    # exit codes, and the scipy modules a fresh interpreter has loaded after
+    # importing dipole1d.cli and calling run on each argv
+    code = ("import sys\nfrom dipole1d.cli import run\n"
+            f"codes = [run(argv) for argv in {runs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+                          env=env, check=True, timeout=120)
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported lazily by the eigenvector solve; the CLI's start-up
+    # time (perfbench's setup_s) must not pay for it
+    assert _scipy_after([]) == "[] []"
+
+
+def test_vectorless_pipelines_leave_scipy_unloaded():
+    # cutoff-sweep (whose full-line check passes guesses), dipole-limit and
+    # critical-scan need no eigenvectors, so no seed or solve may import scipy
+    runs = [["cutoff-sweep", "--epsilon", "0.2,0.1", "--domain", "0:20"],
+            ["dipole-limit", "--d", "1.0,0.5", "--n", "601"],
+            ["critical-scan", "--windows", "1e-5:1e5,1e-6:1e6"]]
+    assert _scipy_after(runs) == "[0, 3, 0] []"
+    # the check can see the import: a solve with vectors does load it
+    assert _scipy_after([["spectrum", "--p", "1", "--domain", "-20:0", "--n", "64"]]) != "[0] []"
+
+
+def test_hydrogen_default_grid_is_read_in_bohr_radii(capsys):
+    # without --domain the default geometry is scaled by 1/lam, the domain
+    # the benchmark's seeds pass explicitly
+    lam = 1.1
+    assert run(["hydrogen", "--lambda", repr(lam), "--n", "384"]) == 0
+    scaled = capsys.readouterr().out
+    assert run(["hydrogen", "--lambda", repr(lam), "--n", "384",
+                "--domain", f"{1e-5 / lam!r}:{200.0 / lam!r}"]) == 0
+    assert capsys.readouterr().out == scaled
+
+
+def test_hydrogen_large_lambda_matches_balmer(tmp_path):
+    out = tmp_path / "h"
+    assert run(["hydrogen", "--lambda", "1e3", "--n", "1024", "--refine-levels", "1",
+                "--format", "both", "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "h.json").read_text())
+    assert doc["config"]["x_min"] == "1e-08"
+    balmer = -1e6 / (2.0 * np.arange(1, 4) ** 2)
+    assert doc["balmer_hartree"] == pytest.approx(balmer.tolist(), rel=1e-15)
+    assert np.all(np.abs(np.array(doc["energies_hartree"]) - balmer) < 1e-4 * np.abs(balmer))
+
+
+@pytest.mark.parametrize("argv, message", [
+    # lam = 1e3 on the lam = 1 geometry: the wall shifts E1 by 4e-2 relative
+    (["hydrogen", "--lambda", "1e3", "--domain", "1e-5:200", "--n", "64"], "inner wall"),
+    # the lam = 1e154 default grid starts at x = 1e-159, where the entries overflow
+    (["hydrogen", "--lambda", "1e154", "--n", "64", "--refine-levels", "1"], "must be finite"),
+])
+def test_hydrogen_unresolved_grids_fail_closed(argv, message, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: code=invalid ")
+    assert message in captured.err
 
 
 def test_perfbench_selftest_passes():
@@ -318,7 +373,7 @@ _GOLDEN = [
     (["cutoff-sweep"],
      0, "561d9cc70fe7931ef4182c1678d790cf22066eb7ec8f3c1a9c8116406ecb55ab",
      "d275517bd482e182e1fa5b61bfa49e59253b0bf48548dd4d8b7d7059e3d376c2"),
-    # grids 4,096 / 8,193 / 16,387: the refined solves start from guessed levels
+    # grids 4,096 / 8,193 / 16,387
     (["hydrogen", "--n", "4096"],
      0, "58dbba61cf396e4840321cfd2b7f86cf2db24c71c475a527545a1e588168de3d",
      "85a08d95f93473946c940d06802d8c3de2525a097adc55c44c8636f228c8b7a4"),

@@ -5,6 +5,7 @@ import pytest
 
 import dipole1d.eigensolver as es
 from dipole1d.eigensolver import (
+    DEFAULT_HYDROGEN_GRID,
     BracketError,
     ConvergenceError,
     Grid,
@@ -15,6 +16,7 @@ from dipole1d.eigensolver import (
     cutoff_sweep,
     discretize,
     find_alpha_crit,
+    hydrogen_grid,
     hydrogen_spectrum,
     lowest_eigenvalues,
     richardson_step,
@@ -230,6 +232,67 @@ def test_hydrogen_rejects_bad_inputs():
         hydrogen_spectrum(1.0, 0)
     with pytest.raises(ValueError):
         hydrogen_spectrum(1.0, 3, refine_levels=0)
+
+
+def test_hydrogen_grid_is_the_default_in_bohr_radii():
+    assert hydrogen_grid() == DEFAULT_HYDROGEN_GRID
+    assert hydrogen_grid(1.0) == DEFAULT_HYDROGEN_GRID
+    g = hydrogen_grid(1e3)
+    assert (g.kind, g.n, g.left_bc) == (DEFAULT_HYDROGEN_GRID.kind, DEFAULT_HYDROGEN_GRID.n,
+                                        DEFAULT_HYDROGEN_GRID.left_bc)
+    assert (g.x_min, g.x_max) == (1e-5 / 1e3, 200.0 / 1e3)
+    for lam in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lam"):
+            hydrogen_grid(lam)
+
+
+class _Solved(Exception):
+    pass
+
+
+@pytest.mark.parametrize("lam, x_min, refused", [
+    (1.0, 1e-5, False),       # the default grid: 4e-5
+    (1e3, 1e-8, False),       # the default grid at lam = 1e3
+    (1.0, 2.4e-4, False),     # 9.6e-4, just inside the bound
+    (1.0, 2.6e-4, True),      # 1.04e-3, just outside
+    (1e3, 1e-5, True),        # lam = 1e3 on the lam = 1 grid: 4e-2
+    (1e154, 1e-5, True),      # 4e149
+])
+def test_hydrogen_refuses_an_unresolved_inner_wall(monkeypatch, lam, x_min, refused):
+    # 4 lam x_min is the first-order wall shift of the ground level, relative;
+    # a refused grid is refused before any solve
+    def solved(*args, **kwargs):
+        raise _Solved
+
+    monkeypatch.setattr(es, "discretize", solved)
+    grid = Grid("logarithmic", x_min, 200.0, 64)
+    if refused:
+        with pytest.raises(ValueError, match="inner wall"):
+            hydrogen_spectrum(lam, grid=grid)
+    else:
+        with pytest.raises(_Solved):
+            hydrogen_spectrum(lam, grid=grid)
+
+
+def test_hydrogen_levels_at_large_lambda_match_balmer():
+    # the default geometry read in Bohr radii 1/lam resolves lam = 1e3 as it
+    # resolves lam = 1, with energies exactly lam^2 times larger in the
+    # continuum and within the bisection tolerance on the grid
+    base = Grid("logarithmic", 1e-5, 200.0, 1024)
+    r1 = hydrogen_spectrum(1.0, 3, refine_levels=1, grid=base)
+    lam = 1e3
+    r = hydrogen_spectrum(lam, 3, refine_levels=1,
+                          grid=Grid("logarithmic", 1e-5 / lam, 200.0 / lam, 1024))
+    assert np.all(r.relative_errors < 1e-4)
+    assert r.energies_by_level / lam**2 == pytest.approx(r1.energies_by_level, rel=1e-9)
+    assert r.relative_errors == pytest.approx(r1.relative_errors, rel=1e-4)
+
+
+def test_discretize_refuses_overflowing_entries():
+    # the lam = 1e154 default grid starts at x = 1e-159: e^(-2s) / h^2 and
+    # lam / x overflow; the refusal is a ValueError, not a RuntimeWarning
+    with pytest.raises(ValueError, match="operator entries must be finite"):
+        discretize(Coulomb(1e154), Grid("logarithmic", 1e-159, 2e-152, 64))
 
 
 def test_hydrogen_convergence_guard(monkeypatch):

@@ -5,9 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
+import dipole1d.eigensolver as es
 import dipole1d.tridiag as tridiag
 from dipole1d.cli import run
-from dipole1d.eigensolver import Grid, discretize
+from dipole1d.eigensolver import DiscreteHamiltonian, Grid, discretize, lowest_eigenvalues
 from dipole1d.potentials import Coulomb, PhysicalDipole, PointDipole, RegularizedCoulomb
 from dipole1d.tridiag import (
     _count_below,
@@ -761,21 +762,135 @@ def test_sturm_count_monotone_near_pipeline_levels():
 
 
 @pytest.mark.parametrize("guesses", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]],
-                                     [1.0, math.nan, 3.0], [1.0, 2.0, math.inf]])
+                                     [1.0, math.nan, 3.0], [1.0, 2.0, math.inf], 1.0])
 def test_bad_guesses_rejected(guesses):
     with pytest.raises(ValueError, match="guesses"):
         eigvalsh_bisect(np.array([1.0, 2.0, 3.0]), np.array([-1.0, -1.0]), 3, guesses=guesses)
+    # also after the Rayleigh-quotient step of a solve with vectors
+    with pytest.raises(ValueError, match="guesses"):
+        lowest_eigenvalues(_hamiltonian([1.0, 2.0, 3.0], [-1.0, -1.0]), 3, guesses=guesses)
+
+
+# Seeded eigen solves: with vectors, lowest_eigenvalues sharpens each guess to
+# a Rayleigh quotient first; the spectrum must still equal the unseeded one.
+
+def _hamiltonian(diag, off):
+    # lowest_eigenvalues reads only the entries; the grid is a placeholder
+    diag = np.asarray(diag, dtype=float)
+    return DiscreteHamiltonian(diag, np.asarray(off, dtype=float),
+                               Grid("uniform", 0.0, 1.0, 16), "test operator",
+                               np.arange(float(diag.shape[0])))
+
+
+def _record_seeds(monkeypatch):
+    # the guesses lowest_eigenvalues hands to the bisection, one list per solve
+    seeds = []
+    bisect = es.eigvalsh_bisect
+
+    def recording(*args, guesses=None, **kwargs):
+        seeds.append(None if guesses is None else [float(g) for g in guesses])
+        return bisect(*args, guesses=guesses, **kwargs)
+
+    monkeypatch.setattr(es, "eigvalsh_bisect", recording)
+    return seeds
+
+
+def _assert_same_spectrum(sp, ref):
+    for name in ("energies", "bracket_widths", "node_counts", "eigenvectors"):
+        assert np.array_equal(getattr(sp, name), getattr(ref, name)), name
+
+
+def _assert_seeded_solve_equals_unseeded(H, k, tol, seeds):
+    ref = lowest_eigenvalues(H, k, tol=tol)
+    levels = lowest_eigenvalues(H, min(k + 1, H.size), tol=tol, want_vectors=False).energies
+    lo, hi = gershgorin_bounds(H.diagonal, H.offdiagonal)
+    for guesses in _guess_sets(levels, k, lo, hi):
+        del seeds[:]
+        _assert_same_spectrum(lowest_eigenvalues(H, k, tol=tol, guesses=guesses), ref)
+        assert len(seeds) == 1 and len(seeds[0]) == k
+
+
+def test_seeded_solve_bit_identical_to_unseeded_on_random_operators(monkeypatch):
+    seeds = _record_seeds(monkeypatch)
+    for diag, off in _random_operators():
+        _assert_seeded_solve_equals_unseeded(_hamiltonian(diag, off), min(4, diag.shape[0]),
+                                             1e-10, seeds)
+
+
+@pytest.mark.parametrize("name", ["coulomb_log_384", "coulomb_log_769", "coulomb_log_1539"])
+def test_seeded_solve_bit_identical_to_unseeded_on_balmer_grids(name, monkeypatch):
+    H, k, tol = _pipeline_operators()[name]
+    seeds = _record_seeds(monkeypatch)
+    _assert_seeded_solve_equals_unseeded(H, k, tol, seeds)
+    # a guess at the next level sends the Rayleigh quotient to that level:
+    # the seed is wrong, and the spectrum above must not have noticed
+    levels = lowest_eigenvalues(H, k + 1, tol=tol, want_vectors=False).energies
+    del seeds[:]
+    lowest_eigenvalues(H, k, tol=tol, guesses=levels[1:])
+    assert seeds[0] == pytest.approx(levels[1:].tolist(), abs=1e-9)
+    # Balmer guesses become seeds far closer to the levels than they were
+    balmer = np.array([-0.5, -0.125, -1.0 / 18.0])
+    del seeds[:]
+    lowest_eigenvalues(H, k, tol=tol, guesses=balmer)
+    assert np.all(np.abs(np.array(seeds[0]) - levels[:k]) < 1e-3 * np.abs(balmer - levels[:k]))
+
+
+def test_seed_solve_failure_keeps_the_raw_guess(monkeypatch):
+    # 2.0 is an exact eigenvalue, and the retry shift 2.0 + 1e-13 * 2.0000000000002
+    # rounds onto the third diagonal entry: both inverse-iteration attempts at
+    # 2.0 meet an exact zero pivot
+    H = _hamiltonian([1.0, 2.0, 2.0000000000002], [0.0, 0.0])
+    with pytest.raises(ValueError, match="inverse iteration failed"):
+        inverse_iteration(H.diagonal, H.offdiagonal, 2.0)
+    ref = lowest_eigenvalues(H, 3)
+    seeds = _record_seeds(monkeypatch)
+    _assert_same_spectrum(lowest_eigenvalues(H, 3, guesses=[1.01, 2.0, 2.01]), ref)
+    assert seeds[0][1] == 2.0                       # the raw guess
+    assert abs(seeds[0][0] - 1.0) < 1e-9            # Rayleigh quotients
+    assert abs(seeds[0][2] - 2.0000000000002) < 1e-9
+
+
+def test_non_finite_rayleigh_quotient_keeps_the_raw_guess(monkeypatch):
+    H, k, tol = _pipeline_operators()["coulomb_log_384"]
+    ref = lowest_eigenvalues(H, k, tol=tol)
+    bad = -0.49
+    real = es.inverse_iteration
+
+    def nan_at_bad(diag, off, lam, *args):
+        return np.full(diag.shape, math.nan) if lam == bad else real(diag, off, lam, *args)
+
+    monkeypatch.setattr(es, "inverse_iteration", nan_at_bad)
+    seeds = _record_seeds(monkeypatch)
+    _assert_same_spectrum(lowest_eigenvalues(H, k, tol=tol, guesses=[bad, -0.125, -1.0 / 18.0]),
+                          ref)
+    assert seeds[0][0] == bad
+    assert seeds[0][1:] == pytest.approx(ref.energies[1:].tolist(), abs=1e-9)
+
+
+def test_vectorless_solves_keep_the_raw_guesses(monkeypatch):
+    # the seeds' inverse iteration would load scipy on paths that need none
+    def no_vectors(*args, **kwargs):
+        raise AssertionError("inverse iteration on a vectorless solve")
+
+    monkeypatch.setattr(es, "inverse_iteration", no_vectors)
+    seeds = _record_seeds(monkeypatch)
+    H, k, tol = _pipeline_operators()["coulomb_log_384"]
+    lowest_eigenvalues(H, k, tol=tol, want_vectors=False, guesses=[-0.5, -0.125, -0.05])
+    assert seeds == [[-0.5, -0.125, -0.05]]
 
 
 @pytest.mark.parametrize("argv, rows, bound", [
     # the full-line check, seeded from the even-sector level it reproduces
     (["cutoff-sweep", "--lambda", "1.0", "--epsilon", "0.2,0.1,0.05,0.025,0.0125",
       "--domain", "0:10.0", "--n", "3200"], 6399, 8),
-    # three grids, each seeded (the first with the Balmer levels); 467 passes
-    # without guesses
+    # three grids, each seeded with the Rayleigh quotients of the Balmer
+    # levels: 37 passes (467 without guesses); the bounds leave one pass per
+    # level and grid for a seed that lands a rounding error further out
     (["hydrogen", "--lambda", "1.0", "--states", "3", "--n", "384", "--domain", "1e-05:200.0"],
-     None, 249),
-], ids=["cutoff-full-line", "balmer"])
+     None, 37 + 9),
+    # grids 4,096 / 8,193 / 16,387: 39 passes
+    (["hydrogen", "--n", "4096"], None, 39 + 9),
+], ids=["cutoff-full-line", "balmer", "hydrogen-4096"])
 def test_seeded_solves_take_few_passes(argv, rows, bound, monkeypatch, tmp_path):
     passes = _record_passes(monkeypatch)
     assert run(argv + ["--out", str(tmp_path / "o")]) == 0

@@ -380,6 +380,11 @@ _GOLDEN = [
     (["spectrum", "--p", "1", "--domain", "-20:0", "--n", "512", "--states", "2"],
      0, "d5cd22ebe28a8673de5b99614f58b5bf859f2f7fb205ff096a68dbe013bfdabd",
      "e033d6722c391e19a4b5a66a9fd30768a3a00ebc0092fbd8b1b0a4f210e8ce6f"),
+    # the inverse-square family, posed in its scaled form
+    (["spectrum", "--alpha", "1.25", "--grid", "log", "--domain", "1e-3:30", "--n", "2048",
+      "--states", "3"],
+     0, "f3650472d342818294047d9847bbd69f715137ff56ae3cd61428ab172b2c738f",
+     "e3468d5c388b3bc438fd8940acf0d33b06bf9ded74d7e301f4edede2ca9f4769"),
     # two CSV tables, each under its own "# table=" line
     (["series", "--alpha", "0.5", "--nterms", "8"],
      0, "f453f981f7663ab5cff578d01aafb8dd758b13dcc5032dc61ac12932e53cefbc",
@@ -400,7 +405,7 @@ def _sha(data: bytes) -> str:
 
 @pytest.mark.parametrize("argv, code, csv_sha, json_sha", _GOLDEN,
                          ids=["balmer", "dipole-scan", "threshold", "cutoff", "cutoff-sweep",
-                              "hydrogen-4096", "spectrum-p", "series", "convert",
+                              "hydrogen-4096", "spectrum-p", "spectrum-alpha", "series", "convert",
                               "critical-scan"])
 def test_output_bytes_match_golden(argv, code, csv_sha, json_sha, tmp_path, capsys):
     assert run(argv) == code

@@ -353,12 +353,11 @@ def _cmd_cutoff_sweep(args, c: ConstantSet, file_cfg) -> int:
         if x0 != 0.0:
             raise _UsageError("cutoff-sweep uses the even-parity half line; --domain must be 0:L")
     result = cutoff_sweep(n=args.n, **_given(lam=lam, eps_list=eps, L=L))
+    e0, even, full = result.full_line_check
     params = dict(lam=_fmt(result.lam), L=_fmt(result.L), n=result.n,
-                  monotone_decreasing=result.monotone_decreasing)
-    if result.full_line_check is not None:
-        e0, even, full = result.full_line_check
-        params.update(full_line_epsilon=_fmt(e0), full_line_even_hartree=_fmt(even),
-                      full_line_full_hartree=_fmt(full))
+                  monotone_decreasing=result.monotone_decreasing,
+                  full_line_epsilon=_fmt(e0), full_line_even_hartree=_fmt(even),
+                  full_line_full_hartree=_fmt(full))
     _emit(args, c, params,
           [(None, ["epsilon", "ground_energy_hartree"], zip(result.epsilons, result.energies))],
           {"epsilons": list(result.epsilons),

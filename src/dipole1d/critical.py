@@ -261,13 +261,19 @@ def _binds(spec, grid: Grid) -> bool:
     return _has_eigenvalue_below(H.diagonal, H.offdiagonal, 0.0)
 
 
-def _bisect_p(predicate, p_lo: float, p_hi: float, tol_p: float):
-    bottom, top = predicate(p_lo), predicate(p_hi)
+# the moment bracket around the exact point value, and its bisection width
+_P_LO = P_CRIT_AU / 10.0
+_P_HI = P_CRIT_AU * 10.0
+_TOL_P = 1e-3
+
+
+def _bisect_p(predicate):
+    bottom, top = predicate(_P_LO), predicate(_P_HI)
     if bottom and top:
-        return None, (p_lo, p_hi), "binds_everywhere"
+        return None, (_P_LO, _P_HI), "binds_everywhere"
     if not top:
-        return None, (p_lo, p_hi), "no_binding"
-    lo, hi = _narrow_bracket(predicate, p_lo, p_hi, tol_p)
+        return None, (_P_LO, _P_HI), "no_binding"
+    lo, hi = _narrow_bracket(predicate, _P_LO, _P_HI, _TOL_P)
     return 0.5 * (lo + hi), (lo, hi), "bisected"
 
 
@@ -276,24 +282,21 @@ def physical_dipole_scan(
     epsilon: float = 1e-3,
     domain: tuple[float, float] = (-30.0, 30.0),
     n: int | None = None,
-    tol_p: float = 1e-3,
-    bracket_factor: float = 10.0,
 ) -> DipoleScanResult:
     """For each separation d, bisect the moment p = Q d (varying Q) for the
     onset of a bound state of the two-centre capped dipole on ``domain``.
 
-    The bracket is [p_crit/factor, p_crit*factor] around the exact point
-    value; a bracket without a predicate sign change marks the row
-    inconclusive rather than guessing.  A point-dipole reference value on the
-    identical grid is included for the d -> 0 comparison.
+    The bracket is [p_crit/10, p_crit*10] around the exact point value,
+    bisected to a width of 1e-3 q*a_B; a bracket without a predicate sign
+    change marks the row inconclusive rather than guessing.  A point-dipole
+    reference value on the identical grid is included for the d -> 0
+    comparison.
     """
     d_list = tuple(float(d) for d in d_list)
     if any(not d > 0.0 for d in d_list):
         raise ValueError("every separation d must be > 0")
     if not epsilon > 0.0:
         raise ValueError("epsilon must be > 0")
-    if not (math.isfinite(tol_p) and tol_p > 0.0):
-        raise ValueError(f"tol_p must be finite and > 0, got {tol_p!r}")
     a, b = float(domain[0]), float(domain[1])
     if not (a < 0.0 < b):
         raise ValueError("domain must straddle the origin")
@@ -304,15 +307,12 @@ def physical_dipole_scan(
         n += 1  # odd count puts a node on the origin for the reference run
     grid = Grid("uniform", a, b, n)
 
-    p_lo = P_CRIT_AU / bracket_factor
-    p_hi = P_CRIT_AU * bracket_factor
-
     rows = []
     for d in d_list:
         def binds(p: float, d=d) -> bool:
             return _binds(PhysicalDipole(Q=p / d, d=d, epsilon=epsilon), grid)
 
-        p_c, bracket, status = _bisect_p(binds, p_lo, p_hi, tol_p)
+        p_c, bracket, status = _bisect_p(binds)
         rows.append(
             DipoleScanRow(d=d, p_critical=p_c, bracket=bracket,
                           conclusive=p_c is not None, status=status)
@@ -322,7 +322,7 @@ def physical_dipole_scan(
         return _binds(PointDipole(p), grid)
 
     try:
-        p_ref, _, _ = _bisect_p(point_binds, p_lo, p_hi, tol_p)
+        p_ref, _, _ = _bisect_p(point_binds)
     except GridAlignmentError:
         p_ref = None  # asymmetric domain: no grid node on the origin
 

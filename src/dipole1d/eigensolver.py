@@ -12,9 +12,9 @@ which stays a standard symmetric tridiagonal eigenproblem with strictly
 negative off-diagonal couplings.  Because e^(s/2) > 0, sign patterns (and so
 node counts) of u and psi agree.
 
-The inverse-square family is assembled from its scaled defining form
--psi'' - (alpha/y^2) psi = -xi psi, i.e. with half the raw potential on the
-diagonal, so reported eigenvalues are E = -xi/2 in hartree and the binding
+The inverse-square family is posed in its scaled defining form
+-psi'' - (alpha/y^2) psi = -xi psi, whose potential is -alpha/(2 y^2)
+hartree, so reported eigenvalues are E = -xi/2 in hartree and the binding
 threshold sits at alpha = 1/4 as it must.
 
 Eigenvalues come from Sturm-sequence bisection (guaranteed index bracketing),
@@ -105,6 +105,10 @@ class BracketError(RuntimeError):
 
 
 _ALIGN_RTOL = 1e-9
+_HYDROGEN_TOL = 1e-11  # eigenvalue bracket width on every hydrogen rung
+_CUTOFF_TOL = 1e-10  # eigenvalue bracket width of every cut-off solve
+_DRIFT_TOL = 1e-6  # the largest relative drift of the RK4 conserved quadratic
+_ALPHA_MAX = 2.0  # find_alpha_crit bisects alpha over [0, _ALPHA_MAX]
 
 
 @dataclass(frozen=True)
@@ -241,14 +245,6 @@ class Spectrum:
             raise ValueError("energies must be nondecreasing")
 
 
-def _potential_column(spec: PotentialSpec, xs: np.ndarray) -> np.ndarray:
-    v = eval_potential_grid(spec, xs)
-    if isinstance(spec, InverseSquare):
-        # Scaled defining form: half the raw well, eigenvalues are -xi/2.
-        v = 0.5 * v
-    return v
-
-
 # Entries that overflow (a log grid reaching far below x = 1e-150, say) are
 # refused by DiscreteHamiltonian as a ValueError, not left to warn on the way.
 @np.errstate(over="ignore", invalid="ignore")
@@ -331,7 +327,7 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
     if isinstance(spec, InverseSquare):
         notes.append("inverse-square scaled form: diagonal carries V/2, eigenvalues are -xi/2")
 
-    diag = kin_diag[keep] + _potential_column(spec, act_nodes)
+    diag = kin_diag[keep] + eval_potential_grid(spec, act_nodes)
     adjacent = keep[1:] == keep[:-1] + 1
     off = np.where(adjacent, kin_off[keep[:-1]], 0.0)
 
@@ -376,21 +372,20 @@ def lowest_eigenvalues(
     H: DiscreteHamiltonian,
     k: int,
     tol: float = 1e-10,
-    maxit: int = 200,
     want_vectors: bool = True,
     guesses=None,
 ) -> Spectrum:
     """The k smallest eigenvalues of H with node counts and bracket widths.
 
     Each eigenvalue is bisected until its Sturm bracket is narrower than
-    ``tol`` (or ``maxit`` iterations); the Sturm count guarantees the index of
-    every returned bracket.  ``guesses`` (one per level) only save Sturm
-    passes: the returned values do not depend on them (see
-    :func:`~dipole1d.tridiag.eigvalsh_bisect`).  When vectors are wanted,
-    each guess is first replaced by the Rayleigh quotient v^T H v of one
-    inverse iteration at it, which is far closer to the level; a guess whose
-    solve fails, or whose quotient is not finite, is kept as it is.  The
-    vectorless path passes the guesses on unchanged and so never loads
+    ``tol`` (or no float lies strictly between its ends); the Sturm count
+    guarantees the index of every returned bracket.  ``guesses`` (one per
+    level) only save Sturm passes: the returned values do not depend on them
+    (see :func:`~dipole1d.tridiag.eigvalsh_bisect`).  When vectors are
+    wanted, each guess is first replaced by the Rayleigh quotient v^T H v of
+    one inverse iteration at it, which is far closer to the level; a guess
+    whose solve fails, or whose quotient is not finite, is kept as it is.
+    The vectorless path passes the guesses on unchanged and so never loads
     scipy.  The returned vectors are solved at the bisected values, so they
     do not depend on the guesses either.
     """
@@ -398,8 +393,7 @@ def lowest_eigenvalues(
         raise ValueError(f"k must be in [1, {H.size}], got {k}")
     if want_vectors and guesses is not None:
         guesses = _rayleigh_seeds(H, guesses)
-    values, widths = eigvalsh_bisect(H.diagonal, H.offdiagonal, k, tol=tol, maxit=maxit,
-                                     guesses=guesses)
+    values, widths = eigvalsh_bisect(H.diagonal, H.offdiagonal, k, tol=tol, guesses=guesses)
     vectors = None
     counts = np.zeros(k, dtype=int)
     if want_vectors:
@@ -416,17 +410,15 @@ def lowest_eigenvalues(
     )
 
 
-def richardson_step(coarse, fine, ratio: float = 2.0, order: int = 2):
-    """One Richardson combination of two resolutions.
+def richardson_step(coarse, fine):
+    """One Richardson combination of two resolutions, the spacing halved.
 
-    Returns (extrapolated, error_estimate) assuming the error shrinks by
-    ratio**order per refinement; the estimate is the standard
-    |fine - coarse| / (ratio**order - 1).
+    Returns (extrapolated, error_estimate) for an error that shrinks by
+    2^2 = 4 per halving; the estimate is the standard |fine - coarse| / 3.
     """
     coarse = np.asarray(coarse, dtype=float)
     fine = np.asarray(fine, dtype=float)
-    factor = ratio**order - 1.0
-    return fine + (fine - coarse) / factor, np.abs(fine - coarse) / factor
+    return fine + (fine - coarse) / 3.0, np.abs(fine - coarse) / 3.0
 
 
 @dataclass(frozen=True)
@@ -467,7 +459,6 @@ def hydrogen_spectrum(
     n_states: int = 3,
     refine_levels: int = 2,
     grid: Grid | None = None,
-    eig_tol: float = 1e-11,
 ) -> HydrogenResult:
     """Solve the half-line Coulomb problem and compare against the Balmer form.
 
@@ -481,7 +472,11 @@ def hydrogen_spectrum(
     (1/2) psi_1'(0)^2 x_min = 2 lam^3 x_min hartree to first order, i.e.
     4 lam x_min relative to |E_1| = lam^2 / 2.  The Richardson estimates see
     only the spacing, not this shift, so a grid on which it exceeds 1e-3
-    relative is refused with ValueError before any solve.
+    relative is refused with ValueError before any solve.  So is a grid whose
+    outer wall cuts into the highest level n = ``n_states``: it needs
+    lam x_max >= 2 n^2 + 6 n, the classical turning point 2 n^2 / lam plus six
+    decay lengths n / lam, which keeps that level's wall error below 1e-3
+    relative.  The default x_max = 200 / lam allows up to 8 states.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be finite and > 0")
@@ -501,6 +496,14 @@ def hydrogen_spectrum(
             f"{wall_shift:.3g} relative (4 lam x_min), above {_WALL_SHIFT_MAX:g}; "
             f"put x_min well below the Bohr radius 1/lam = {1.0 / lam!r}"
         )
+    # an exact int on the right: a float 2n^2 would overflow for huge n_states
+    reach = 2 * n_states**2 + 6 * n_states
+    if not lam * grid.x_max >= reach:
+        raise ValueError(
+            f"the outer wall at x_max = {grid.x_max!r} cuts into level {n_states}: "
+            f"lam x_max must be >= 2n^2 + 6n = {reach} (the turning point 2n^2/lam "
+            f"plus six decay lengths n/lam)"
+        )
 
     grids = [grid]
     for _ in range(refine_levels):
@@ -510,13 +513,13 @@ def hydrogen_spectrum(
 
     # Every rung is seeded with the Balmer levels; lowest_eigenvalues sharpens
     # them to Rayleigh quotients, and the values do not depend on the seeds.
-    spectra = [lowest_eigenvalues(discretize(Coulomb(lam), g), n_states, tol=eig_tol,
+    spectra = [lowest_eigenvalues(discretize(Coulomb(lam), g), n_states, tol=_HYDROGEN_TOL,
                                   guesses=balmer)
                for g in grids]
     E = np.vstack([sp.energies for sp in spectra])
 
-    estimates = np.abs(E[1:] - E[:-1]) / 3.0
-    noise_floor = 10.0 * eig_tol
+    extrapolated, estimates = richardson_step(E[:-1], E[1:])
+    noise_floor = 10.0 * _HYDROGEN_TOL
     for s in range(n_states):
         seq = estimates[:, s]
         for a, b in zip(seq[:-1], seq[1:]):
@@ -526,7 +529,6 @@ def hydrogen_spectrum(
                     diagnostics=estimates,
                 )
 
-    extrapolated, _ = richardson_step(E[-2], E[-1])
     rel = np.abs(E[-1] - balmer) / np.abs(balmer)
 
     final = replace(spectra[-1], refinement_estimate=estimates[-1])
@@ -537,7 +539,7 @@ def hydrogen_spectrum(
         energies_by_level=E,
         balmer=balmer,
         relative_errors=rel,
-        extrapolated=extrapolated,
+        extrapolated=extrapolated[-1],
         estimates_by_level=estimates,
     )
 
@@ -548,8 +550,8 @@ class CutoffSweepResult:
 
     ``monotone_decreasing`` flags whether E0 fell strictly at every step, the
     numerical signature that the uncapped limit is bottomless in the even
-    sector.  ``full_line_check`` holds (epsilon, E0_even, E0_full) for the one
-    cap verified against the unreduced full-line problem.
+    sector.  ``full_line_check`` holds (epsilon, E0_even, E0_full) for the
+    largest cap, verified against the unreduced full-line problem.
     """
 
     lam: float
@@ -558,7 +560,7 @@ class CutoffSweepResult:
     epsilons: tuple[float, ...]
     energies: tuple[float, ...]
     monotone_decreasing: bool
-    full_line_check: tuple[float, float, float] | None
+    full_line_check: tuple[float, float, float]
 
 
 def cutoff_sweep(
@@ -566,8 +568,6 @@ def cutoff_sweep(
     eps_list: tuple[float, ...] = DEFAULT_CUTOFF_EPS,
     L: float = 60.0,
     n: int | None = None,
-    eig_tol: float = 1e-10,
-    verify_full_line: bool = True,
 ) -> CutoffSweepResult:
     """Ground state of the capped Coulomb well for every cap in ``eps_list``.
 
@@ -595,21 +595,19 @@ def cutoff_sweep(
     energies = []
     for e in eps:
         H = discretize(RegularizedCoulomb(lam, e), grid)
-        sp = lowest_eigenvalues(H, 1, tol=eig_tol, want_vectors=False)
+        sp = lowest_eigenvalues(H, 1, tol=_CUTOFF_TOL, want_vectors=False)
         energies.append(float(sp.energies[0]))
 
     monotone = all(b < a for a, b in zip(energies[:-1], energies[1:]))
 
-    full_check = None
-    if verify_full_line:
-        # Full line with matched spacing: nodes at +-i*h, wall at +-L, so the
-        # even sector of this operator is exactly the reduced one above.
-        grid_full = Grid("uniform", -L, L, 2 * n - 1)
-        H_full = discretize(RegularizedCoulomb(lam, eps[0]), grid_full)
-        # the same even-sector level, up to the round-off parity gap
-        sp_full = lowest_eigenvalues(H_full, 1, tol=eig_tol, want_vectors=False,
-                                     guesses=[energies[0]])
-        full_check = (eps[0], energies[0], float(sp_full.energies[0]))
+    # Full line with matched spacing: nodes at +-i*h, wall at +-L, so the
+    # even sector of this operator is exactly the reduced one above.
+    grid_full = Grid("uniform", -L, L, 2 * n - 1)
+    H_full = discretize(RegularizedCoulomb(lam, eps[0]), grid_full)
+    # the same even-sector level, up to the round-off parity gap
+    sp_full = lowest_eigenvalues(H_full, 1, tol=_CUTOFF_TOL, want_vectors=False,
+                                 guesses=[energies[0]])
+    full_check = (eps[0], energies[0], float(sp_full.energies[0]))
 
     return CutoffSweepResult(
         lam=lam,
@@ -627,7 +625,6 @@ def zero_energy_node_count(
     delta: float,
     L: float,
     steps_per_unit: int = 128,
-    drift_tol: float = 1e-6,
 ) -> int:
     """Interior nodes on (delta, L) of the zero-energy solution with
     psi(delta) = 0, psi'(delta) = 1, as fixed-step RK4 resolves it.
@@ -642,7 +639,7 @@ def zero_energy_node_count(
 
     * the quadratic Q = u'^2 - coef u^2, conserved by the ODE, gains the
       factor rho = R(z) R(-z) = 1 + c^3/72 + c^4/576 per step, so the drift
-      gate compares |rho^K - 1| / max(1, rho^K) with ``drift_tol`` and raises
+      gate compares |rho^K - 1| / max(1, rho^K) with 1e-6 and raises
       :class:`IntegrationError` above it or when it is not finite;
     * for coef < 0 the iterates are u_k ~ |R|^k sin(k theta) with
       theta = arg R(i sqrt(-c)), so the sign changes over k = 1..K number
@@ -671,9 +668,9 @@ def zero_energy_node_count(
     # a failed step, and a c^4 overflow leaves nan, which fails the gate
     log_growth = nsteps * math.log1p(c * c * c / 72.0 + (c * c) * (c * c) / 576.0)
     drift = -math.expm1(-abs(log_growth))
-    if not drift <= drift_tol:
+    if not drift <= _DRIFT_TOL:
         raise IntegrationError(
-            f"relative conserved-quantity drift {drift:.3e} exceeds {drift_tol:.1e}; "
+            f"relative conserved-quantity drift {drift:.3e} exceeds {_DRIFT_TOL:.1e}; "
             "reduce the step size"
         )
     y = math.sqrt(-c)
@@ -723,32 +720,29 @@ def find_alpha_crit(
     delta: float,
     L: float,
     tol_alpha: float = DEFAULT_TOL_ALPHA,
-    bracket: tuple[float, float] = (0.0, 2.0),
 ) -> AlphaCritEstimate:
     """Bisect the coupling for the onset of zero-energy oscillation.
 
-    The predicate is ``zero_energy_node_count >= 1``.  The bracket narrows
-    to a half-width of ``tol_alpha`` or, for a ``tol_alpha`` below the float
-    spacing, to two adjacent floats; ``half_width`` reports which.  Raises
-    :class:`BracketError` when the predicate does not change across
-    ``bracket``.
+    The predicate is ``zero_energy_node_count >= 1``, bisected over alpha in
+    [0, 2].  At alpha = 0 the coefficient 1/4 - alpha is positive, so there
+    are no nodes there.  The bracket narrows to a half-width of ``tol_alpha``
+    or, for a ``tol_alpha`` below the float spacing, to two adjacent floats;
+    ``half_width`` reports which.  Raises :class:`BracketError` when the
+    window is too short to oscillate even at alpha = 2.
     """
     if not (0.0 < delta < L):
         raise ValueError("need 0 < delta < L")
     if not (math.isfinite(tol_alpha) and tol_alpha > 0.0):
         raise ValueError(f"tol_alpha must be finite and > 0, got {tol_alpha!r}")
-    lo, hi = bracket
-    if not lo < hi:
-        raise ValueError("bracket must be increasing")
 
     def oscillates(a: float) -> bool:
         return zero_energy_node_count(a, delta, L) >= 1
 
-    if oscillates(lo) or not oscillates(hi):
+    if not oscillates(_ALPHA_MAX):
         raise BracketError(
-            f"oscillation predicate does not change over alpha in [{lo!r}, {hi!r}]"
+            f"oscillation predicate does not change over alpha in [0.0, {_ALPHA_MAX!r}]"
         )
-    lo, hi = _narrow_bracket(oscillates, lo, hi, 2.0 * tol_alpha)
+    lo, hi = _narrow_bracket(oscillates, 0.0, _ALPHA_MAX, 2.0 * tol_alpha)
     return AlphaCritEstimate(
         value=0.5 * (lo + hi),
         half_width=0.5 * (hi - lo),

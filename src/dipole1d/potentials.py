@@ -7,7 +7,7 @@ strength per unit source charge kappa = q/(4*pi*eps0) equals 1.  The families:
 * ``RegularizedCoulomb(lam,eps)`` V(x) = -lam/max(|x|, eps)  (plateau cap)
 * ``PointDipole(p)``             V(x) = p/(x|x|), odd, attractive for x < 0
 * ``PhysicalDipole(Q,d,eps)``    two opposite capped Coulomb centres at +-d/2
-* ``InverseSquare(alpha)``       V(y) = -alpha/y^2 on y > 0 (scaled form)
+* ``InverseSquare(alpha)``       V(y) = -alpha/(2 y^2) on y > 0 (scaled form)
 
 Each family carries its own formula (``potential``), its pinned zeros
 (``pinned_zeros``: its singular points, where the wavefunction is required to
@@ -152,7 +152,13 @@ class PhysicalDipole:
 
 @dataclass(frozen=True)
 class InverseSquare:
-    """Scaled well -alpha/y^2 on the half line y > 0."""
+    """Inverse-square well on the half line y > 0 in its scaled form.
+
+    The defining equation -psi'' - (alpha/y^2) psi = -xi psi is H psi = E psi
+    with V(y) = -alpha/(2 y^2) hartree and E = -xi/2, so ``alpha`` is directly
+    the coupling, with binding threshold 1/4.  InverseSquare(2p) on y is the
+    point dipole p at x = -y.
+    """
 
     KIND = "inverse_square"
     RECORD = (("alpha", "alpha"),)
@@ -164,7 +170,7 @@ class InverseSquare:
         _require(_finite(self.alpha), "alpha must be finite")
 
     def potential(self, xs: np.ndarray) -> np.ndarray:
-        return -self.alpha / (xs * xs)
+        return -0.5 * self.alpha / (xs * xs)
 
 
 PotentialSpec = Union[Coulomb, RegularizedCoulomb, PointDipole, PhysicalDipole, InverseSquare]

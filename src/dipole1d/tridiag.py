@@ -55,6 +55,8 @@ _TINY = 1e-300
 _DENORM = 5e-324  # the smallest positive double
 _OFF_MAX = math.sqrt(sys.float_info.max)  # the largest |e| whose square is finite
 _SEED_WIDEN = 8.0  # factor by which a seed that fails to bracket its level moves out
+_SOLVES = 3  # dgtsv solves per inverse iteration
+_NODE_RTOL = 1e-8  # entries below this fraction of max|v| carry no sign
 
 
 def _operator(diag, off):
@@ -184,12 +186,13 @@ def eigvalsh_bisect(
     off: np.ndarray,
     k: int,
     tol: float = 1e-10,
-    maxit: int = 200,
     guesses=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenvalues, each bisected to a bracket below ``tol``.
 
-    Returns (values, widths): bracket midpoints and final bracket widths.
+    Returns (values, widths): bracket midpoints and final bracket widths.  A
+    bracket stops short of ``tol`` only when no float lies strictly between
+    its ends; its width is then that float spacing.
     Index bracketing is exact because the Sturm count is monotone in x.
     Every count taken is kept, so a bisection step that an earlier count
     already decides costs no Sturm pass.  Each pass stops once its count
@@ -252,8 +255,7 @@ def eigvalsh_bisect(
     for j in range(k):
         # All eigenvalues are >= the previous one, so reuse its lower edge.
         a, b = lo_floor, hi0
-        it = 0
-        while b - a > tol and it < maxit:
+        while b - a > tol:
             mid = 0.5 * (a + b)
             if mid <= a or mid >= b:
                 break  # bracket at floating-point resolution
@@ -269,7 +271,6 @@ def eigvalsh_bisect(
                 b = mid
             else:
                 a = mid
-            it += 1
         values[j] = 0.5 * (a + b)
         widths[j] = b - a
         lo_floor = a
@@ -283,13 +284,13 @@ def _start_vector(n):
     return v / np.sqrt(np.sum(v * v))
 
 
-def _inverse_iteration(diag, off, lam, iters):
+def _inverse_iteration(diag, off, lam):
     # None where a solve fails: see inverse_iteration
     from scipy.linalg.lapack import dgtsv
 
     shifted = diag - lam
     v = _start_vector(diag.shape[0])
-    for _ in range(iters):
+    for _ in range(_SOLVES):
         _, _, _, w, info = dgtsv(off, shifted, off, v)
         if info != 0:
             return None
@@ -305,39 +306,34 @@ def inverse_iteration(
     diag: np.ndarray,
     off: np.ndarray,
     lam: float,
-    iters: int = 3,
 ) -> np.ndarray:
     """Unit eigenvector estimate for the eigenvalue nearest lam.
 
-    Each of the ``iters`` solves is LAPACK's ``dgtsv``.  A solve that meets
+    Each of the three solves is LAPACK's ``dgtsv``.  A solve that meets
     an exact zero pivot, or gives a zero or overflowing norm, fails the
     attempt, which is then repeated once at lam + 1e-13 * max(1, max|diag|);
     ValueError if that fails too.
     """
     diag, off = _operator(diag, off)
     lam = _shift(lam, "lam")
-    iters = int(iters)
-    if iters < 1:
-        # no solve would leave the pseudo-random start vector as the answer
-        raise ValueError(f"iters must be >= 1, got {iters}")
     if diag.shape[0] == 1:
         return np.ones(1)  # dgtsv's wrapper refuses n = 1
-    v = _inverse_iteration(diag, off, lam, iters)
+    v = _inverse_iteration(diag, off, lam)
     if v is None:
         # retry with a tiny relative shift away from an exact pivot kill
         scale = max(1.0, float(np.max(np.abs(diag))))
-        v = _inverse_iteration(diag, off, lam + 1e-13 * scale, iters)
+        v = _inverse_iteration(diag, off, lam + 1e-13 * scale)
     if v is None:
         raise ValueError(f"inverse iteration failed at lam = {lam!r} and at the shifted retry")
     return v
 
 
-def count_sign_changes(v: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Strict sign changes of v, ignoring entries below rel_tol * max|v|."""
+def count_sign_changes(v: np.ndarray) -> int:
+    """Strict sign changes of v, ignoring entries below 1e-8 * max|v|."""
     v = np.asarray(v, dtype=float)
     vmax = float(np.max(np.abs(v)))
     if vmax == 0.0:
         return 0
-    keep = v[np.abs(v) > rel_tol * vmax]
+    keep = v[np.abs(v) > _NODE_RTOL * vmax]
     signs = np.sign(keep)
     return int(np.count_nonzero(signs[1:] != signs[:-1]))

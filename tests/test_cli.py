@@ -69,6 +69,27 @@ def test_spectrum_matches_library(tmp_path):
         assert int(row[2]) == sp.node_counts[j]
 
 
+@pytest.mark.parametrize("x_min", ["1e-30", "1e-60"])
+def test_spectrum_bisection_runs_to_its_tolerance(x_min, capsys):
+    # a log grid reaching down to x_min spans a Gershgorin interval of about
+    # x_min^-2 hartree; however many halvings that takes, every level is
+    # bisected to the 1e-10 tolerance and its bracket holds it
+    assert run(["spectrum", "--lambda", "1", "--grid", "log", "--domain", f"{x_min}:1",
+                "--n", "256", "--states", "2"]) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    from dipole1d.eigensolver import Grid, discretize
+    from dipole1d.potentials import Coulomb
+    from dipole1d.tridiag import sturm_count
+
+    H = discretize(Coulomb(1.0), Grid("logarithmic", float(x_min), 1.0, 256))
+    assert len(rows) == 2
+    for j, row in enumerate(rows):
+        value, width = float(row[1]), float(row[3])
+        assert width <= 1e-10
+        assert sturm_count(H.diagonal, H.offdiagonal, value - width / 2) <= j
+        assert sturm_count(H.diagonal, H.offdiagonal, value + width / 2) >= j + 1
+
+
 def test_spectrum_negative_domain_token():
     assert run(["spectrum", "--p", "1", "--domain", "-20:0",
                 "--n", "512", "--states", "1", "--out", "/dev/null"]) == 0
@@ -190,6 +211,14 @@ def test_critical_scan_overflowing_window_is_invalid(capsys):
     assert "\n" not in err.strip()
 
 
+def test_critical_scan_window_too_short_to_oscillate_is_a_bracket_error(capsys):
+    # ln(L/delta) = ln 2 and ln 3 put the window thresholds far above alpha = 2
+    assert run(["critical-scan", "--windows", "1:2,1:3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: code=bracket ")
+
+
 def test_critical_scan_tolerance_below_float_spacing(capsys):
     assert run(["critical-scan", "--tol-alpha", "1e-17"]) == 0
 
@@ -281,6 +310,12 @@ def test_hydrogen_large_lambda_matches_balmer(tmp_path):
     (["hydrogen", "--lambda", "1e3", "--domain", "1e-5:200", "--n", "64"], "inner wall"),
     # the lam = 1e154 default grid starts at x = 1e-159, where the entries overflow
     (["hydrogen", "--lambda", "1e154", "--n", "64", "--refine-levels", "1"], "must be finite"),
+    # level 3 turns at x = 18 and needs 2n^2 + 6n = 36 Bohr radii
+    (["hydrogen", "--domain", "1e-5:10", "--n", "1024", "--refine-levels", "1"], "outer wall"),
+    # the default x_max = 200 holds at most 8 levels: 2n^2 + 6n = 216 for n = 9
+    (["hydrogen", "--states", "9", "--n", "64"], "outer wall"),
+    # 2n^2 + 6n is compared as an exact int, so no n_states overflows it
+    (["hydrogen", "--states", str(10**400), "--n", "64"], "outer wall"),
 ])
 def test_hydrogen_unresolved_grids_fail_closed(argv, message, capsys):
     assert run(argv) == 1

@@ -274,6 +274,50 @@ def test_hydrogen_refuses_an_unresolved_inner_wall(monkeypatch, lam, x_min, refu
             hydrogen_spectrum(lam, grid=grid)
 
 
+@pytest.mark.parametrize("lam, x_max, n_states, refused", [
+    (1.0, 200.0, 8, False),   # the default grid: 2n^2 + 6n = 176
+    (1.0, 200.0, 9, True),    # 216 > 200
+    (1.0, 36.0, 3, False),    # exactly 2n^2 + 6n
+    (1.0, 35.9, 3, True),
+    (1e3, 0.2, 8, False),     # the default grid at lam = 1e3
+    (1e3, 0.2, 9, True),
+    (1.0, 10.0, 1, False),    # 8
+    (1.0, 10.0, 2, True),     # 20: the wall sits one decay length past level 2 turning at 8
+])
+def test_hydrogen_refuses_an_outer_wall_inside_the_highest_level(monkeypatch, lam, x_max,
+                                                                 n_states, refused):
+    # level n turns at 2n^2/lam and decays on the length n/lam; the wall must
+    # sit six decay lengths past the turning point, checked before any solve
+    def solved(*args, **kwargs):
+        raise _Solved
+
+    monkeypatch.setattr(es, "discretize", solved)
+    grid = Grid("logarithmic", 1e-5 / lam, x_max, 64)
+    if refused:
+        with pytest.raises(ValueError, match="outer wall"):
+            hydrogen_spectrum(lam, n_states, grid=grid)
+    else:
+        with pytest.raises(_Solved):
+            hydrogen_spectrum(lam, n_states, grid=grid)
+
+
+@pytest.mark.parametrize("n_states", [1, 3, 8])
+def test_hydrogen_outer_wall_at_the_bound_moves_the_top_level_below_1e_3(n_states):
+    # the wall at x_max = 2n^2 + 6n against one at x = 1000 on the same log
+    # spacing, so only the outer wall differs between the two operators
+    h = math.log(200.0 / 1e-5) / 2049
+
+    def top_level(x_max):
+        m = round(math.log(x_max / 1e-5) / h) - 1
+        g = Grid("logarithmic", 1e-5, 1e-5 * math.exp(h * (m + 1)), m)
+        sp = lowest_eigenvalues(discretize(Coulomb(1.0), g), n_states, tol=1e-13,
+                                want_vectors=False)
+        return sp.energies[-1]
+
+    near, far = top_level(2 * n_states**2 + 6 * n_states), top_level(1000.0)
+    assert abs(near - far) < 1e-3 * abs(far)
+
+
 def test_hydrogen_levels_at_large_lambda_match_balmer():
     # the default geometry read in Bohr radii 1/lam resolves lam = 1e3 as it
     # resolves lam = 1, with energies exactly lam^2 times larger in the
@@ -298,7 +342,7 @@ def test_discretize_refuses_overflowing_entries():
 def test_hydrogen_convergence_guard(monkeypatch):
     calls = {"i": 0}
 
-    def fake_lowest(H, k, tol=1e-10, maxit=200, want_vectors=True, guesses=None):
+    def fake_lowest(H, k, tol=1e-10, want_vectors=True, guesses=None):
         # fabricated non-shrinking ladder
         e = np.array([-0.5 + 0.01 * (calls["i"] % 2)])
         calls["i"] += 1
@@ -346,7 +390,7 @@ def test_cutoff_sweep_divergence_signature():
 
 
 def test_cutoff_sweep_large_cap_is_shallow():
-    r = cutoff_sweep(1.0, (10.0,), L=60.0, n=4000, verify_full_line=False)
+    r = cutoff_sweep(1.0, (10.0,), L=60.0, n=4000)
     assert abs(r.energies[0]) < 0.5
 
 
@@ -431,10 +475,10 @@ def test_find_alpha_crit_bias_shrinks_with_window():
 
 
 def test_find_alpha_crit_bracket_errors():
+    # ln(L/delta) = ln 2 puts the window threshold at 1/4 + (pi / ln 2)^2,
+    # about 20.8: no coupling in [0, 2] oscillates on it
     with pytest.raises(BracketError):
-        find_alpha_crit(1e-3, 1e3, bracket=(0.0, 0.26))
-    with pytest.raises(BracketError):
-        find_alpha_crit(1e-8, 1e8, bracket=(0.5, 2.0))
+        find_alpha_crit(1.0, 2.0)
 
 
 def test_find_alpha_crit_validation():

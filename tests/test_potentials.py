@@ -62,8 +62,18 @@ def test_point_dipole_singularity():
 
 
 def test_inverse_square_domain():
+    # the scaled form: -alpha / (2 y^2) hartree
     sq = InverseSquare(0.5)
-    assert eval_potential_grid(sq, [2.0]) == pytest.approx([-0.125], rel=1e-14)
+    assert eval_potential_grid(sq, [2.0]) == pytest.approx([-0.0625], rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [0.125, 0.3, 1.0, 2.7, 1e-6, 1e6])
+def test_inverse_square_is_the_point_dipole_mirrored(p):
+    # alpha = 2p: InverseSquare(2p) on y > 0 is PointDipole(p) on x = -y, bit for bit
+    y = np.concatenate([np.geomspace(1e-6, 1e3, 257), np.linspace(0.01, 30.0, 311)])
+    sq = eval_potential_grid(InverseSquare(2.0 * p), y)
+    dip = eval_potential_grid(PointDipole(p), -y)
+    assert np.array_equal(sq, dip)
 
 
 def test_physical_dipole_matches_point_dipole_far_away():

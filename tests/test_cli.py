@@ -431,6 +431,27 @@ _GOLDEN = [
     (["critical-scan"],
      0, "39eaa33c68cc4ad27137ef835743eea31bbdee9ca01bf41a6aadf2b56a9f3625",
      "018ccdbb5b8d416f4c1f7de97daf3ac1ac114cb984ee6f1bc219f2e0e67055aa"),
+    # the capped Coulomb and two-centre families, and every "si" dimension
+    (["spectrum", "--lambda", "1", "--epsilon", "0.1", "--domain", "-20:20", "--n", "801",
+      "--states", "3"],
+     0, "4dd37f0fde5f557363283957f41b3c2f3db7b851b0614bf23b24ffb1ed25ccbb",
+     "52c1bdbc8587dd2886a43ddc23fd15836cc97d25f66a6fd227671b598ebc1052"),
+    (["spectrum", "--Q", "2", "--d", "0.5", "--epsilon", "0.01", "--domain", "-20:20",
+      "--n", "801", "--states", "2"],
+     0, "03d5e94538a2df5c0360beccb255b6cca1b745af06d014bfff0dc9b908520a89",
+     "74349e31a8c9da3579aa08eb189102f14cd77ebf5a1704ce9a276dc415b4b9a3"),
+    (["spectrum", "--Q", "2", "--d", "2.6e-11si", "--epsilon", "5e-13si",
+      "--domain", "-1e-9si:1e-9si", "--n", "801", "--states", "2"],
+     0, "2093454ad798c171e7336c1cd2145c89b1d85c5c5fa8d12355c647dcbc1e75f8",
+     "818bb7d5982b4f2ca90506b0c5dd1a69f1d8157cc66781b74c3e719f0ddb894f"),
+    (["convert", "--p", "1e-30si", "--energy", "4e-18si", "--length", "5e-11si",
+      "--alpha", "0.3", "--pcrit-si"],
+     0, "4e37ac6b9119863ec18fdfe9e08d31164b736862951521c0050bf1cce92987ed",
+     "b2c5e46407167a53bbb4d7c8ebd1e7d5131fbe7c0198dabbb68ac05435e8c3f6"),
+    (["spectrum", "--lambda", "2.3e-28si", "--grid", "log", "--domain", "1e-5:200",
+      "--n", "1024", "--states", "2"],
+     0, "de1cf0a38af23dddbe5495d511a8d3c39fa3ba6bc7cb5a18b64763a879dd7bf9",
+     "7adab1f91ea988dacd072c736b4285bc7a8718f760060873426bd85096832842"),
 ]
 
 
@@ -441,7 +462,8 @@ def _sha(data: bytes) -> str:
 @pytest.mark.parametrize("argv, code, csv_sha, json_sha", _GOLDEN,
                          ids=["balmer", "dipole-scan", "threshold", "cutoff", "cutoff-sweep",
                               "hydrogen-4096", "spectrum-p", "spectrum-alpha", "series", "convert",
-                              "critical-scan"])
+                              "critical-scan", "spectrum-capped", "spectrum-two-centre",
+                              "spectrum-two-centre-si", "convert-si", "spectrum-lambda-si"])
 def test_output_bytes_match_golden(argv, code, csv_sha, json_sha, tmp_path, capsys):
     assert run(argv) == code
     captured = capsys.readouterr()

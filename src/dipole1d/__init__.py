@@ -19,10 +19,10 @@ from .units import (
     CODATA,
     ConstantSet,
     alpha_from_p,
+    atomic_to_si,
     bohr_radius,
-    dipole_atomic_to_si,
-    dipole_si_to_atomic,
     hartree_energy,
+    si_to_atomic,
 )
 from .potentials import (
     Coulomb,

@@ -49,26 +49,23 @@ from .frobenius import (
     recursion_residuals,
     series_coefficients,
 )
-from .potentials import spec_from_record, spec_to_record
+from .potentials import family_for_keys, spec_from_record, spec_to_record
 # unused here; the benchmark's tracer self-test wraps dipole1d.cli.sturm_count
 from .tridiag import sturm_count  # noqa: F401
-from .units import (
-    ConstantSet,
-    bohr_radius,
-    coulomb_strength_si_to_atomic,
-    dipole_atomic_to_si,
-    dipole_si_to_atomic,
-    energy_atomic_to_si,
-    energy_si_to_atomic,
-    hartree_energy,
-    length_atomic_to_si,
-    length_si_to_atomic,
-)
+from .units import ATOMIC_UNIT_SI, ConstantSet, atomic_to_si, si_to_atomic
 
 __all__ = ["main", "run", "build_parser"]
 
 _CONST_KEYS = ("hbar", "m_electron", "q_electron", "epsilon0")
-_POTENTIAL_KEYS = ("kind", "lambda", "epsilon", "p", "Q", "d", "alpha")
+# spectrum's potential flags --KEY: record key -> (argparse dest, dimension)
+_POTENTIAL_FLAGS = {
+    "lambda": ("lam", "coulomb_strength"),
+    "p": ("p", "dipole_moment"),
+    "alpha": ("alpha", "dimensionless"),
+    "epsilon": ("epsilon", "length"),
+    "Q": ("Q", "dimensionless"),
+    "d": ("d", "length"),
+}
 
 
 class _UsageError(ValueError):
@@ -194,7 +191,8 @@ def _resolve_constants(args) -> tuple[ConstantSet, dict[str, str]]:
 
 
 def _number(text: str, dimension: str, c: ConstantSet) -> float:
-    """Parse a numeric argument; a trailing ``si`` converts into atomic units."""
+    """Parse a numeric argument; a trailing ``si`` converts into atomic units
+    when ``dimension`` is a key of ``ATOMIC_UNIT_SI``."""
     text = text.strip()
     is_si = text.lower().endswith("si")
     if is_si:
@@ -205,15 +203,9 @@ def _number(text: str, dimension: str, c: ConstantSet) -> float:
         raise _UsageError(f"malformed number {text!r}") from None
     if not is_si:
         return value
-    if dimension == "length":
-        return length_si_to_atomic(c, value)
-    if dimension == "energy":
-        return energy_si_to_atomic(c, value)
-    if dimension == "dipole_moment":
-        return dipole_si_to_atomic(c, value)
-    if dimension == "coulomb_strength":
-        return coulomb_strength_si_to_atomic(c, value)
-    raise _UsageError(f"an 'si' suffix makes no sense for a {dimension} value")
+    if dimension not in ATOMIC_UNIT_SI:
+        raise _UsageError(f"an 'si' suffix makes no sense for a {dimension} value")
+    return si_to_atomic(c, dimension, value)
 
 
 def _number_list(text: str, dimension: str, c: ConstantSet) -> list[float]:
@@ -251,37 +243,24 @@ def _parse_windows(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def _potential_from_args(args, file_cfg: dict[str, str], c: ConstantSet):
-    """Infer the potential family from which flags were given."""
-    rec: dict[str, str] = {}
-    if args.p is not None:
-        rec = {"kind": "point_dipole", "p": _fmt(_number(args.p, "dipole_moment", c))}
-    elif args.alpha is not None:
-        rec = {"kind": "inverse_square", "alpha": args.alpha}
-    elif args.Q is not None and args.d is not None:
-        if args.epsilon is None:
-            raise _UsageError("physical dipole needs --epsilon")
-        rec = {
-            "kind": "physical_dipole",
-            "Q": args.Q,
-            "d": _fmt(_number(args.d, "length", c)),
-            "epsilon": _fmt(_number(args.epsilon, "length", c)),
-        }
-    elif args.lam is not None and args.epsilon is not None:
-        rec = {
-            "kind": "regularized_coulomb",
-            "lambda": _fmt(_number(args.lam, "coulomb_strength", c)),
-            "epsilon": _fmt(_number(args.epsilon, "length", c)),
-        }
-    elif args.lam is not None:
-        rec = {"kind": "coulomb", "lambda": _fmt(_number(args.lam, "coulomb_strength", c))}
-    elif "kind" in file_cfg:
-        rec = {k: v for k, v in file_cfg.items() if k in _POTENTIAL_KEYS}
-    else:
-        raise _UsageError(
-            "no potential given: use --p, --alpha, --lambda[, --epsilon], "
-            "--Q --d --epsilon, or a --config file with kind=..."
-        )
-    return spec_from_record(rec)
+    """The family whose record keys are exactly the potential flags given;
+    without any, the ``--config`` record."""
+    given = {key: _number(getattr(args, dest), dimension, c)
+             for key, (dest, dimension) in _POTENTIAL_FLAGS.items()
+             if getattr(args, dest) is not None}
+    if given:
+        try:
+            kind = family_for_keys(given).KIND
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
+        return spec_from_record({"kind": kind, **given})
+    if "kind" in file_cfg:
+        return spec_from_record({k: v for k, v in file_cfg.items()
+                                 if k == "kind" or k in _POTENTIAL_FLAGS})
+    raise _UsageError(
+        "no potential given: use --p, --alpha, --lambda[, --epsilon], "
+        "--Q --d --epsilon, or a --config file with kind=..."
+    )
 
 
 def _grid_from_args(args, c: ConstantSet, default: Grid) -> Grid:
@@ -331,7 +310,7 @@ def _cmd_hydrogen(args, c: ConstantSet, file_cfg) -> int:
         grid_sizes=":".join(str(m) for m in result.grid_sizes),
     )
     rows = zip(range(1, sp.energies.size + 1), sp.energies, result.balmer,
-               result.relative_errors, sp.refinement_estimate, result.extrapolated)
+               result.relative_errors, result.estimates_by_level[-1], result.extrapolated)
     _emit(args, c, params,
           [(None, ["n", "energy_hartree", "balmer_hartree", "rel_error",
                    "richardson_estimate_hartree", "extrapolated_hartree"], rows)],
@@ -447,21 +426,22 @@ def _cmd_convert(args, c: ConstantSet, file_cfg) -> int:
     rows = []
     if args.p is not None:
         p_au = _number(args.p, "dipole_moment", c)
-        rows.append(("dipole_moment", p_au, dipole_atomic_to_si(c, p_au), "C*m"))
+        rows.append(("dipole_moment", p_au, atomic_to_si(c, "dipole_moment", p_au), "C*m"))
         if p_au > 0:
             rows.append(("alpha", 2.0 * p_au, None, None))
     if args.energy is not None:
         e_au = _number(args.energy, "energy", c)
-        rows.append(("energy", e_au, energy_atomic_to_si(c, e_au), "J"))
+        rows.append(("energy", e_au, atomic_to_si(c, "energy", e_au), "J"))
     if args.length is not None:
         x_au = _number(args.length, "length", c)
-        rows.append(("length", x_au, length_atomic_to_si(c, x_au), "m"))
+        rows.append(("length", x_au, atomic_to_si(c, "length", x_au), "m"))
     if args.alpha is not None:
-        alpha = float(args.alpha)
+        alpha = _number(args.alpha, "dimensionless", c)
         rows.append(("alpha", alpha, None, None))
         if alpha > 0:
             p_au = alpha / 2.0
-            rows.append(("equivalent_dipole", p_au, dipole_atomic_to_si(c, p_au), "C*m"))
+            rows.append(("equivalent_dipole", p_au, atomic_to_si(c, "dipole_moment", p_au),
+                         "C*m"))
     if args.pcrit_si:
         rows.append(("p_crit_exact", 0.125, p_crit_exact(c), "C*m"))
         rows.append(("p_crit_estimate", 2.0, p_crit_estimate(c), "C*m"))
@@ -469,8 +449,8 @@ def _cmd_convert(args, c: ConstantSet, file_cfg) -> int:
     if not rows:
         raise _UsageError("convert needs at least one of --p, --energy, --length, "
                           "--alpha, --pcrit-si")
-    rows.append(("bohr_radius_si", 1.0, bohr_radius(c), "m"))
-    rows.append(("hartree_si", 1.0, hartree_energy(c), "J"))
+    rows.append(("bohr_radius_si", 1.0, atomic_to_si(c, "length", 1.0), "m"))
+    rows.append(("hartree_si", 1.0, atomic_to_si(c, "energy", 1.0), "J"))
     columns = ["quantity", "atomic_value", "si_value", "si_unit"]
     _emit(args, c, {}, [(None, columns, rows)],
           {"rows": [dict(zip(columns, row)) for row in rows]})
@@ -500,12 +480,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("spectrum", help="eigenvalues of any potential family")
-    sp.add_argument("--lambda", dest="lam", default=None)
-    sp.add_argument("--p", default=None)
-    sp.add_argument("--alpha", default=None)
-    sp.add_argument("--epsilon", default=None)
-    sp.add_argument("--Q", default=None)
-    sp.add_argument("--d", default=None)
+    for key, (dest, _) in _POTENTIAL_FLAGS.items():
+        sp.add_argument(f"--{key}", dest=dest, default=None)
     sp.add_argument("--domain", default=None, metavar="A:B")
     sp.add_argument("--grid", choices=("uniform", "log"), default=None)
     sp.add_argument("--n", type=int, default=None)

@@ -23,13 +23,12 @@ from .eigensolver import (
     AlphaCritEstimate,
     Grid,
     GridAlignmentError,
-    _narrow_bracket,
     discretize,
     find_alpha_crit,
 )
 from .potentials import PhysicalDipole, PointDipole
-from .tridiag import _has_eigenvalue_below
-from .units import ConstantSet, bohr_radius, dipole_atomic_to_si
+from .tridiag import _has_eigenvalue_below, _narrow_bracket
+from .units import ConstantSet, atomic_to_si, bohr_radius
 
 __all__ = [
     "ALPHA_CRIT",
@@ -195,7 +194,7 @@ def critical_report(
         p_crit_exact_si=p_crit_exact(c),
         p_crit_numeric_au=numeric.p_au,
         p_crit_numeric_half_width=numeric.half_width,
-        p_crit_numeric_si=dipole_atomic_to_si(c, numeric.p_au),
+        p_crit_numeric_si=atomic_to_si(c, "dipole_moment", numeric.p_au),
         p_estimate_au=P_ESTIMATE_AU,
         p_estimate_si=p_crit_estimate(c),
         ratio_estimate_to_exact=estimate_to_exact_ratio(),

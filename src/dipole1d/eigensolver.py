@@ -42,7 +42,7 @@ from .potentials import (
     SingularPointError,
     eval_potential_grid,
 )
-from .tridiag import count_sign_changes, eigvalsh_bisect, inverse_iteration
+from .tridiag import _narrow_bracket, count_sign_changes, eigvalsh_bisect, inverse_iteration
 
 __all__ = [
     "Grid",
@@ -108,6 +108,7 @@ _ALIGN_RTOL = 1e-9
 _HYDROGEN_TOL = 1e-11  # eigenvalue bracket width on every hydrogen rung
 _CUTOFF_TOL = 1e-10  # eigenvalue bracket width of every cut-off solve
 _DRIFT_TOL = 1e-6  # the largest relative drift of the RK4 conserved quadratic
+_STEPS_PER_UNIT = 128  # RK4 steps per unit of ln(L/delta), at least 256 in all
 _ALPHA_MAX = 2.0  # find_alpha_crit bisects alpha over [0, _ALPHA_MAX]
 
 
@@ -223,15 +224,12 @@ class Spectrum:
 
     ``node_counts[k]`` counts interior sign changes of eigenvector k; for a
     connected interval problem the node theorem makes this exactly k.
-    ``refinement_estimate`` holds per-state Richardson error estimates when
-    the spectrum came out of a refinement ladder.
     """
 
     energies: np.ndarray
     node_counts: np.ndarray
     bracket_widths: np.ndarray
     eigenvectors: np.ndarray | None = None
-    refinement_estimate: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         e = np.asarray(self.energies, dtype=float)
@@ -325,7 +323,7 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
         )
 
     if isinstance(spec, InverseSquare):
-        notes.append("inverse-square scaled form: diagonal carries V/2, eigenvalues are -xi/2")
+        notes.append("inverse-square scaled form: V = -alpha/(2 y^2), eigenvalues are -xi/2")
 
     diag = kin_diag[keep] + eval_potential_grid(spec, act_nodes)
     adjacent = keep[1:] == keep[:-1] + 1
@@ -531,10 +529,9 @@ def hydrogen_spectrum(
 
     rel = np.abs(E[-1] - balmer) / np.abs(balmer)
 
-    final = replace(spectra[-1], refinement_estimate=estimates[-1])
     return HydrogenResult(
         lam=lam,
-        spectrum=final,
+        spectrum=spectra[-1],
         grid_sizes=tuple(g.n for g in grids),
         energies_by_level=E,
         balmer=balmer,
@@ -620,18 +617,14 @@ def cutoff_sweep(
     )
 
 
-def zero_energy_node_count(
-    alpha: float,
-    delta: float,
-    L: float,
-    steps_per_unit: int = 128,
-) -> int:
+def zero_energy_node_count(alpha: float, delta: float, L: float) -> int:
     """Interior nodes on (delta, L) of the zero-energy solution with
     psi(delta) = 0, psi'(delta) = 1, as fixed-step RK4 resolves it.
 
     The log-coordinate form u'' = coef u (coef = 1/4 - alpha, u = e^(-s/2) psi,
     s = ln y) is linear with constant coefficients, so K fixed RK4 steps of
-    size h apply one 2x2 propagator K times: the step map is R(hA) with
+    size h (K = max(256, ceil(128 ln(L/delta))), h = ln(L/delta) / K) apply
+    one 2x2 propagator K times: the step map is R(hA) with
     R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the RK4 stability function
     (Hairer and Wanner, Solving ODEs II, section IV.2).  Its powers give the
     exact count and drift of the discrete solution without stepping.  With
@@ -658,7 +651,7 @@ def zero_energy_node_count(
     span = math.log(L / delta)
     if not math.isfinite(span):
         raise ValueError(f"log(L/delta) is not finite for delta = {delta!r}, L = {L!r}")
-    nsteps = max(256, int(math.ceil(span * steps_per_unit)))
+    nsteps = max(256, int(math.ceil(span * _STEPS_PER_UNIT)))
     coef = 0.25 - alpha
     if coef >= 0.0:
         return 0
@@ -683,20 +676,6 @@ def window_bias(delta: float, L: float) -> float:
     if not (0.0 < delta < L):
         raise ValueError("need 0 < delta < L")
     return 0.25 + (math.pi / math.log(L / delta)) ** 2
-
-
-def _narrow_bracket(predicate, lo: float, hi: float, width: float) -> tuple[float, float]:
-    """Bisect [lo, hi], where ``predicate`` is false at lo and true at hi,
-    until hi - lo <= ``width`` or no float lies strictly between the ends."""
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ __all__ = [
     "PotentialSpec",
     "SingularPointError",
     "eval_potential_grid",
+    "family_for_keys",
     "spec_to_record",
     "spec_from_record",
 ]
@@ -137,11 +138,6 @@ class PhysicalDipole:
             "Q, d and epsilon must be finite and > 0",
         )
 
-    @property
-    def p(self) -> float:
-        """Dipole moment Q*d carried by the charge pair."""
-        return self.Q * self.d
-
     def potential(self, xs: np.ndarray) -> np.ndarray:
         half = 0.5 * self.d
         return self.Q * (
@@ -185,6 +181,18 @@ def eval_potential_grid(spec: PotentialSpec, xs: np.ndarray) -> np.ndarray:
     """V in hartree on an array of positions in Bohr radii; the caller
     guarantees that no position is a singular point of ``spec``."""
     return spec.potential(np.asarray(xs, dtype=float))
+
+
+def family_for_keys(keys) -> type:
+    """The family whose record keys (``RECORD``, without ``kind``) are exactly
+    ``keys``; ValueError when no family takes that set."""
+    keys = set(keys)
+    for cls in _FAMILIES.values():
+        if keys == {key for key, _ in cls.RECORD}:
+            return cls
+    layouts = "; ".join(", ".join(key for key, _ in cls.RECORD) for cls in _FAMILIES.values())
+    raise ValueError(f"no potential family takes exactly {sorted(keys)}; the families "
+                     f"take {layouts}")
 
 
 def spec_to_record(spec: PotentialSpec) -> dict[str, str]:

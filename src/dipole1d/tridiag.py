@@ -171,6 +171,20 @@ def _has_eigenvalue_below(diag: np.ndarray, off: np.ndarray, x: float) -> bool:
     return _count_below(diag.tolist(), (off * off).tolist(), _shift(x), 1) == 1
 
 
+def _narrow_bracket(predicate, lo: float, hi: float, width: float) -> tuple[float, float]:
+    """Bisect [lo, hi], where ``predicate`` is false at lo and true at hi,
+    until hi - lo <= ``width`` or no float lies strictly between the ends."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def gershgorin_bounds(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
     """Interval certain to contain the whole spectrum."""
     diag, off = _operator(diag, off)
@@ -249,28 +263,21 @@ def eigvalsh_bisect(
             while g + delta < hi0 and count_at(g + delta) <= j:
                 delta *= _SEED_WIDEN
 
+    def above(x, j):
+        # whether x lies above eigenvalue j, i.e. count(x) >= j + 1
+        i = bisect_left(shifts, x)
+        if i < len(shifts) and counts[i] <= j:
+            return False  # a shift >= x has at most j eigenvalues below
+        if i > 0 and counts[i - 1] > j:
+            return True  # a shift < x already has j + 1 below
+        return count_at(x) > j
+
     values = np.empty(k)
     widths = np.empty(k)
     lo_floor = lo0
     for j in range(k):
         # All eigenvalues are >= the previous one, so reuse its lower edge.
-        a, b = lo_floor, hi0
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break  # bracket at floating-point resolution
-            # above: mid lies above eigenvalue j, i.e. count(mid) >= j + 1
-            i = bisect_left(shifts, mid)
-            if i < len(shifts) and counts[i] <= j:
-                above = False  # a shift >= mid has at most j eigenvalues below
-            elif i > 0 and counts[i - 1] > j:
-                above = True  # a shift < mid already has j + 1 below
-            else:
-                above = count_at(mid) > j
-            if above:
-                b = mid
-            else:
-                a = mid
+        a, b = _narrow_bracket(lambda x: above(x, j), lo_floor, hi0, tol)
         values[j] = 0.5 * (a + b)
         widths[j] = b - a
         lo_floor = a

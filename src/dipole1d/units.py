@@ -19,13 +19,9 @@ __all__ = [
     "bohr_radius",
     "hartree_energy",
     "alpha_from_p",
-    "dipole_si_to_atomic",
-    "dipole_atomic_to_si",
-    "length_si_to_atomic",
-    "length_atomic_to_si",
-    "energy_si_to_atomic",
-    "energy_atomic_to_si",
-    "coulomb_strength_si_to_atomic",
+    "ATOMIC_UNIT_SI",
+    "si_to_atomic",
+    "atomic_to_si",
 ]
 
 
@@ -49,11 +45,6 @@ class ConstantSet:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and strictly positive")
-
-    @property
-    def kappa(self) -> float:
-        """Coulomb strength per unit source charge, q/(4*pi*eps0)."""
-        return self.q_electron / (4.0 * math.pi * self.epsilon0)
 
 
 CODATA = ConstantSet()
@@ -99,54 +90,29 @@ def alpha_from_p(c: ConstantSet, p: float) -> float:
     )
 
 
-def _dipole_unit_si(c: ConstantSet) -> float:
-    return c.q_electron * bohr_radius(c)
+# The SI value of one atomic unit, per dimension: a_B in m, E_h in J, q*a_B in
+# C*m and E_h*a_B in J*m (a Coulomb strength is an energy times a length).
+ATOMIC_UNIT_SI = {
+    "length": bohr_radius,
+    "energy": hartree_energy,
+    "dipole_moment": lambda c: c.q_electron * bohr_radius(c),
+    "coulomb_strength": lambda c: hartree_energy(c) * bohr_radius(c),
+}
 
 
-def dipole_si_to_atomic(c: ConstantSet, p_si: float) -> float:
-    """Convert a dipole moment in C*m to multiples of q*a_B."""
-    if not math.isfinite(p_si):
-        raise ValueError("dipole moment must be finite")
-    return p_si / _dipole_unit_si(c)
+def _unit(c: ConstantSet, dimension: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{dimension.replace('_', ' ')} must be finite")
+    return ATOMIC_UNIT_SI[dimension](c)
 
 
-def dipole_atomic_to_si(c: ConstantSet, p_au: float) -> float:
-    """Convert a dipole moment in multiples of q*a_B to C*m."""
-    if not math.isfinite(p_au):
-        raise ValueError("dipole moment must be finite")
-    return p_au * _dipole_unit_si(c)
+def si_to_atomic(c: ConstantSet, dimension: str, value: float) -> float:
+    """Convert ``value`` of ``dimension``, a key of :data:`ATOMIC_UNIT_SI`,
+    from SI to atomic units."""
+    return value / _unit(c, dimension, value)
 
 
-def length_si_to_atomic(c: ConstantSet, x_si: float) -> float:
-    """Convert metres to Bohr radii."""
-    if not math.isfinite(x_si):
-        raise ValueError("length must be finite")
-    return x_si / bohr_radius(c)
-
-
-def length_atomic_to_si(c: ConstantSet, x_au: float) -> float:
-    """Convert Bohr radii to metres."""
-    if not math.isfinite(x_au):
-        raise ValueError("length must be finite")
-    return x_au * bohr_radius(c)
-
-
-def energy_si_to_atomic(c: ConstantSet, e_si: float) -> float:
-    """Convert joules to hartree."""
-    if not math.isfinite(e_si):
-        raise ValueError("energy must be finite")
-    return e_si / hartree_energy(c)
-
-
-def energy_atomic_to_si(c: ConstantSet, e_au: float) -> float:
-    """Convert hartree to joules."""
-    if not math.isfinite(e_au):
-        raise ValueError("energy must be finite")
-    return e_au * hartree_energy(c)
-
-
-def coulomb_strength_si_to_atomic(c: ConstantSet, lam_si: float) -> float:
-    """Convert a Coulomb strength (energy*length, J*m) to hartree*a_B."""
-    if not math.isfinite(lam_si):
-        raise ValueError("Coulomb strength must be finite")
-    return lam_si / (hartree_energy(c) * bohr_radius(c))
+def atomic_to_si(c: ConstantSet, dimension: str, value: float) -> float:
+    """Convert ``value`` of ``dimension``, a key of :data:`ATOMIC_UNIT_SI`,
+    from atomic units to SI."""
+    return value * _unit(c, dimension, value)

@@ -37,7 +37,7 @@ from dipole1d.frobenius import (
 )
 from dipole1d.potentials import InverseSquare
 from dipole1d.tridiag import eigvalsh_bisect
-from dipole1d.units import CODATA, dipole_atomic_to_si
+from dipole1d.units import CODATA, atomic_to_si
 
 
 @contextmanager
@@ -117,7 +117,7 @@ def test_criterion_5_headline_number():
     with criterion(5, "p_crit: SI within 1%, numeric within 5%, ratio exactly 16"):
         assert abs(p_crit_exact(CODATA) - 1.052e-30) / 1.052e-30 <= 0.01
         num = p_crit_numeric()
-        p_si = dipole_atomic_to_si(CODATA, num.p_au)
+        p_si = atomic_to_si(CODATA, "dipole_moment", num.p_au)
         assert abs(p_si - 1.052e-30) / 1.052e-30 <= 0.05
         assert estimate_to_exact_ratio() == 16.0
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ import dipole1d.cli as cli
 import dipole1d.eigensolver as eigensolver
 from dipole1d.cli import run
 from dipole1d.eigensolver import ConvergenceError
+from dipole1d.potentials import PotentialSpec
+from dipole1d.units import ATOMIC_UNIT_SI
 
 
 def _read(path):
@@ -98,6 +101,46 @@ def test_spectrum_negative_domain_token():
 def test_spectrum_requires_potential(capsys):
     assert run(["spectrum", "--domain", "0:1", "--n", "64"]) == 1
     assert "no potential" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", typing.get_args(PotentialSpec), ids=lambda f: f.KIND)
+def test_every_potential_key_is_reachable_from_spectrum(family, capsys):
+    # each record key is a spectrum flag --KEY with a declared dimension, and
+    # giving exactly a family's flags solves that family
+    keys = [key for key, _ in family.RECORD]
+    for key in keys:
+        _, dimension = cli._POTENTIAL_FLAGS[key]
+        assert dimension == "dimensionless" or dimension in ATOMIC_UNIT_SI
+    argv = ["spectrum", "--domain", "0.01:10", "--n", "200", "--states", "1"]
+    for key in keys:
+        argv += [f"--{key}", "0.5"]
+    assert run(argv) == 0
+    assert f"# kind={family.KIND}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "1", "--p", "1"],
+    ["--p", "1", "--epsilon", "0.1"],
+    ["--p", "1", "--alpha", "0.5"],
+    ["--Q", "2", "--d", "0.5"],
+    ["--epsilon", "0.1"],
+])
+def test_flags_matching_no_family_exit_1(flags, capsys):
+    # no flag is dropped: a flag set that is not exactly one family's is refused
+    assert run(["spectrum", *flags, "--domain", "-20:0", "--n", "512", "--states", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: code=usage no potential family takes exactly")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "1si"],
+    ["--Q", "2si", "--d", "0.5", "--epsilon", "0.1"],
+])
+def test_si_suffix_on_a_dimensionless_flag_is_a_usage_error(flags, capsys):
+    assert run(["spectrum", *flags, "--domain", "0.01:10", "--n", "200"]) == 1
+    assert capsys.readouterr().err == (
+        "error: code=usage an 'si' suffix makes no sense for a dimensionless value\n")
 
 
 def test_hydrogen_json(tmp_path):
@@ -418,8 +461,8 @@ _GOLDEN = [
     # the inverse-square family, posed in its scaled form
     (["spectrum", "--alpha", "1.25", "--grid", "log", "--domain", "1e-3:30", "--n", "2048",
       "--states", "3"],
-     0, "f3650472d342818294047d9847bbd69f715137ff56ae3cd61428ab172b2c738f",
-     "e3468d5c388b3bc438fd8940acf0d33b06bf9ded74d7e301f4edede2ca9f4769"),
+     0, "d6cf48dfb8b44bf9366a5101bf0b6b4d6baa8c8a0ce6cc2553d52c1066cb7752",
+     "2a25dac1b8d022eb00702e74ab64ee54e84751b9d08ba595ef53d57f154fd49f"),
     # two CSV tables, each under its own "# table=" line
     (["series", "--alpha", "0.5", "--nterms", "8"],
      0, "f453f981f7663ab5cff578d01aafb8dd758b13dcc5032dc61ac12932e53cefbc",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dipole1d.critical as crit
+import dipole1d.eigensolver as eigensolver
 from dipole1d.critical import (
     P_CRIT_AU,
     ExtrapolationError,
@@ -52,9 +53,9 @@ def test_exact_value_consistent_with_coupling():
 
 
 def test_unit_path_independence():
-    from dipole1d.units import dipole_atomic_to_si
+    from dipole1d.units import atomic_to_si
 
-    via_au = dipole_atomic_to_si(CODATA, P_CRIT_AU)
+    via_au = atomic_to_si(CODATA, "dipole_moment", P_CRIT_AU)
     direct = p_crit_exact(CODATA)
     assert abs(via_au - direct) <= 1e-12 * direct
 
@@ -253,10 +254,12 @@ def _seed_node_count(alpha, delta, L, steps_per_unit=128, drift_tol=1e-6):
 
 
 def _node_count(alpha, delta, L, steps_per_unit=128):
-    try:
-        return zero_energy_node_count(alpha, delta, L, steps_per_unit=steps_per_unit)
-    except IntegrationError:
-        return None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolver, "_STEPS_PER_UNIT", steps_per_unit)
+        try:
+            return zero_energy_node_count(alpha, delta, L)
+        except IntegrationError:
+            return None
 
 
 # perfbench `threshold` windows at seed 0: ln(L/delta) = 8k ln 10

@@ -430,9 +430,10 @@ def test_node_count_scale_covariance():
             zero_energy_node_count(0.5, 1e-8, 1e8)
 
 
-def test_node_count_step_failure():
+def test_node_count_step_failure(monkeypatch):
+    monkeypatch.setattr(es, "_STEPS_PER_UNIT", 1)
     with pytest.raises(IntegrationError):
-        zero_energy_node_count(4.0, 1e-8, 1e8, steps_per_unit=1)
+        zero_energy_node_count(4.0, 1e-8, 1e8)
 
 
 def test_node_count_non_finite_drift_fails_closed():

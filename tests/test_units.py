@@ -3,14 +3,15 @@ import math
 import pytest
 
 from dipole1d.units import (
+    ATOMIC_UNIT_SI,
     ATOMIC_UNITS,
     CODATA,
     ConstantSet,
     alpha_from_p,
+    atomic_to_si,
     bohr_radius,
-    dipole_atomic_to_si,
-    dipole_si_to_atomic,
     hartree_energy,
+    si_to_atomic,
 )
 
 
@@ -61,17 +62,32 @@ def test_alpha_from_p_rejects_nonpositive():
 
 
 def test_dipole_unit_value():
-    assert dipole_atomic_to_si(CODATA, 1.0) == pytest.approx(8.478e-30, rel=1e-3)
-    assert dipole_atomic_to_si(CODATA, 0.0) == 0.0
+    assert atomic_to_si(CODATA, "dipole_moment", 1.0) == pytest.approx(8.478e-30, rel=1e-3)
+    assert atomic_to_si(CODATA, "dipole_moment", 0.0) == 0.0
 
 
 def test_dipole_round_trip_20_magnitudes():
     for k in range(20):
         p = 10.0 ** (-35 + 2 * k)
-        rt = dipole_si_to_atomic(CODATA, dipole_atomic_to_si(CODATA, p))
+        rt = si_to_atomic(CODATA, "dipole_moment", atomic_to_si(CODATA, "dipole_moment", p))
         assert abs(rt - p) <= 1e-12 * p
-    rt = dipole_si_to_atomic(CODATA, dipole_atomic_to_si(CODATA, 0.125))
+    rt = si_to_atomic(CODATA, "dipole_moment", atomic_to_si(CODATA, "dipole_moment", 0.125))
     assert abs(rt - 0.125) <= 1e-12
+
+
+@pytest.mark.parametrize("dimension, si_value", [
+    ("length", 5.29177e-11), ("energy", 4.35974e-18), ("dipole_moment", 8.47836e-30),
+    ("coulomb_strength", 2.30708e-28),
+])
+def test_unit_table(dimension, si_value):
+    unit = ATOMIC_UNIT_SI[dimension](CODATA)
+    assert unit == pytest.approx(si_value, rel=1e-5)
+    assert atomic_to_si(CODATA, dimension, 2.0) == 2.0 * unit
+    assert si_to_atomic(CODATA, dimension, 2.0 * unit) == 2.0
+    assert ATOMIC_UNIT_SI[dimension](ATOMIC_UNITS) == pytest.approx(1.0, rel=1e-12)
+    for convert in (si_to_atomic, atomic_to_si):
+        with pytest.raises(ValueError, match="must be finite"):
+            convert(CODATA, dimension, math.nan)
 
 
 def test_hartree_energy_value():

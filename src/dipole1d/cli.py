@@ -66,6 +66,8 @@ _POTENTIAL_FLAGS = {
     "Q": ("Q", "dimensionless"),
     "d": ("d", "length"),
 }
+# the keys a --config file may set: constants, and a potential record
+_CONFIG_KEYS = (*_CONST_KEYS, "kind", *_POTENTIAL_FLAGS)
 
 
 class _UsageError(ValueError):
@@ -156,7 +158,10 @@ def _parse_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise _UsageError(f"config line without '=': {line!r}")
             key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise _UsageError(f"unknown config key {key!r}; choose from {_CONFIG_KEYS}")
+            out[key] = val.strip()
     return out
 
 

@@ -297,11 +297,16 @@ def physical_dipole_scan(
     if not epsilon > 0.0:
         raise ValueError("epsilon must be > 0")
     a, b = float(domain[0]), float(domain[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"domain ends must be finite, got {a!r}:{b!r}")
     if not (a < 0.0 < b):
         raise ValueError("domain must straddle the origin")
     if n is None:
         h_target = min(epsilon / 2.0, min(d_list) / 8.0)
-        n = int(math.ceil((b - a) / h_target))
+        nodes = (b - a) / h_target
+        if not math.isfinite(nodes):
+            raise ValueError(f"the default node count overflows for the domain {a!r}:{b!r}")
+        n = int(math.ceil(nodes))
     if n % 2 == 0:
         n += 1  # odd count puts a node on the origin for the reference run
     grid = Grid("uniform", a, b, n)

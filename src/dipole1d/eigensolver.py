@@ -42,7 +42,14 @@ from .potentials import (
     SingularPointError,
     eval_potential_grid,
 )
-from .tridiag import _narrow_bracket, count_sign_changes, eigvalsh_bisect, inverse_iteration
+from .tridiag import (
+    _eigenvectors,
+    _failure,
+    _narrow_bracket,
+    _start_vector,
+    count_sign_changes,
+    eigvalsh_bisect,
+)
 
 __all__ = [
     "Grid",
@@ -338,25 +345,23 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
     )
 
 
-def _rayleigh_seeds(H: DiscreteHamiltonian, guesses):
-    # Sharpen each guess g to theta = v^T H v, v = inverse_iteration(H, g).
+def _rayleigh_seeds(H: DiscreteHamiltonian, guesses, start):
+    # Sharpen each guess g to theta = v^T H v, v the inverse iteration at g
+    # from the unit start vector ``start``, all in one _eigenvectors call.
     # For a unit v, |theta - lambda| <= ||H v - theta v||^2 / gap (Parlett, The
     # Symmetric Eigenvalue Problem, ch. 4), so a guess within a fraction of
     # the gap of its level gives a seed within about 1e-14 of it, and the
-    # seeded bisection brackets the level in a few passes.  A guess whose
-    # solve fails or whose theta is not finite is kept as it is; guesses of
-    # the wrong shape go through unchanged for eigvalsh_bisect to reject.
+    # seeded bisection brackets the level in two passes, at theta -+ tol/4.
+    # A guess whose solve fails (a NaN row) or whose theta is not finite is
+    # kept as it is; guesses of the wrong shape go through unchanged for
+    # eigvalsh_bisect to reject.
     g = np.asarray(guesses, dtype=float)
     if g.ndim != 1:
         return guesses
     d, e = H.diagonal, H.offdiagonal
+    xs = g.tolist()
     seeds = []
-    for x in g.tolist():
-        try:
-            v = inverse_iteration(d, e, x)
-        except ValueError:
-            seeds.append(x)
-            continue
+    for x, v in zip(xs, _eigenvectors(d, e, xs, start)):
         with np.errstate(over="ignore", invalid="ignore"):
             hv = d * v
             hv[:-1] += e * v[1:]
@@ -386,19 +391,24 @@ def lowest_eigenvalues(
     The vectorless path passes the guesses on unchanged and so never loads
     scipy.  The returned vectors are solved at the bisected values, so they
     do not depend on the guesses either.
+
+    One call checks the operator once, in the bisection; H's own checks make
+    its entries safe for the inverse iterations before that.  The seeds and
+    the returned vectors share one start vector.
     """
     if not 1 <= k <= H.size:
         raise ValueError(f"k must be in [1, {H.size}], got {k}")
+    start = _start_vector(H.size) if want_vectors else None
     if want_vectors and guesses is not None:
-        guesses = _rayleigh_seeds(H, guesses)
+        guesses = _rayleigh_seeds(H, guesses, start)
     values, widths = eigvalsh_bisect(H.diagonal, H.offdiagonal, k, tol=tol, guesses=guesses)
     vectors = None
     counts = np.zeros(k, dtype=int)
     if want_vectors:
-        vectors = np.empty((k, H.size))
-        for j in range(k):
-            v = inverse_iteration(H.diagonal, H.offdiagonal, values[j])
-            vectors[j] = v
+        vectors = _eigenvectors(H.diagonal, H.offdiagonal, values.tolist(), start)
+        for j, v in enumerate(vectors):
+            if np.isnan(v[0]):
+                raise _failure(float(values[j]))
             counts[j] = count_sign_changes(v)
     return Spectrum(
         energies=values,
@@ -574,6 +584,8 @@ def cutoff_sweep(
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be finite and > 0")
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"L must be finite and > 0, got {L!r}")
     eps = tuple(float(e) for e in eps_list)
     if len(eps) == 0:
         raise ValueError("eps_list must not be empty")
@@ -582,7 +594,10 @@ def cutoff_sweep(
     if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     if n is None:
-        n = int(math.ceil(4.0 * L / min(eps)))
+        nodes = 4.0 * L / min(eps)
+        if not math.isfinite(nodes):
+            raise ValueError(f"the default node count 4 L / min(eps) overflows for L = {L!r}")
+        n = int(math.ceil(nodes))
     h = L / n
     for e in eps:
         if e < 2.0 * h:

@@ -8,7 +8,9 @@ of the cost of reading numpy scalars one at a time.  Eigenvectors come from
 inverse iteration, each solve LAPACK's ``dgtsv``: Gaussian elimination with
 partial pivoting on the general tridiagonal matrix (Anderson et al., LAPACK
 Users' Guide, 3rd ed., SIAM 1999).  scipy is imported only there, so
-importing the package does not load it.
+importing the package does not load it.  ``_eigenvectors`` runs the
+inverse iterations at many shifts from one start vector, for callers that
+have already checked the operator.
 
 A Sturm pass stops as soon as its answer is decided.  A bisection step only
 asks whether count(x) > j for some j < k, so the pass may stop once the count
@@ -23,9 +25,16 @@ level, the same level of a symmetric reduction) passes it as a guess;
 ``eigensolver.lowest_eigenvalues`` first sharpens a guess to a Rayleigh
 quotient when it solves for vectors anyway, so a seed is then usually
 within a rounding error of its level and brackets it in two passes.  The
-bisection then first counts at two shifts around each guess, widening a side
-by a factor of 8 until the two counts bracket the level, and keeps those
-counts with the others.  The midpoints stay those of the plain bisection
+bisection then first counts at the two shifts g -+ tol/4 around each guess
+g, widening a side by a factor of 8 until the two counts bracket the level,
+and keeps those counts with the others.  Why tol/4: the final bisection
+bracket is wider than tol/2, so the last midpoints near the level mostly
+fall outside a seeded bracket of width tol/2, where its two counts already
+decide them; from g -+ tol, about two of them per level needed a pass.  A
+smaller first half-width saves fewer passes than its widening costs where
+the float count's switch point lies up to 5.9e-10 from the Rayleigh
+quotient, as on the default hydrogen grids at lam = 3 (62 passes at tol/4,
+63 at tol, 69 at tol/8).  The midpoints stay those of the plain bisection
 from the Gershgorin interval.  The float Sturm count is monotone in the
 shift (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995), so a midpoint
 inside a seeded bracket is decided as a pass at it would decide it: values
@@ -54,6 +63,7 @@ __all__ = [
 _TINY = 1e-300
 _DENORM = 5e-324  # the smallest positive double
 _OFF_MAX = math.sqrt(sys.float_info.max)  # the largest |e| whose square is finite
+_SEED_FIRST = 0.25  # first half-width of a seed's bracket, in units of tol
 _SEED_WIDEN = 8.0  # factor by which a seed that fails to bracket its level moves out
 _SOLVES = 3  # dgtsv solves per inverse iteration
 _NODE_RTOL = 1e-8  # entries below this fraction of max|v| carry no sign
@@ -185,14 +195,18 @@ def _narrow_bracket(predicate, lo: float, hi: float, width: float) -> tuple[floa
     return lo, hi
 
 
-def gershgorin_bounds(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
-    """Interval certain to contain the whole spectrum."""
-    diag, off = _operator(diag, off)
+def _gershgorin(diag, off):
+    # gershgorin_bounds of an operator _operator already checked
     off = np.abs(off)
     radius = np.zeros_like(diag)
     radius[:-1] += off
     radius[1:] += off
     return float(np.min(diag - radius)), float(np.max(diag + radius))
+
+
+def gershgorin_bounds(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
+    """Interval certain to contain the whole spectrum."""
+    return _gershgorin(*_operator(diag, off))
 
 
 def eigvalsh_bisect(
@@ -214,8 +228,11 @@ def eigvalsh_bisect(
     decides every question count(x) > j with j < k exactly.
 
     ``guesses`` (optional, one finite value per level) only choose where to
-    count first.  Level j is counted at g - delta and g + delta, delta = tol,
-    and a side that does not bracket level j (count(g - delta) > j, or
+    count first.  Level j is counted at g - delta and g + delta, delta =
+    tol/4: a seed within a rounding error of its level then brackets it in
+    those two passes, and most of the last midpoints fall outside that
+    bracket and need no pass of their own (see the module docstring).  A
+    side that does not bracket level j (count(g - delta) > j, or
     count(g + delta) <= j) moves out by a factor of 8 and is counted again,
     up to the Gershgorin interval.  Then the bisection runs as without
     guesses, from the same bracket through the same midpoints.  The float
@@ -236,7 +253,7 @@ def eigvalsh_bisect(
             raise ValueError(f"guesses must hold one value per level, k = {k}")
         if not np.all(np.isfinite(guesses)):
             raise ValueError("guesses must be finite")
-    lo0, hi0 = gershgorin_bounds(diag, off)
+    lo0, hi0 = _gershgorin(diag, off)
     if lo0 == hi0:
         lo0 -= 1.0
         hi0 += 1.0
@@ -256,10 +273,10 @@ def eigvalsh_bisect(
     if guesses is not None:
         for j, g in enumerate(guesses.tolist()):
             g = min(max(g, lo0), hi0)
-            delta = tol
+            delta = _SEED_FIRST * tol
             while g - delta > lo0 and count_at(g - delta) > j:
                 delta *= _SEED_WIDEN
-            delta = tol
+            delta = _SEED_FIRST * tol
             while g + delta < hi0 and count_at(g + delta) <= j:
                 delta *= _SEED_WIDEN
 
@@ -291,12 +308,11 @@ def _start_vector(n):
     return v / np.sqrt(np.sum(v * v))
 
 
-def _inverse_iteration(diag, off, lam):
+def _inverse_iteration(diag, off, lam, v):
     # None where a solve fails: see inverse_iteration
     from scipy.linalg.lapack import dgtsv
 
     shifted = diag - lam
-    v = _start_vector(diag.shape[0])
     for _ in range(_SOLVES):
         _, _, _, w, info = dgtsv(off, shifted, off, v)
         if info != 0:
@@ -307,6 +323,36 @@ def _inverse_iteration(diag, off, lam):
             return None
         v = w / nrm
     return v
+
+
+def _eigenvectors(diag, off, shifts, start):
+    # Row i: inverse_iteration(diag, off, shifts[i]) from the unit start
+    # vector ``start``, or NaN where the shift is not finite or both attempts
+    # fail.  The operator is taken as checked: float arrays of matching shape
+    # with finite entries.
+    n = diag.shape[0]
+    rows = np.full((len(shifts), n), math.nan)
+    scale = None
+    for i, lam in enumerate(shifts):
+        if not math.isfinite(lam):
+            continue
+        if n == 1:
+            rows[i] = 1.0  # dgtsv's wrapper refuses n = 1
+            continue
+        v = _inverse_iteration(diag, off, lam, start)
+        if v is None:
+            # retry with a tiny relative shift away from an exact pivot kill
+            if scale is None:
+                scale = max(1.0, float(np.max(np.abs(diag))))
+            v = _inverse_iteration(diag, off, lam + 1e-13 * scale, start)
+        if v is not None:
+            rows[i] = v
+    return rows
+
+
+def _failure(lam):
+    # the error of an inverse iteration whose retry failed too
+    return ValueError(f"inverse iteration failed at lam = {lam!r} and at the shifted retry")
 
 
 def inverse_iteration(
@@ -323,15 +369,9 @@ def inverse_iteration(
     """
     diag, off = _operator(diag, off)
     lam = _shift(lam, "lam")
-    if diag.shape[0] == 1:
-        return np.ones(1)  # dgtsv's wrapper refuses n = 1
-    v = _inverse_iteration(diag, off, lam)
-    if v is None:
-        # retry with a tiny relative shift away from an exact pivot kill
-        scale = max(1.0, float(np.max(np.abs(diag))))
-        v = _inverse_iteration(diag, off, lam + 1e-13 * scale)
-    if v is None:
-        raise ValueError(f"inverse iteration failed at lam = {lam!r} and at the shifted retry")
+    v = _eigenvectors(diag, off, [lam], _start_vector(diag.shape[0]))[0]
+    if np.isnan(v[0]):
+        raise _failure(lam)
     return v
 
 

@@ -231,6 +231,17 @@ def test_unknown_constant_rejected(capsys):
     assert run(["convert", "--pcrit-si", "--const", "planck=1"]) == 1
 
 
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    # a key that is neither a constant nor part of a potential record is a
+    # typo, not a setting to drop
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind=physical_dipole\nQ=2\nd=0.5\nepsilon=0.01\nfoo=3\n")
+    assert run(["spectrum", "--config", str(cfg), "--n", "401", "--domain", "-5:5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: code=usage unknown config key 'foo'")
+
+
 def test_malformed_number(capsys):
     assert run(["spectrum", "--p", "abc", "--domain", "-5:0", "--n", "64"]) == 1
     err = capsys.readouterr().err
@@ -366,6 +377,22 @@ def test_hydrogen_unresolved_grids_fail_closed(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: code=invalid ")
     assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cutoff-sweep", "--domain", "0:inf"], "L must be finite"),
+    (["dipole-limit", "--domain", "-inf:30"], "domain ends must be finite"),
+    # finite ends whose default node count overflows
+    (["cutoff-sweep", "--domain", "0:1e308"], "node count"),
+    (["dipole-limit", "--domain", "-1e308:1e308"], "node count"),
+])
+def test_non_finite_domains_are_invalid(argv, message, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: code=invalid ")
+    assert message in captured.err
+    assert "\n" not in captured.err.strip()
 
 
 def test_perfbench_selftest_passes():

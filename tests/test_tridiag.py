@@ -691,14 +691,14 @@ def _record_passes(monkeypatch):
 
 
 def _expected_seed_shifts(diag, off, guesses, tol):
-    # level j: g -+ tol * 8^m, each side until it brackets level j or leaves
-    # the Gershgorin interval, with g clamped into that interval
+    # level j: g -+ (tol / 4) * 8^m, each side until it brackets level j or
+    # leaves the Gershgorin interval, with g clamped into that interval
     lo, hi = gershgorin_bounds(diag, off)
     xs = []
     for j, g in enumerate(guesses):
         g = min(max(float(g), lo), hi)
         for side in (-1.0, 1.0):
-            delta = tol
+            delta = tol / 4.0
             while lo < g + side * delta < hi:
                 x = g + side * delta
                 xs.append(x)
@@ -846,12 +846,14 @@ def test_non_finite_rayleigh_quotient_keeps_the_raw_guess(monkeypatch):
     H, k, tol = _pipeline_operators()["coulomb_log_384"]
     ref = lowest_eigenvalues(H, k, tol=tol)
     bad = -0.49
-    real = es.inverse_iteration
+    real = es._eigenvectors
 
-    def nan_at_bad(diag, off, lam, *args):
-        return np.full(diag.shape, math.nan) if lam == bad else real(diag, off, lam, *args)
+    def nan_at_bad(diag, off, shifts, *args):
+        rows = real(diag, off, shifts, *args)
+        rows[np.asarray(shifts) == bad] = math.nan
+        return rows
 
-    monkeypatch.setattr(es, "inverse_iteration", nan_at_bad)
+    monkeypatch.setattr(es, "_eigenvectors", nan_at_bad)
     seeds = _record_seeds(monkeypatch)
     _assert_same_spectrum(lowest_eigenvalues(H, k, tol=tol, guesses=[bad, -0.125, -1.0 / 18.0]),
                           ref)
@@ -864,25 +866,68 @@ def test_vectorless_solves_keep_the_raw_guesses(monkeypatch):
     def no_vectors(*args, **kwargs):
         raise AssertionError("inverse iteration on a vectorless solve")
 
-    monkeypatch.setattr(es, "inverse_iteration", no_vectors)
+    monkeypatch.setattr(es, "_eigenvectors", no_vectors)
     seeds = _record_seeds(monkeypatch)
     H, k, tol = _pipeline_operators()["coulomb_log_384"]
     lowest_eigenvalues(H, k, tol=tol, want_vectors=False, guesses=[-0.5, -0.125, -0.05])
     assert seeds == [[-0.5, -0.125, -0.05]]
 
 
+def test_vector_solve_checks_the_operator_and_builds_the_start_vector_once(monkeypatch):
+    # seeds, bisection and returned vectors share one operator check and one
+    # start vector, whatever k is
+    calls = {"_operator": 0, "_start_vector": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        fn = counting(name, getattr(tridiag, name))
+        for module in (tridiag, es):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fn)
+    H, k, tol = _pipeline_operators()["coulomb_log_384"]
+    sp = lowest_eigenvalues(H, k, tol=tol, guesses=[-0.5, -0.125, -1.0 / 18.0],
+                            want_vectors=True)
+    assert calls == {"_operator": 1, "_start_vector": 1}
+    assert sp.eigenvectors.shape == (k, H.size)
+
+
+def test_final_vector_failure_raises_at_the_first_failed_level(monkeypatch):
+    H, k, tol = _pipeline_operators()["coulomb_log_384"]
+    values = lowest_eigenvalues(H, k, tol=tol, want_vectors=False).energies
+    real = es._eigenvectors
+
+    def fail_from_level_1(diag, off, shifts, *args):
+        rows = real(diag, off, shifts, *args)
+        rows[1:] = math.nan
+        return rows
+
+    monkeypatch.setattr(es, "_eigenvectors", fail_from_level_1)
+    with pytest.raises(ValueError, match=f"failed at lam = {float(values[1])!r} and"):
+        lowest_eigenvalues(H, k, tol=tol)
+
+
 @pytest.mark.parametrize("argv, rows, bound", [
-    # the full-line check, seeded from the even-sector level it reproduces
+    # the full-line check, seeded from the even-sector level it reproduces:
+    # 2 passes, and one more for a seed that lands a rounding error further out
     (["cutoff-sweep", "--lambda", "1.0", "--epsilon", "0.2,0.1,0.05,0.025,0.0125",
-      "--domain", "0:10.0", "--n", "3200"], 6399, 8),
+      "--domain", "0:10.0", "--n", "3200"], 6399, 2 + 1),
     # three grids, each seeded with the Rayleigh quotients of the Balmer
-    # levels: 37 passes (467 without guesses); the bounds leave one pass per
+    # levels: 21 passes (467 without guesses); the bounds leave one pass per
     # level and grid for a seed that lands a rounding error further out
     (["hydrogen", "--lambda", "1.0", "--states", "3", "--n", "384", "--domain", "1e-05:200.0"],
-     None, 37 + 9),
-    # grids 4,096 / 8,193 / 16,387: 39 passes
-    (["hydrogen", "--n", "4096"], None, 39 + 9),
-], ids=["cutoff-full-line", "balmer", "hydrogen-4096"])
+     None, 21 + 9),
+    # grids 4,096 / 8,193 / 16,387: 23 passes
+    (["hydrogen", "--n", "4096"], None, 23 + 9),
+    # the float count's switch points lie up to 5.9e-10 from the Rayleigh
+    # quotients here, so the first brackets often widen: 62 passes, and no
+    # more than the 63 of a first half-width of tol
+    (["hydrogen", "--lambda", "3"], None, 63),
+], ids=["cutoff-full-line", "balmer", "hydrogen-4096", "hydrogen-lambda-3"])
 def test_seeded_solves_take_few_passes(argv, rows, bound, monkeypatch, tmp_path):
     passes = _record_passes(monkeypatch)
     assert run(argv + ["--out", str(tmp_path / "o")]) == 0

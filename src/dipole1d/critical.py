@@ -23,11 +23,11 @@ from .eigensolver import (
     AlphaCritEstimate,
     Grid,
     GridAlignmentError,
-    discretize,
+    _kinetic_part,
     find_alpha_crit,
 )
-from .potentials import PhysicalDipole, PointDipole
-from .tridiag import _has_eigenvalue_below, _narrow_bracket
+from .potentials import PhysicalDipole, PointDipole, eval_potential_grid
+from .tridiag import _OFF_MAX, _count_below, _narrow_bracket
 from .units import ConstantSet, atomic_to_si, bohr_radius
 
 __all__ = [
@@ -247,8 +247,33 @@ class DipoleScanResult:
     )
 
 
-def _binds(spec, grid: Grid) -> bool:
-    """Whether ``spec`` has a level below zero energy on ``grid``.
+def _binding_part(spec, grid: Grid):
+    """The kinetic part of ``spec``'s family on ``grid`` and its squared
+    couplings as a list, the couplings checked once as ``DiscreteHamiltonian``
+    and the Sturm pass check them."""
+    kin = _kinetic_part(spec, grid)
+    off = kin.offdiagonal
+    if not np.all(np.isfinite(off)):
+        raise ValueError("operator entries must be finite")
+    if np.any(off > 0.0):
+        raise ValueError("off-diagonal kinetic couplings must be <= 0")
+    if not np.all(np.abs(off) <= _OFF_MAX):
+        raise ValueError(f"off entries must have a finite square, |off| <= {_OFF_MAX!r}")
+    return kin, (off * off).tolist()
+
+
+# V overflowing to inf, or inf - inf, is refused below as a ValueError, as
+# discretize's operator refuses it, not left to warn on the way.
+@np.errstate(over="ignore", invalid="ignore")
+def _binds(spec, part) -> bool:
+    """Whether ``spec`` has a level below zero energy on the grid of ``part``.
+
+    ``part`` is ``_binding_part`` of a spec of the same family with the same
+    pinned zeros (ValueError otherwise): ``physical_dipole_scan`` builds it
+    once per family, so a predicate only evaluates the potential.  The
+    diagonal is the kinetic diagonal plus V on the part's nodes, the same
+    float additions ``discretize`` makes, so the operator is bit-identical to
+    ``discretize(spec, grid)``.
 
     The discrete oscillation theorem at zero energy: the Sturm count of the
     operator at 0 is the number of levels strictly below 0, so binding is
@@ -256,8 +281,16 @@ def _binds(spec, grid: Grid) -> bool:
     negative pivot, exact on the discrete operator, with no eigenvalue
     bisected.
     """
-    H = discretize(spec, grid)
-    return _has_eigenvalue_below(H.diagonal, H.offdiagonal, 0.0)
+    kin, off2 = part
+    if type(spec) is not kin.family or spec.pinned_zeros != kin.pinned_zeros:
+        raise ValueError(
+            f"{type(spec).__name__} with pinned zeros {spec.pinned_zeros!r} does "
+            f"not fit a part built for {kin.family.__name__} with {kin.pinned_zeros!r}"
+        )
+    diag = kin.diagonal + eval_potential_grid(spec, kin.nodes)
+    if not np.all(np.isfinite(diag)):
+        raise ValueError("operator entries must be finite")
+    return _count_below(diag.tolist(), off2, 0.0, 1) == 1
 
 
 # the moment bracket around the exact point value, and its bisection width
@@ -311,10 +344,17 @@ def physical_dipole_scan(
         n += 1  # odd count puts a node on the origin for the reference run
     grid = Grid("uniform", a, b, n)
 
+    # PhysicalDipole has no pinned zeros: one kinetic part serves every Q, d
+    # and epsilon.  It is built from the scan's first configuration, so a
+    # spec that cannot be built fails here as the first predicate would.
+    two_centre = None
+    if d_list:
+        first = PhysicalDipole(Q=_P_LO / d_list[0], d=d_list[0], epsilon=epsilon)
+        two_centre = _binding_part(first, grid)
     rows = []
     for d in d_list:
         def binds(p: float, d=d) -> bool:
-            return _binds(PhysicalDipole(Q=p / d, d=d, epsilon=epsilon), grid)
+            return _binds(PhysicalDipole(Q=p / d, d=d, epsilon=epsilon), two_centre)
 
         p_c, bracket, status = _bisect_p(binds)
         rows.append(
@@ -322,10 +362,12 @@ def physical_dipole_scan(
                           conclusive=p_c is not None, status=status)
         )
 
-    def point_binds(p: float) -> bool:
-        return _binds(PointDipole(p), grid)
-
     try:
+        point = _binding_part(PointDipole(_P_LO), grid)
+
+        def point_binds(p: float) -> bool:
+            return _binds(PointDipole(p), point)
+
         p_ref, _, _ = _bisect_p(point_binds)
     except GridAlignmentError:
         p_ref = None  # asymmetric domain: no grid node on the origin

@@ -250,24 +250,30 @@ class Spectrum:
             raise ValueError("energies must be nondecreasing")
 
 
-# Entries that overflow (a log grid reaching far below x = 1e-150, say) are
-# refused by DiscreteHamiltonian as a ValueError, not left to warn on the way.
-@np.errstate(over="ignore", invalid="ignore")
-def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
-    """Assemble the symmetric tridiagonal operator for ``spec`` on ``grid``.
+@dataclass(frozen=True)
+class _KineticPart:
+    """Everything of a discrete operator except the potential.
 
-    Dirichlet values are imposed at the walls and at any interior pinned zero
-    of the potential (which must then sit on a grid node).  A point dipole on
-    a grid spanning the origin is assembled on the x < 0 subgrid only, since
-    its states vanish identically on the repulsive side.
-
-    Raises
-    ------
-    SingularPointError
-        if an active grid node sits exactly on a pinned zero.
-    GridAlignmentError
-        if an interior pinned zero falls between grid nodes.
+    Built for one potential family and its pinned zeros on one grid: the
+    active ``nodes``, the kinetic ``diagonal`` on them, the ``offdiagonal``
+    couplings (an exact 0 across a dropped node) and ``bc_note``.  Any spec of
+    the same family with the same pinned zeros has the operator
+    ``diagonal + V(nodes)`` with these couplings.
     """
+
+    family: type
+    pinned_zeros: tuple[float, ...]
+    nodes: np.ndarray
+    diagonal: np.ndarray
+    offdiagonal: np.ndarray
+    bc_note: str
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _kinetic_part(spec: PotentialSpec, grid: Grid) -> _KineticPart:
+    # The active nodes, pinned-zero drops, point-dipole subgrid, kinetic
+    # entries and notes of discretize(spec, grid); they depend on spec only
+    # through its family and pinned zeros, never through V.
     if isinstance(spec, InverseSquare) and grid.x_min < 0.0:
         raise ValueError("inverse-square problems are posed on y > 0")
     nodes = grid.nodes
@@ -332,16 +338,49 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
     if isinstance(spec, InverseSquare):
         notes.append("inverse-square scaled form: V = -alpha/(2 y^2), eigenvalues are -xi/2")
 
-    diag = kin_diag[keep] + eval_potential_grid(spec, act_nodes)
     adjacent = keep[1:] == keep[:-1] + 1
-    off = np.where(adjacent, kin_off[keep[:-1]], 0.0)
-
-    return DiscreteHamiltonian(
-        diagonal=diag,
-        offdiagonal=off,
-        grid=grid,
-        bc_note="; ".join(notes),
+    return _KineticPart(
+        family=type(spec),
+        pinned_zeros=spec.pinned_zeros,
         nodes=act_nodes,
+        diagonal=kin_diag[keep],
+        offdiagonal=np.where(adjacent, kin_off[keep[:-1]], 0.0),
+        bc_note="; ".join(notes),
+    )
+
+
+# Entries that overflow (a log grid reaching far below x = 1e-150, say) are
+# refused by DiscreteHamiltonian as a ValueError, not left to warn on the way.
+@np.errstate(over="ignore", invalid="ignore")
+def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
+    """Assemble the symmetric tridiagonal operator for ``spec`` on ``grid``.
+
+    Dirichlet values are imposed at the walls and at any interior pinned zero
+    of the potential (which must then sit on a grid node).  A point dipole on
+    a grid spanning the origin is assembled on the x < 0 subgrid only, since
+    its states vanish identically on the repulsive side.
+
+    Everything except the potential (nodes, couplings, kinetic diagonal and
+    ``bc_note``) comes from the private ``_kinetic_part(spec, grid)``, and the
+    diagonal is its kinetic diagonal plus ``eval_potential_grid`` on its
+    nodes.  A caller that needs many potentials of one family on one grid,
+    such as ``critical.physical_dipole_scan``, builds that part once and adds
+    each V itself: the same float additions, so the same bytes.
+
+    Raises
+    ------
+    SingularPointError
+        if an active grid node sits exactly on a pinned zero.
+    GridAlignmentError
+        if an interior pinned zero falls between grid nodes.
+    """
+    kin = _kinetic_part(spec, grid)
+    return DiscreteHamiltonian(
+        diagonal=kin.diagonal + eval_potential_grid(spec, kin.nodes),
+        offdiagonal=kin.offdiagonal,
+        grid=grid,
+        bc_note=kin.bc_note,
+        nodes=kin.nodes,
     )
 
 

@@ -175,12 +175,6 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     return _count_below(diag.tolist(), (off * off).tolist(), _shift(x))
 
 
-def _has_eigenvalue_below(diag: np.ndarray, off: np.ndarray, x: float) -> bool:
-    # sturm_count(diag, off, x) >= 1, stopping at the first negative pivot
-    diag, off = _operator(diag, off)
-    return _count_below(diag.tolist(), (off * off).tolist(), _shift(x), 1) == 1
-
-
 def _narrow_bracket(predicate, lo: float, hi: float, width: float) -> tuple[float, float]:
     """Bisect [lo, hi], where ``predicate`` is false at lo and true at hi,
     until hi - lo <= ``width`` or no float lies strictly between the ends."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ from dipole1d.eigensolver import (
     window_bias,
     zero_energy_node_count,
 )
-from dipole1d.potentials import PhysicalDipole, PointDipole
+from dipole1d.potentials import (
+    Coulomb,
+    InverseSquare,
+    PhysicalDipole,
+    PointDipole,
+    RegularizedCoulomb,
+)
 from dipole1d.units import ATOMIC_UNITS, CODATA, ConstantSet, alpha_from_p, bohr_radius
 
 
@@ -188,19 +195,148 @@ def _bisection_binds(spec, grid):
 def test_binds_matches_bisected_ground_state_on_dipole_scan_grid():
     grid = Grid("uniform", -30.0, 30.0, 3001)
     bracket = (P_CRIT_AU / 10.0, P_CRIT_AU * 10.0)
+    point = crit._binding_part(PointDipole(bracket[0]), grid)
+    two_centre = crit._binding_part(PhysicalDipole(Q=1.0, d=1.0, epsilon=1e-3), grid)
     # the point-dipole onset on this grid is at p = 0.17595 (dipole-limit)
     ladder = [0.1759 + 2e-4 * k for k in range(-5, 6)]
     on_ladder = []
     for p in ladder:
         want = _bisection_binds(PointDipole(p), grid)
-        assert crit._binds(PointDipole(p), grid) is want
+        assert crit._binds(PointDipole(p), point) is want
         on_ladder.append(want)
     assert on_ladder == sorted(on_ladder) and on_ladder[0] is False and on_ladder[-1] is True
-    ends = [PointDipole(p) for p in bracket]
-    ends += [PhysicalDipole(Q=p / d, d=d, epsilon=1e-3)
-             for d in (1.0, 0.5, 0.2, 0.1, 0.05) for p in bracket]
-    for spec in ends:
-        assert crit._binds(spec, grid) is _bisection_binds(spec, grid)
+    for p in bracket:
+        assert crit._binds(PointDipole(p), point) is _bisection_binds(PointDipole(p), grid)
+        for d in (1.0, 0.5, 0.2, 0.1, 0.05):
+            spec = PhysicalDipole(Q=p / d, d=d, epsilon=1e-3)
+            assert crit._binds(spec, two_centre) is _bisection_binds(spec, grid)
+
+
+def test_binds_refuses_a_part_of_another_family_or_pinned_zeros():
+    grid = Grid("uniform", -30.0, 30.0, 3001)
+    two_centre = crit._binding_part(PhysicalDipole(Q=1.0, d=1.0, epsilon=1e-3), grid)
+    with pytest.raises(ValueError, match="does not fit"):
+        crit._binds(PointDipole(0.2), two_centre)
+    coulomb = crit._binding_part(Coulomb(1.0), grid)  # pinned zero at 0
+    with pytest.raises(ValueError, match="does not fit"):
+        crit._binds(Coulomb(0.0), coulomb)  # lam = 0 pins nothing
+    with pytest.raises(ValueError, match="does not fit"):
+        crit._binds(RegularizedCoulomb(1.0, 0.1), crit._binding_part(Coulomb(0.0), grid))
+    assert crit._binds(Coulomb(2.0), coulomb) is True
+
+
+def test_binds_refuses_the_operators_discretize_refuses():
+    grid = Grid("uniform", -30.0, 30.0, 3001)
+    # Q / |x - d/2| overflows at the nodes next to the centre at x = 0.5
+    spec = PhysicalDipole(Q=1e307, d=1.0, epsilon=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="entries must be finite"):
+            discretize(spec, grid)
+        with pytest.raises(ValueError, match="entries must be finite"):
+            crit._binds(spec, crit._binding_part(spec, grid))
+        # couplings -1/(2 h^2) whose square overflows
+        with pytest.raises(ValueError, match="finite square"):
+            crit._binding_part(spec, Grid("uniform", -1e-75, 1e-75, 3001))
+
+
+# Reference copy of the one-piece discretize that _kinetic_part and the
+# potential sum replaced; both must give the same bytes.
+@np.errstate(over="ignore", invalid="ignore")
+def _seed_discretize(spec, grid):
+    nodes = grid.nodes
+    n = nodes.shape[0]
+    atol = 1e-9 * max(abs(grid.x_min), abs(grid.x_max), 1.0)
+    notes = []
+    drop = np.zeros(n, dtype=bool)
+    for p in spec.pinned_zeros:
+        if not (grid.x_min + atol < p < grid.x_max - atol):
+            continue
+        idx = int(np.argmin(np.abs(nodes - p)))
+        assert abs(nodes[idx] - p) <= atol
+        drop[idx] = True
+        notes.append(f"interior Dirichlet zero at x = {p!r} decouples the operator")
+    if isinstance(spec, PointDipole) and grid.x_max > atol and grid.x_min < -atol:
+        drop |= nodes > -atol
+        notes = [n_ for n_ in notes if "decouples" not in n_]
+        notes.append("point dipole: assembled on the x < 0 subgrid, Dirichlet at the origin")
+    keep = np.nonzero(~drop)[0]
+    act_nodes = nodes[keep]
+    h = grid.spacing
+    if grid.kind == "uniform":
+        kin_diag = np.full(n, 1.0 / h**2)
+        kin_off = np.full(n - 1, -0.5 / h**2)
+        if grid.left_bc == "neumann":
+            kin_off[0] = -1.0 / (math.sqrt(2.0) * h**2)
+            notes.append(
+                "left Neumann wall (even-parity mirror reduction), "
+                "first coupling carries the 1/sqrt(2) symmetrizer"
+            )
+        else:
+            notes.append(f"uniform grid, Dirichlet walls at {grid.x_min!r} and {grid.x_max!r}")
+    else:
+        s = grid._s_ladder()
+        w_left = np.exp(-2.0 * (s - 0.5 * h))
+        w_right = np.exp(-2.0 * (s + 0.5 * h))
+        kin_diag = 0.5 * (w_left + w_right) / h**2 - 0.375 * np.exp(-2.0 * s)
+        kin_off = -0.5 * w_right[:-1] / h**2
+        notes.append(
+            "logarithmic grid x = e^s with u = e^(s/2) psi; operator "
+            "-(1/2)(e^(-2s) u')' - (3/8) e^(-2s) u + V(e^s) u, Dirichlet in u at both walls"
+        )
+    if isinstance(spec, InverseSquare):
+        notes.append("inverse-square scaled form: V = -alpha/(2 y^2), eigenvalues are -xi/2")
+    diag = kin_diag[keep] + spec.potential(act_nodes)
+    adjacent = keep[1:] == keep[:-1] + 1
+    off = np.where(adjacent, kin_off[keep[:-1]], 0.0)
+    return diag, off, act_nodes, "; ".join(notes)
+
+
+@pytest.mark.parametrize("spec, grid", [
+    (Coulomb(0.0), Grid("uniform", 0.0, math.pi, 64)),
+    (RegularizedCoulomb(1.0, 0.2), Grid("uniform", 0.0, 10.0, 800, left_bc="neumann")),
+    (Coulomb(1.0), Grid("logarithmic", 1e-5, 200.0, 384)),
+    (Coulomb(1.0), Grid("uniform", -10.0, 10.0, 401)),  # interior pinned zero at 0
+    (PointDipole(0.2), Grid("uniform", -30.0, 30.0, 3001)),  # the x < 0 subgrid
+    (InverseSquare(1.25), Grid("logarithmic", 1e-3, 30.0, 2048)),
+    (PhysicalDipole(Q=0.2, d=0.5, epsilon=1e-3), Grid("uniform", -30.0, 30.0, 3001)),
+])
+def test_discretize_bit_identical_to_one_piece_reference(spec, grid):
+    diag, off, nodes, note = _seed_discretize(spec, grid)
+    H = discretize(spec, grid)
+    assert H.diagonal.tobytes() == diag.tobytes()
+    assert H.offdiagonal.tobytes() == off.tobytes()
+    assert H.nodes.tobytes() == nodes.tobytes()
+    assert H.bc_note == note
+    kin = eigensolver._kinetic_part(spec, grid)
+    assert kin.family is type(spec) and kin.pinned_zeros == spec.pinned_zeros
+    assert kin.offdiagonal.tobytes() == off.tobytes() and kin.bc_note == note
+
+
+def test_dipole_scan_builds_two_kinetic_parts_and_never_discretizes(monkeypatch):
+    # the perfbench `dipole-scan` argv at seed 0: --d 1.0,0.5,0.2,0.1,0.05 --n 3001
+    def no_discretize(spec, grid):
+        raise AssertionError("physical_dipole_scan must not call discretize")
+
+    parts, binds = [], []
+    kinetic_part, binds_fn = crit._kinetic_part, crit._binds
+
+    def counted_part(spec, grid):
+        parts.append(type(spec))
+        return kinetic_part(spec, grid)
+
+    def counted_binds(spec, part):
+        binds.append(type(spec))
+        return binds_fn(spec, part)
+
+    monkeypatch.setattr(eigensolver, "discretize", no_discretize)
+    monkeypatch.setattr(crit, "_kinetic_part", counted_part)
+    monkeypatch.setattr(crit, "_binds", counted_binds)
+    res = physical_dipole_scan(d_list=(1.0, 0.5, 0.2, 0.1, 0.05), n=3001)
+    assert parts == [PhysicalDipole, PointDipole]
+    assert len(binds) == 23
+    assert binds.count(PhysicalDipole) == 10  # every row binds at both bracket ends
+    assert res.point_dipole_reference is not None
 
 
 # Reference copy of the stepped RK4 node count that the closed-form

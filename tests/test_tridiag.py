@@ -12,7 +12,6 @@ from dipole1d.eigensolver import DiscreteHamiltonian, Grid, discretize, lowest_e
 from dipole1d.potentials import Coulomb, PhysicalDipole, PointDipole, RegularizedCoulomb
 from dipole1d.tridiag import (
     _count_below,
-    _has_eigenvalue_below,
     _tail_certificate,
     count_sign_changes,
     eigvalsh_bisect,
@@ -365,8 +364,6 @@ def test_non_finite_operator_rejected(bad):
         with pytest.raises(ValueError, match="finite"):
             sturm_count(d, o, 0.0)
         with pytest.raises(ValueError, match="finite"):
-            _has_eigenvalue_below(d, o, 0.0)
-        with pytest.raises(ValueError, match="finite"):
             inverse_iteration(d, o, 0.5)
 
 
@@ -376,8 +373,6 @@ def test_non_finite_shift_rejected(x):
     off = np.array([-1.0, -1.0])
     with pytest.raises(ValueError, match="x must be finite"):
         sturm_count(diag, off, x)
-    with pytest.raises(ValueError, match="x must be finite"):
-        _has_eigenvalue_below(diag, off, x)
     with pytest.raises(ValueError, match="lam must be finite"):
         inverse_iteration(diag, off, x)
 
@@ -389,12 +384,14 @@ def test_bisection_rejects_bad_tol(tol):
 
 
 def test_has_eigenvalue_below_matches_sturm_count():
+    # the binding predicate's one pass: the count capped at 1
     rng = np.random.default_rng(11)
     seen = set()
     for diag, off in _random_operators():
+        diag_l, off2_l = diag.tolist(), (off * off).tolist()
         for x in rng.uniform(diag.min() - 4, diag.max() + 4, size=6):
             want = sturm_count(diag, off, float(x)) >= 1
-            assert _has_eigenvalue_below(diag, off, float(x)) is want
+            assert (_count_below(diag_l, off2_l, float(x), 1) == 1) is want
             seen.add(want)
     assert seen == {True, False}
 
@@ -569,8 +566,6 @@ def test_off_with_overflowing_square_rejected():
         with pytest.raises(ValueError, match="finite square"):
             sturm_count(diag, off, 0.5)
         with pytest.raises(ValueError, match="finite square"):
-            _has_eigenvalue_below(diag, off, 0.5)
-        with pytest.raises(ValueError, match="finite square"):
             eigvalsh_bisect(diag, off, 2)
         with pytest.raises(ValueError, match="finite square"):
             eigvalsh_bisect(diag, [-math.nextafter(tridiag._OFF_MAX, math.inf), 1.0], 2)
@@ -586,7 +581,7 @@ def test_large_off_still_counted_exactly(e):
         ref = np.linalg.eigvalsh(_dense(diag, off / e)) * e
         for x in (-2.0 * e, -e, -1e-3 * e, 1e-3 * e, e, 2.0 * e):
             assert sturm_count(diag, off, x) == int(np.sum(ref < x))
-        assert _has_eigenvalue_below(diag, off, -e) is True
+        assert _count_below(diag.tolist(), (off * off).tolist(), -e, 1) == 1
 
 
 @pytest.mark.parametrize("diag, off, lam, want", [

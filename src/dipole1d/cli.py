@@ -269,7 +269,7 @@ def _potential_from_args(args, file_cfg: dict[str, str], c: ConstantSet):
 
 
 def _grid_from_args(args, c: ConstantSet, default: Grid) -> Grid:
-    a, b = _parse_domain(args.domain, c) if args.domain else (default.x_min, default.x_max)
+    a, b = (default.x_min, default.x_max) if args.domain is None else _parse_domain(args.domain, c)
     kind = {"log": "logarithmic", "uniform": "uniform"}.get(args.grid, default.kind)
     n = args.n if args.n is not None else default.n
     return Grid(kind, a, b, n)
@@ -332,7 +332,7 @@ def _cmd_cutoff_sweep(args, c: ConstantSet, file_cfg) -> int:
     lam = _number(args.lam, "coulomb_strength", c) if args.lam is not None else None
     eps = tuple(_number_list(args.epsilon, "length", c)) if args.epsilon is not None else None
     L = None
-    if args.domain:
+    if args.domain is not None:
         x0, L = _parse_domain(args.domain, c)
         if x0 != 0.0:
             raise _UsageError("cutoff-sweep uses the even-parity half line; --domain must be 0:L")
@@ -352,7 +352,7 @@ def _cmd_cutoff_sweep(args, c: ConstantSet, file_cfg) -> int:
 
 
 def _cmd_critical_scan(args, c: ConstantSet, file_cfg) -> int:
-    windows = _parse_windows(args.windows) if args.windows else None
+    windows = _parse_windows(args.windows) if args.windows is not None else None
     report = critical_report(c, tol_alpha=args.tol_alpha, **_given(windows=windows))
     params = dict(windows=",".join(f"{_fmt(d)}:{_fmt(L)}" for d, L in report.windows),
                   tol_alpha=_fmt(args.tol_alpha))
@@ -401,9 +401,9 @@ def _cmd_series(args, c: ConstantSet, file_cfg) -> int:
 
 
 def _cmd_dipole_limit(args, c: ConstantSet, file_cfg) -> int:
-    d_list = tuple(_number_list(args.d, "length", c)) if args.d else None
+    d_list = tuple(_number_list(args.d, "length", c)) if args.d is not None else None
     epsilon = _number(args.epsilon, "length", c) if args.epsilon is not None else None
-    domain = _parse_domain(args.domain, c) if args.domain else None
+    domain = _parse_domain(args.domain, c) if args.domain is not None else None
     result = physical_dipole_scan(n=args.n, **_given(d_list=d_list, epsilon=epsilon,
                                                      domain=domain))
     a, b = result.domain

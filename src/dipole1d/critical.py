@@ -21,13 +21,14 @@ from .eigensolver import (
     DEFAULT_TOL_ALPHA,
     DEFAULT_WINDOWS,
     AlphaCritEstimate,
+    DiscreteHamiltonian,
     Grid,
     GridAlignmentError,
     _kinetic_part,
     find_alpha_crit,
 )
 from .potentials import PhysicalDipole, PointDipole, eval_potential_grid
-from .tridiag import _OFF_MAX, _count_below, _narrow_bracket
+from .tridiag import _count_below, _narrow_bracket
 from .units import ConstantSet, atomic_to_si, bohr_radius
 
 __all__ = [
@@ -247,33 +248,18 @@ class DipoleScanResult:
     )
 
 
-def _binding_part(spec, grid: Grid):
-    """The kinetic part of ``spec``'s family on ``grid`` and its squared
-    couplings as a list, the couplings checked once as ``DiscreteHamiltonian``
-    and the Sturm pass check them."""
-    kin = _kinetic_part(spec, grid)
-    off = kin.offdiagonal
-    if not np.all(np.isfinite(off)):
-        raise ValueError("operator entries must be finite")
-    if np.any(off > 0.0):
-        raise ValueError("off-diagonal kinetic couplings must be <= 0")
-    if not np.all(np.abs(off) <= _OFF_MAX):
-        raise ValueError(f"off entries must have a finite square, |off| <= {_OFF_MAX!r}")
-    return kin, (off * off).tolist()
-
-
 # V overflowing to inf, or inf - inf, is refused below as a ValueError, as
 # discretize's operator refuses it, not left to warn on the way.
 @np.errstate(over="ignore", invalid="ignore")
-def _binds(spec, part) -> bool:
-    """Whether ``spec`` has a level below zero energy on the grid of ``part``.
+def _binds(spec, kin: DiscreteHamiltonian, off2: list) -> bool:
+    """Whether ``spec`` has a level below zero energy on the grid of ``kin``.
 
-    ``part`` is ``_binding_part`` of a spec of the same family with the same
-    pinned zeros (ValueError otherwise): ``physical_dipole_scan`` builds it
-    once per family, so a predicate only evaluates the potential.  The
-    diagonal is the kinetic diagonal plus V on the part's nodes, the same
-    float additions ``discretize`` makes, so the operator is bit-identical to
-    ``discretize(spec, grid)``.
+    ``kin`` is the operator of ``spec``'s family at V = 0 (the kinetic
+    operator, built and checked once per family by ``physical_dipole_scan``)
+    and ``off2`` its squared couplings as a list, so a predicate only
+    evaluates the potential.  The diagonal is the kinetic diagonal plus V on
+    kin's nodes, the same float additions ``discretize`` makes, so the
+    operator is bit-identical to ``discretize(spec, grid)``.
 
     The discrete oscillation theorem at zero energy: the Sturm count of the
     operator at 0 is the number of levels strictly below 0, so binding is
@@ -281,12 +267,6 @@ def _binds(spec, part) -> bool:
     negative pivot, exact on the discrete operator, with no eigenvalue
     bisected.
     """
-    kin, off2 = part
-    if type(spec) is not kin.family or spec.pinned_zeros != kin.pinned_zeros:
-        raise ValueError(
-            f"{type(spec).__name__} with pinned zeros {spec.pinned_zeros!r} does "
-            f"not fit a part built for {kin.family.__name__} with {kin.pinned_zeros!r}"
-        )
     diag = kin.diagonal + eval_potential_grid(spec, kin.nodes)
     if not np.all(np.isfinite(diag)):
         raise ValueError("operator entries must be finite")
@@ -325,6 +305,8 @@ def physical_dipole_scan(
     comparison.
     """
     d_list = tuple(float(d) for d in d_list)
+    if not d_list:
+        raise ValueError("d_list must not be empty")
     if any(not d > 0.0 for d in d_list):
         raise ValueError("every separation d must be > 0")
     if not epsilon > 0.0:
@@ -344,17 +326,17 @@ def physical_dipole_scan(
         n += 1  # odd count puts a node on the origin for the reference run
     grid = Grid("uniform", a, b, n)
 
-    # PhysicalDipole has no pinned zeros: one kinetic part serves every Q, d
-    # and epsilon.  It is built from the scan's first configuration, so a
+    # PhysicalDipole has no pinned zeros: one kinetic operator serves every
+    # Q, d and epsilon.  It is built from the scan's first configuration, so a
     # spec that cannot be built fails here as the first predicate would.
-    two_centre = None
-    if d_list:
-        first = PhysicalDipole(Q=_P_LO / d_list[0], d=d_list[0], epsilon=epsilon)
-        two_centre = _binding_part(first, grid)
+    first = PhysicalDipole(Q=_P_LO / d_list[0], d=d_list[0], epsilon=epsilon)
+    kin_diag, off, note, x = _kinetic_part(first, grid)
+    two_centre = DiscreteHamiltonian(kin_diag, off, grid, note, x)
+    off2 = (off * off).tolist()
     rows = []
     for d in d_list:
         def binds(p: float, d=d) -> bool:
-            return _binds(PhysicalDipole(Q=p / d, d=d, epsilon=epsilon), two_centre)
+            return _binds(PhysicalDipole(Q=p / d, d=d, epsilon=epsilon), two_centre, off2)
 
         p_c, bracket, status = _bisect_p(binds)
         rows.append(
@@ -363,10 +345,12 @@ def physical_dipole_scan(
         )
 
     try:
-        point = _binding_part(PointDipole(_P_LO), grid)
+        kin_diag, off, note, x = _kinetic_part(PointDipole(_P_LO), grid)
+        point = DiscreteHamiltonian(kin_diag, off, grid, note, x)
+        point_off2 = (off * off).tolist()
 
         def point_binds(p: float) -> bool:
-            return _binds(PointDipole(p), point)
+            return _binds(PointDipole(p), point, point_off2)
 
         p_ref, _, _ = _bisect_p(point_binds)
     except GridAlignmentError:

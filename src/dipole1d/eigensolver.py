@@ -43,6 +43,7 @@ from .potentials import (
     eval_potential_grid,
 )
 from .tridiag import (
+    _OFF_MAX,
     _eigenvectors,
     _failure,
     _narrow_bracket,
@@ -197,7 +198,9 @@ class DiscreteHamiltonian:
     ``nodes`` are the positions actually carrying unknowns (a subset of the
     grid's nodes when a pinned zero or a sign restriction removed some).
     Off-diagonal entries are negative kinetic couplings; a decoupling across
-    an interior pinned zero is stored as an exact 0.
+    an interior pinned zero is stored as an exact 0.  Construction refuses
+    entries that are not finite and couplings whose square is not, so a
+    Sturm pass can read any operator without further checks.
     """
 
     diagonal: np.ndarray
@@ -219,6 +222,8 @@ class DiscreteHamiltonian:
             raise ValueError("operator entries must be finite")
         if np.any(e > 0.0):
             raise ValueError("off-diagonal kinetic couplings must be <= 0")
+        if not np.all(np.abs(e) <= _OFF_MAX):
+            raise ValueError(f"off entries must have a finite square, |off| <= {_OFF_MAX!r}")
 
     @property
     def size(self) -> int:
@@ -250,30 +255,11 @@ class Spectrum:
             raise ValueError("energies must be nondecreasing")
 
 
-@dataclass(frozen=True)
-class _KineticPart:
-    """Everything of a discrete operator except the potential.
-
-    Built for one potential family and its pinned zeros on one grid: the
-    active ``nodes``, the kinetic ``diagonal`` on them, the ``offdiagonal``
-    couplings (an exact 0 across a dropped node) and ``bc_note``.  Any spec of
-    the same family with the same pinned zeros has the operator
-    ``diagonal + V(nodes)`` with these couplings.
-    """
-
-    family: type
-    pinned_zeros: tuple[float, ...]
-    nodes: np.ndarray
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
-    bc_note: str
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _kinetic_part(spec: PotentialSpec, grid: Grid) -> _KineticPart:
-    # The active nodes, pinned-zero drops, point-dipole subgrid, kinetic
-    # entries and notes of discretize(spec, grid); they depend on spec only
-    # through its family and pinned zeros, never through V.
+def _kinetic_part(spec: PotentialSpec, grid: Grid):
+    # discretize(spec, grid) without V: its kinetic diagonal, couplings (an
+    # exact 0 across a dropped node), bc_note and active nodes.  They depend
+    # on spec only through its family and pinned zeros, never through V.
     if isinstance(spec, InverseSquare) and grid.x_min < 0.0:
         raise ValueError("inverse-square problems are posed on y > 0")
     nodes = grid.nodes
@@ -312,6 +298,8 @@ def _kinetic_part(spec: PotentialSpec, grid: Grid) -> _KineticPart:
             raise SingularPointError(p, f"grid node touches the singular point x = {p!r}")
 
     h = grid.spacing
+    if h**2 == 0.0:
+        raise ValueError(f"grid spacing h = {h!r} is too fine: h^2 underflows to 0")
     if grid.kind == "uniform":
         kin_diag = np.full(n, 1.0 / h**2)
         kin_off = np.full(n - 1, -0.5 / h**2)
@@ -339,14 +327,8 @@ def _kinetic_part(spec: PotentialSpec, grid: Grid) -> _KineticPart:
         notes.append("inverse-square scaled form: V = -alpha/(2 y^2), eigenvalues are -xi/2")
 
     adjacent = keep[1:] == keep[:-1] + 1
-    return _KineticPart(
-        family=type(spec),
-        pinned_zeros=spec.pinned_zeros,
-        nodes=act_nodes,
-        diagonal=kin_diag[keep],
-        offdiagonal=np.where(adjacent, kin_off[keep[:-1]], 0.0),
-        bc_note="; ".join(notes),
-    )
+    off = np.where(adjacent, kin_off[keep[:-1]], 0.0)
+    return kin_diag[keep], off, "; ".join(notes), act_nodes
 
 
 # Entries that overflow (a log grid reaching far below x = 1e-150, say) are
@@ -360,12 +342,13 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
     a grid spanning the origin is assembled on the x < 0 subgrid only, since
     its states vanish identically on the repulsive side.
 
-    Everything except the potential (nodes, couplings, kinetic diagonal and
-    ``bc_note``) comes from the private ``_kinetic_part(spec, grid)``, and the
-    diagonal is its kinetic diagonal plus ``eval_potential_grid`` on its
-    nodes.  A caller that needs many potentials of one family on one grid,
-    such as ``critical.physical_dipole_scan``, builds that part once and adds
-    each V itself: the same float additions, so the same bytes.
+    Everything except the potential (kinetic diagonal, couplings,
+    ``bc_note`` and active nodes) comes from the private
+    ``_kinetic_part(spec, grid)``, and the diagonal is that kinetic diagonal
+    plus ``eval_potential_grid`` on those nodes.  A caller that needs many
+    potentials of one family on one grid, such as
+    ``critical.physical_dipole_scan``, builds the operator at V = 0 once and
+    adds each V itself: the same float additions, so the same bytes.
 
     Raises
     ------
@@ -373,15 +356,14 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
         if an active grid node sits exactly on a pinned zero.
     GridAlignmentError
         if an interior pinned zero falls between grid nodes.
+    ValueError
+        if the grid spacing h has h^2 == 0, or ``DiscreteHamiltonian``
+        refuses the entries (not finite, or a coupling without a finite
+        square).
     """
-    kin = _kinetic_part(spec, grid)
-    return DiscreteHamiltonian(
-        diagonal=kin.diagonal + eval_potential_grid(spec, kin.nodes),
-        offdiagonal=kin.offdiagonal,
-        grid=grid,
-        bc_note=kin.bc_note,
-        nodes=kin.nodes,
-    )
+    kin_diag, off, note, nodes = _kinetic_part(spec, grid)
+    return DiscreteHamiltonian(kin_diag + eval_potential_grid(spec, nodes),
+                               off, grid, note, nodes)
 
 
 def _rayleigh_seeds(H: DiscreteHamiltonian, guesses, start):

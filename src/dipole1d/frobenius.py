@@ -43,11 +43,11 @@ __all__ = [
     "DegenerateRecursionError",
     "SeriesTruncationError",
     "DEFAULT_N",
-    "DEFAULT_TAIL_TOL",
 ]
 
 DEFAULT_N = 30
-DEFAULT_TAIL_TOL = 1e-8
+_TAIL_TOL = 1e-8  # eval_series refuses a tail proxy at or above this
+_RESIDUAL_FLOOR = 1e-12  # the least scale ode_residual divides the defect by
 
 
 class DegenerateRecursionError(ValueError):
@@ -119,11 +119,10 @@ def series_coefficients(
     xi: float,
     nu: complex,
     N: int = DEFAULT_N,
-    a0: complex = 1.0,
 ) -> SeriesSolution:
     """Generate coefficients a_0..a_N of the Frobenius series.
 
-    a_1 = 0 and with it every odd coefficient; even coefficients follow
+    a_0 = 1, a_1 = 0 and with it every odd coefficient; even coefficients follow
     a_{j+2} = xi a_j / [(nu+j+2)(nu+j+1) + alpha].  A vanishing denominator
     (possible only for real nu, on the resonant lower branch) raises
     :class:`DegenerateRecursionError` carrying the offending j.
@@ -132,10 +131,8 @@ def series_coefficients(
         raise ValueError("N must be at least 2")
     if not (math.isfinite(alpha) and math.isfinite(xi)):
         raise ValueError("alpha and xi must be finite")
-    if a0 == 0:
-        raise ValueError("a0 must be nonzero")
     a = np.zeros(N + 1, dtype=complex)
-    a[0] = a0
+    a[0] = 1.0
     for j in range(0, N - 1, 2):
         den = _denominator(nu, j, alpha)
         if den == 0:
@@ -182,17 +179,12 @@ def _horner(coeffs: np.ndarray, y: float) -> complex:
     return acc
 
 
-def eval_series(
-    s: SeriesSolution,
-    y: float,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> complex:
+def eval_series(s: SeriesSolution, y: float) -> complex:
     """Evaluate psi(y) = y^nu * sum_j a_j y^j at y > 0.
 
     Evaluation is refused (SeriesTruncationError) where the tail proxy
-    |a_L y^L / a_0| of the last nonzero coefficient exceeds ``tail_tol``, so
-    answers carry a bounded
-    truncation error instead of silently degrading at large y.
+    |a_L y^L / a_0| of the last nonzero coefficient reaches 1e-8, so answers
+    carry a bounded truncation error instead of silently degrading at large y.
     """
     try:
         y = float(y)
@@ -203,9 +195,9 @@ def eval_series(
     if y <= 0.0:
         raise ValueError("series is defined for y > 0")
     est = _tail_estimate(s, y)
-    if est >= tail_tol:
+    if est >= _TAIL_TOL:
         raise SeriesTruncationError(
-            f"truncation tail estimate {est:.3e} exceeds {tail_tol:.1e} at y = {y!r}; "
+            f"truncation tail estimate {est:.3e} exceeds {_TAIL_TOL:.1e} at y = {y!r}; "
             "increase N or shrink y"
         )
     return complex(y) ** s.nu * _horner(s.a, y)
@@ -218,8 +210,8 @@ def _eval_d2(s: SeriesSolution, y: float) -> complex:
     return complex(y) ** (s.nu - 2) * _horner(c2, y)
 
 
-def ode_residual(s: SeriesSolution, y: float, floor: float = 1e-12) -> float:
-    """Scaled defect |-psi'' - (alpha/y^2) psi + xi psi| / max(|psi|/y^2, floor).
+def ode_residual(s: SeriesSolution, y: float) -> float:
+    """Scaled defect |-psi'' - (alpha/y^2) psi + xi psi| / max(|psi|/y^2, 1e-12).
 
     Uses exact term-wise differentiation of the stored series, so for a
     generated solution the only leftover is the truncated coupling of the last
@@ -229,6 +221,6 @@ def ode_residual(s: SeriesSolution, y: float, floor: float = 1e-12) -> float:
         raise ValueError("y must be positive")
     psi = complex(y) ** s.nu * _horner(s.a, y)
     res = -_eval_d2(s, y) - (s.alpha / y**2) * psi + s.xi * psi
-    scale = max(abs(psi) / y**2, floor)
+    scale = max(abs(psi) / y**2, _RESIDUAL_FLOOR)
     return abs(res) / scale
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -385,6 +386,10 @@ def test_hydrogen_unresolved_grids_fail_closed(argv, message, capsys):
     # finite ends whose default node count overflows
     (["cutoff-sweep", "--domain", "0:1e308"], "node count"),
     (["dipole-limit", "--domain", "-1e308:1e308"], "node count"),
+    # finite ends so close that the grid spacing h has h^2 == 0
+    (["dipole-limit", "--domain", "-1e-160:1e-160", "--n", "3001"], "grid spacing h = "),
+    (["spectrum", "--Q", "1", "--d", "0.5", "--epsilon", "0.1",
+      "--domain", "-1e-160:1e-160", "--n", "3001"], "grid spacing h = "),
 ])
 def test_non_finite_domains_are_invalid(argv, message, capsys):
     assert run(argv) == 1
@@ -393,6 +398,36 @@ def test_non_finite_domains_are_invalid(argv, message, capsys):
     assert captured.err.startswith("error: code=invalid ")
     assert message in captured.err
     assert "\n" not in captured.err.strip()
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["dipole-limit", "--d="], "code=invalid d_list must not be empty"),
+    (["spectrum", "--p", "1", "--domain="], "code=usage --domain needs a:b, got ''"),
+    (["hydrogen", "--domain="], "code=usage --domain needs a:b, got ''"),
+    (["cutoff-sweep", "--domain="], "code=usage --domain needs a:b, got ''"),
+    (["dipole-limit", "--domain="], "code=usage --domain needs a:b, got ''"),
+    (["critical-scan", "--windows="], "code=usage --windows is empty"),
+])
+def test_an_empty_flag_value_is_refused_not_read_as_absent(argv, err, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+def test_perfbench_traced_names_exist(monkeypatch, capsys):
+    # perfbench records a traced function that a rename removed as absent,
+    # and its per-layer metrics then read 0 without failing anything
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    case = workloads.WORKLOADS["dipole-scan"].make(workloads.DEFAULT_SEED)
+    with tracing.Tracer() as tracer:
+        code = run(case.argv)
+    capsys.readouterr()
+    assert tracer.absent == []
+    assert code == case.expected_exit
+    assert tracer.totals()["critical.predicate"].calls == 23
 
 
 def test_perfbench_selftest_passes():

@@ -19,6 +19,7 @@ from dipole1d.critical import (
 )
 from dipole1d.eigensolver import (
     AlphaCritEstimate,
+    DiscreteHamiltonian,
     Grid,
     IntegrationError,
     discretize,
@@ -192,37 +193,31 @@ def _bisection_binds(spec, grid):
     return float(sp.energies[0]) < 0.0
 
 
+def _kinetic_operator(spec, grid):
+    # what physical_dipole_scan hands _binds: the operator of spec's family
+    # at V = 0 and its squared couplings
+    diag, off, note, nodes = eigensolver._kinetic_part(spec, grid)
+    return DiscreteHamiltonian(diag, off, grid, note, nodes), (off * off).tolist()
+
+
 def test_binds_matches_bisected_ground_state_on_dipole_scan_grid():
     grid = Grid("uniform", -30.0, 30.0, 3001)
     bracket = (P_CRIT_AU / 10.0, P_CRIT_AU * 10.0)
-    point = crit._binding_part(PointDipole(bracket[0]), grid)
-    two_centre = crit._binding_part(PhysicalDipole(Q=1.0, d=1.0, epsilon=1e-3), grid)
+    point = _kinetic_operator(PointDipole(bracket[0]), grid)
+    two_centre = _kinetic_operator(PhysicalDipole(Q=1.0, d=1.0, epsilon=1e-3), grid)
     # the point-dipole onset on this grid is at p = 0.17595 (dipole-limit)
     ladder = [0.1759 + 2e-4 * k for k in range(-5, 6)]
     on_ladder = []
     for p in ladder:
         want = _bisection_binds(PointDipole(p), grid)
-        assert crit._binds(PointDipole(p), point) is want
+        assert crit._binds(PointDipole(p), *point) is want
         on_ladder.append(want)
     assert on_ladder == sorted(on_ladder) and on_ladder[0] is False and on_ladder[-1] is True
     for p in bracket:
-        assert crit._binds(PointDipole(p), point) is _bisection_binds(PointDipole(p), grid)
+        assert crit._binds(PointDipole(p), *point) is _bisection_binds(PointDipole(p), grid)
         for d in (1.0, 0.5, 0.2, 0.1, 0.05):
             spec = PhysicalDipole(Q=p / d, d=d, epsilon=1e-3)
-            assert crit._binds(spec, two_centre) is _bisection_binds(spec, grid)
-
-
-def test_binds_refuses_a_part_of_another_family_or_pinned_zeros():
-    grid = Grid("uniform", -30.0, 30.0, 3001)
-    two_centre = crit._binding_part(PhysicalDipole(Q=1.0, d=1.0, epsilon=1e-3), grid)
-    with pytest.raises(ValueError, match="does not fit"):
-        crit._binds(PointDipole(0.2), two_centre)
-    coulomb = crit._binding_part(Coulomb(1.0), grid)  # pinned zero at 0
-    with pytest.raises(ValueError, match="does not fit"):
-        crit._binds(Coulomb(0.0), coulomb)  # lam = 0 pins nothing
-    with pytest.raises(ValueError, match="does not fit"):
-        crit._binds(RegularizedCoulomb(1.0, 0.1), crit._binding_part(Coulomb(0.0), grid))
-    assert crit._binds(Coulomb(2.0), coulomb) is True
+            assert crit._binds(spec, *two_centre) is _bisection_binds(spec, grid)
 
 
 def test_binds_refuses_the_operators_discretize_refuses():
@@ -234,10 +229,10 @@ def test_binds_refuses_the_operators_discretize_refuses():
         with pytest.raises(ValueError, match="entries must be finite"):
             discretize(spec, grid)
         with pytest.raises(ValueError, match="entries must be finite"):
-            crit._binds(spec, crit._binding_part(spec, grid))
+            crit._binds(spec, *_kinetic_operator(spec, grid))
         # couplings -1/(2 h^2) whose square overflows
         with pytest.raises(ValueError, match="finite square"):
-            crit._binding_part(spec, Grid("uniform", -1e-75, 1e-75, 3001))
+            _kinetic_operator(spec, Grid("uniform", -1e-75, 1e-75, 3001))
 
 
 # Reference copy of the one-piece discretize that _kinetic_part and the
@@ -308,9 +303,9 @@ def test_discretize_bit_identical_to_one_piece_reference(spec, grid):
     assert H.offdiagonal.tobytes() == off.tobytes()
     assert H.nodes.tobytes() == nodes.tobytes()
     assert H.bc_note == note
-    kin = eigensolver._kinetic_part(spec, grid)
-    assert kin.family is type(spec) and kin.pinned_zeros == spec.pinned_zeros
-    assert kin.offdiagonal.tobytes() == off.tobytes() and kin.bc_note == note
+    kin_diag, kin_off, kin_note, kin_nodes = eigensolver._kinetic_part(spec, grid)
+    assert (kin_diag + spec.potential(kin_nodes)).tobytes() == diag.tobytes()
+    assert kin_off.tobytes() == off.tobytes() and kin_note == note
 
 
 def test_dipole_scan_builds_two_kinetic_parts_and_never_discretizes(monkeypatch):
@@ -325,9 +320,9 @@ def test_dipole_scan_builds_two_kinetic_parts_and_never_discretizes(monkeypatch)
         parts.append(type(spec))
         return kinetic_part(spec, grid)
 
-    def counted_binds(spec, part):
+    def counted_binds(spec, kin, off2):
         binds.append(type(spec))
-        return binds_fn(spec, part)
+        return binds_fn(spec, kin, off2)
 
     monkeypatch.setattr(eigensolver, "discretize", no_discretize)
     monkeypatch.setattr(crit, "_kinetic_part", counted_part)
@@ -337,6 +332,12 @@ def test_dipole_scan_builds_two_kinetic_parts_and_never_discretizes(monkeypatch)
     assert len(binds) == 23
     assert binds.count(PhysicalDipole) == 10  # every row binds at both bracket ends
     assert res.point_dipole_reference is not None
+
+
+@pytest.mark.parametrize("n", [None, 3001])
+def test_dipole_scan_refuses_an_empty_separation_list(n):
+    with pytest.raises(ValueError, match="d_list must not be empty"):
+        physical_dipole_scan(d_list=(), n=n)
 
 
 # Reference copy of the stepped RK4 node count that the closed-form

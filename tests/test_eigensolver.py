@@ -339,6 +339,16 @@ def test_discretize_refuses_overflowing_entries():
         discretize(Coulomb(1e154), Grid("logarithmic", 1e-159, 2e-152, 64))
 
 
+def test_discrete_hamiltonian_refuses_couplings_whose_square_overflows():
+    # a Sturm pass reads e^2, which must be finite: |e| <= sqrt(DBL_MAX)
+    g = Grid("uniform", 0.0, 1.0, 16)
+    e_max = math.sqrt(np.finfo(float).max)
+    es.DiscreteHamiltonian(np.zeros(16), np.full(15, -e_max), g, "", g.nodes)
+    for e in (-math.nextafter(e_max, math.inf), -1e155):
+        with pytest.raises(ValueError, match="off entries must have a finite square"):
+            es.DiscreteHamiltonian(np.zeros(16), np.full(15, e), g, "", g.nodes)
+
+
 def test_hydrogen_convergence_guard(monkeypatch):
     calls = {"i": 0}
 

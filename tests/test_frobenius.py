@@ -164,5 +164,3 @@ def test_series_matches_direct_integration():
 def test_series_input_validation():
     with pytest.raises(ValueError):
         series_coefficients(0.1, 1.0, 0.5, N=1)
-    with pytest.raises(ValueError):
-        series_coefficients(0.1, 1.0, 0.5, N=10, a0=0.0)

@@ -167,7 +167,9 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 def _resolve_constants(args) -> tuple[ConstantSet, dict[str, str]]:
     file_cfg: dict[str, str] = {}
-    if args.config:
+    if args.config is not None:
+        if not args.config:
+            raise _UsageError("--config is empty")
         file_cfg = _parse_config_file(args.config)
     overrides: dict[str, float] = {}
     for key in _CONST_KEYS:
@@ -384,7 +386,10 @@ def _cmd_series(args, c: ConstantSet, file_cfg) -> int:
     pair = indicial_roots(alpha)
     nu = pair.nu_plus if args.branch == "plus" else pair.nu_minus
     sol = series_coefficients(alpha, xi, nu, N=args.nterms)
-    ys = [float(part) for part in args.ys.split(",") if part.strip()]
+    parts = args.ys.split(",")
+    if not all(part.strip() for part in parts):
+        raise _UsageError(f"--ys has an empty entry, got {args.ys!r}")
+    ys = [float(part) for part in parts]
     residuals = [(y, ode_residual(sol, y)) for y in ys]
     params = dict(alpha=_fmt(alpha), xi=_fmt(xi), nterms=args.nterms, branch=args.branch,
                   nu_re=_fmt(nu.real), nu_im=_fmt(nu.imag))

@@ -251,26 +251,34 @@ class DipoleScanResult:
 # V overflowing to inf, or inf - inf, is refused below as a ValueError, as
 # discretize's operator refuses it, not left to warn on the way.
 @np.errstate(over="ignore", invalid="ignore")
+def _diagonal(spec, kin: DiscreteHamiltonian) -> np.ndarray:
+    """The diagonal of ``spec``'s operator on the grid of ``kin``: the kinetic
+    diagonal plus V on kin's nodes, the same float additions ``discretize``
+    makes, so the operator is bit-identical to ``discretize(spec, grid)``;
+    ValueError where an entry is not finite, as ``discretize`` refuses it."""
+    diag = kin.diagonal + eval_potential_grid(spec, kin.nodes)
+    if not np.all(np.isfinite(diag)):
+        raise ValueError("operator entries must be finite")
+    return diag
+
+
 def _binds(spec, kin: DiscreteHamiltonian, off2: list) -> bool:
     """Whether ``spec`` has a level below zero energy on the grid of ``kin``.
 
     ``kin`` is the operator of ``spec``'s family at V = 0 (the kinetic
     operator, built and checked once per family by ``physical_dipole_scan``)
     and ``off2`` its squared couplings as a list, so a predicate only
-    evaluates the potential.  The diagonal is the kinetic diagonal plus V on
-    kin's nodes, the same float additions ``discretize`` makes, so the
-    operator is bit-identical to ``discretize(spec, grid)``.
+    evaluates the potential (:func:`_diagonal`).
 
     The discrete oscillation theorem at zero energy: the Sturm count of the
     operator at 0 is the number of levels strictly below 0, so binding is
     that count being >= 1.  One Sturm pass, which stops at the first
     negative pivot, exact on the discrete operator, with no eigenvalue
-    bisected.
+    bisected.  The pass reads the diagonal in place through a memoryview,
+    which yields the same doubles as ``tolist()`` but builds them only for
+    the rows it reaches.
     """
-    diag = kin.diagonal + eval_potential_grid(spec, kin.nodes)
-    if not np.all(np.isfinite(diag)):
-        raise ValueError("operator entries must be finite")
-    return _count_below(diag.tolist(), off2, 0.0, 1) == 1
+    return _count_below(memoryview(_diagonal(spec, kin)), off2, 0.0, 1) == 1
 
 
 # the moment bracket around the exact point value, and its bisection width
@@ -279,13 +287,35 @@ _P_HI = P_CRIT_AU * 10.0
 _TOL_P = 1e-3
 
 
-def _bisect_p(predicate):
-    bottom, top = predicate(_P_LO), predicate(_P_HI)
-    if bottom and top:
+def _bisect_p(spec_at, kin: DiscreteHamiltonian, off2: list):
+    """(p_c, bracket, status) of the binding onset in p over [_P_LO, _P_HI],
+    where ``spec_at(p)`` is the configuration at moment p and ``kin``,
+    ``off2`` are its family's kinetic operator and squared couplings.
+
+    A bottom that binds decides the row without a Sturm pass at the top.
+    At fixed d and epsilon (and for the point dipole) H(p) = K + p U is
+    affine in p, so the lowest level lam(p), a minimum of the affine
+    functions <v, H(p) v> over unit v, is concave; and lam(0) > 0, the
+    lowest level of the Dirichlet-box kinetic operator K.  The moments that
+    bind therefore form a half-line [p^, inf), and with _P_HI = 100 _P_LO
+    concavity gives lam(_P_HI) <= 100 lam(_P_LO) - 99 lam(0) < -99 lam(0).
+    On the 60 bohr box of the default domain that is below -0.13 hartree
+    (lam(0) ~ pi^2 / (2 * 60^2) = 1.4e-3).  Rounding is far smaller: of
+    order eps/h^2 ~ 6e-13 hartree in the count on the 3001-node grid, and
+    eps * max|V| ~ 1e-11 hartree in the entries at epsilon = 1e-3.  So the
+    top binds whenever the bottom does.  The top's operator is still formed
+    and checked, so a configuration that only the top would refuse is
+    refused as before.
+    """
+    def binds(p: float) -> bool:
+        return _binds(spec_at(p), kin, off2)
+
+    if binds(_P_LO):
+        _diagonal(spec_at(_P_HI), kin)
         return None, (_P_LO, _P_HI), "binds_everywhere"
-    if not top:
+    if not binds(_P_HI):
         return None, (_P_LO, _P_HI), "no_binding"
-    lo, hi = _narrow_bracket(predicate, _P_LO, _P_HI, _TOL_P)
+    lo, hi = _narrow_bracket(binds, _P_LO, _P_HI, _TOL_P)
     return 0.5 * (lo + hi), (lo, hi), "bisected"
 
 
@@ -300,7 +330,10 @@ def physical_dipole_scan(
 
     The bracket is [p_crit/10, p_crit*10] around the exact point value,
     bisected to a width of 1e-3 q*a_B; a bracket without a predicate sign
-    change marks the row inconclusive rather than guessing.  A point-dipole
+    change marks the row inconclusive rather than guessing.  The binding
+    moments form a half-line (the lowest level is concave in p, see
+    :func:`_bisect_p`), so a row whose bracket bottom binds is
+    ``binds_everywhere`` after that one Sturm pass.  A point-dipole
     reference value on the identical grid is included for the d -> 0
     comparison.
     """
@@ -335,10 +368,10 @@ def physical_dipole_scan(
     off2 = (off * off).tolist()
     rows = []
     for d in d_list:
-        def binds(p: float, d=d) -> bool:
-            return _binds(PhysicalDipole(Q=p / d, d=d, epsilon=epsilon), two_centre, off2)
+        def spec_at(p: float, d=d) -> PhysicalDipole:
+            return PhysicalDipole(Q=p / d, d=d, epsilon=epsilon)
 
-        p_c, bracket, status = _bisect_p(binds)
+        p_c, bracket, status = _bisect_p(spec_at, two_centre, off2)
         rows.append(
             DipoleScanRow(d=d, p_critical=p_c, bracket=bracket,
                           conclusive=p_c is not None, status=status)
@@ -347,12 +380,7 @@ def physical_dipole_scan(
     try:
         kin_diag, off, note, x = _kinetic_part(PointDipole(_P_LO), grid)
         point = DiscreteHamiltonian(kin_diag, off, grid, note, x)
-        point_off2 = (off * off).tolist()
-
-        def point_binds(p: float) -> bool:
-            return _binds(PointDipole(p), point, point_off2)
-
-        p_ref, _, _ = _bisect_p(point_binds)
+        p_ref, _, _ = _bisect_p(PointDipole, point, (off * off).tolist())
     except GridAlignmentError:
         p_ref = None  # asymmetric domain: no grid node on the origin
 

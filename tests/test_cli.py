@@ -407,6 +407,10 @@ def test_non_finite_domains_are_invalid(argv, message, capsys):
     (["cutoff-sweep", "--domain="], "code=usage --domain needs a:b, got ''"),
     (["dipole-limit", "--domain="], "code=usage --domain needs a:b, got ''"),
     (["critical-scan", "--windows="], "code=usage --windows is empty"),
+    (["convert", "--pcrit-si", "--config="], "code=usage --config is empty"),
+    (["series", "--alpha", "0.3", "--ys="], "code=usage --ys has an empty entry, got ''"),
+    (["series", "--alpha", "0.3", "--ys", "0.1,,0.2"],
+     "code=usage --ys has an empty entry, got '0.1,,0.2'"),
 ])
 def test_an_empty_flag_value_is_refused_not_read_as_absent(argv, err, capsys):
     assert run(argv) == 1
@@ -427,7 +431,7 @@ def test_perfbench_traced_names_exist(monkeypatch, capsys):
     capsys.readouterr()
     assert tracer.absent == []
     assert code == case.expected_exit
-    assert tracer.totals()["critical.predicate"].calls == 23
+    assert tracer.totals()["critical.predicate"].calls == 18
 
 
 def test_perfbench_selftest_passes():

@@ -1,5 +1,7 @@
+import importlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,8 +331,8 @@ def test_dipole_scan_builds_two_kinetic_parts_and_never_discretizes(monkeypatch)
     monkeypatch.setattr(crit, "_binds", counted_binds)
     res = physical_dipole_scan(d_list=(1.0, 0.5, 0.2, 0.1, 0.05), n=3001)
     assert parts == [PhysicalDipole, PointDipole]
-    assert len(binds) == 23
-    assert binds.count(PhysicalDipole) == 10  # every row binds at both bracket ends
+    assert len(binds) == 18
+    assert binds.count(PhysicalDipole) == 5  # every row binds at the bracket bottom
     assert res.point_dipole_reference is not None
 
 
@@ -338,6 +340,72 @@ def test_dipole_scan_builds_two_kinetic_parts_and_never_discretizes(monkeypatch)
 def test_dipole_scan_refuses_an_empty_separation_list(n):
     with pytest.raises(ValueError, match="d_list must not be empty"):
         physical_dipole_scan(d_list=(), n=n)
+
+
+def test_binds_is_nondecreasing_in_p_on_the_dipole_scan_grid():
+    # the half-line of binding moments that lets _bisect_p stop after a
+    # bottom that binds: on a ladder through every onset, _binds switches once
+    grid = Grid("uniform", -30.0, 30.0, 3001)
+    ladder = np.geomspace(1e-4, P_CRIT_AU * 10.0, 41).tolist()
+    point = _kinetic_operator(PointDipole(P_CRIT_AU), grid)
+    two_centre = _kinetic_operator(PhysicalDipole(Q=1.0, d=1.0, epsilon=1e-3), grid)
+    configurations = [(PointDipole, point)] + [
+        (lambda p, d=d: PhysicalDipole(Q=p / d, d=d, epsilon=1e-3), two_centre)
+        for d in (1.0, 0.5, 0.2, 0.1, 0.05)
+    ]
+    for spec_at, kin in configurations:
+        on_ladder = [crit._binds(spec_at(p), *kin) for p in ladder]
+        assert on_ladder == sorted(on_ladder)
+        assert on_ladder[0] is False and on_ladder[-1] is True
+
+
+# Reference copy of the _bisect_p that always counted at both bracket ends.
+def _seed_bisect_p(predicate):
+    bottom, top = predicate(crit._P_LO), predicate(crit._P_HI)
+    if bottom and top:
+        return None, (crit._P_LO, crit._P_HI), "binds_everywhere"
+    if not top:
+        return None, (crit._P_LO, crit._P_HI), "no_binding"
+    lo, hi = crit._narrow_bracket(predicate, crit._P_LO, crit._P_HI, crit._TOL_P)
+    return 0.5 * (lo + hi), (lo, hi), "bisected"
+
+
+def test_bisect_p_matches_the_two_predicate_reference(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    bisect_p, statuses = crit._bisect_p, set()
+
+    def compared(spec_at, kin, off2):
+        got = bisect_p(spec_at, kin, off2)
+        assert got == _seed_bisect_p(lambda p: crit._binds(spec_at(p), kin, off2))
+        statuses.add(got[2])
+        return got
+
+    monkeypatch.setattr(crit, "_bisect_p", compared)
+    for seed in range(11):  # the perfbench dipole-scan argv
+        argv = workloads.WORKLOADS["dipole-scan"].make(seed).argv
+        d_list = tuple(float(d) for d in argv[argv.index("--d") + 1].split(","))
+        physical_dipole_scan(d_list=d_list, n=int(argv[argv.index("--n") + 1]))
+    physical_dipole_scan(domain=(-0.2, 0.2))  # rows that bind nowhere in the bracket
+    assert statuses == {"bisected", "binds_everywhere", "no_binding"}
+
+
+def test_a_configuration_only_the_bracket_top_refuses_is_still_refused(monkeypatch):
+    # d/2 on a grid node and 1/epsilon finite: Q/epsilon at that node stays
+    # finite at the bracket bottom and overflows at the top, while the other
+    # centre's well already binds at the bottom
+    grid = Grid("uniform", -30.0, 30.0, 3001)
+    d = 2.0 * float(grid.nodes[np.searchsorted(grid.nodes, 0.3)])
+    binds_fn, passes = crit._binds, []
+
+    def counted_binds(spec, kin, off2):
+        passes.append(binds_fn(spec, kin, off2))
+        return passes[-1]
+
+    monkeypatch.setattr(crit, "_binds", counted_binds)
+    with pytest.raises(ValueError, match="operator entries must be finite"):
+        physical_dipole_scan(d_list=(d,), epsilon=6e-309, n=3001)
+    assert passes == [True]  # the bottom bound; the top was refused without a pass
 
 
 # Reference copy of the stepped RK4 node count that the closed-form

@@ -454,6 +454,39 @@ def test_early_stopped_count_equals_capped_reference():
                 assert _count_below(diag_l, off2_l, x, cap) == min(full, cap)
 
 
+def test_count_below_reads_memoryviews_as_it_reads_lists():
+    # one-pass callers (sturm_count, critical._binds) hand the pass memoryviews
+    # of their arrays; the certified cases include exact-zero pivots
+    cases = _certified_cases()
+    for H, _, _ in _pipeline_operators().values():
+        diag = H.diagonal
+        lo, hi = gershgorin_bounds(diag, H.offdiagonal)
+        xs = [lo, 0.0, float(diag[0]), float(diag[diag.shape[0] // 2]), 0.5 * (lo + hi), hi]
+        cases.append((diag, H.offdiagonal, xs))
+    for diag, off, xs in cases:
+        off2 = off * off
+        tail = _tail_certificate(diag, off, off2)
+        lists = diag.tolist(), off2.tolist()
+        for x in xs:
+            for cap in (None, 1, 3):
+                for cert in (None, tail):
+                    want = _count_below(*lists, x, cap, cert)
+                    assert _count_below(memoryview(diag), memoryview(off2), x, cap, cert) == want
+                    assert _count_below(memoryview(diag), lists[1], x, cap, cert) == want
+
+
+def test_sturm_count_reads_strided_and_byte_swapped_arrays():
+    rng = np.random.default_rng(77)
+    diag = rng.uniform(-3, 3, size=80)
+    off = -rng.uniform(0.0, 2.0, size=79)
+    for x in rng.uniform(-6, 6, size=8).tolist() + diag[:3].tolist():
+        want = sturm_count(diag, off, x)
+        wide_diag, wide_off = np.repeat(diag, 2), np.repeat(off, 2)
+        assert sturm_count(wide_diag[::2], wide_off[::2], x) == want
+        assert sturm_count(diag.astype(">f8"), off.astype(">f8"), x) == want
+        assert sturm_count(diag.tolist(), off.tolist(), x) == want
+
+
 def test_certificate_rows_verified_in_float_arithmetic():
     # every row's suffix minimum t satisfies fl(fl(a - t) - r) >= b, with the
     # same Python float operations the pass performs

@@ -36,6 +36,7 @@ from .eigensolver import (
     ConvergenceError,
     Grid,
     IntegrationError,
+    check_resolution,
     cutoff_sweep,
     discretize,
     hydrogen_grid,
@@ -215,8 +216,20 @@ def _number(text: str, dimension: str, c: ConstantSet) -> float:
     return si_to_atomic(c, dimension, value)
 
 
-def _number_list(text: str, dimension: str, c: ConstantSet) -> list[float]:
-    return [_number(part, dimension, c) for part in text.split(",") if part.strip()]
+def _entries(text: str, flag: str) -> list[str]:
+    """The comma-separated entries of ``flag``'s value; an empty entry is a
+    usage error, not an entry to drop."""
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise _UsageError(f"{flag} has an empty entry, got {text!r}")
+    return parts
+
+
+def _number_list(text: str, flag: str, dimension: str, c: ConstantSet) -> list[float]:
+    # a blank value is an empty list, which the pipeline refuses
+    if not text.strip():
+        return []
+    return [_number(part, dimension, c) for part in _entries(text, flag)]
 
 
 def _parse_domain(text: str, c: ConstantSet) -> tuple[float, float]:
@@ -231,11 +244,11 @@ def _parse_domain(text: str, c: ConstantSet) -> tuple[float, float]:
 
 
 def _parse_windows(text: str) -> tuple[tuple[float, float], ...]:
+    if not text.strip():
+        raise _UsageError("--windows is empty")
     windows = []
-    for chunk in text.split(","):
+    for chunk in _entries(text, "--windows"):
         chunk = chunk.strip()
-        if not chunk:
-            continue
         parts = chunk.split(":")
         if len(parts) != 2:
             raise _UsageError(f"--windows entries need delta:L, got {chunk!r}")
@@ -244,8 +257,6 @@ def _parse_windows(text: str) -> tuple[tuple[float, float], ...]:
         except ValueError:
             raise _UsageError(f"malformed window {chunk!r}") from None
         windows.append((d, L))
-    if not windows:
-        raise _UsageError("--windows is empty")
     return tuple(windows)
 
 
@@ -287,6 +298,7 @@ _SPECTRUM_GRID = Grid("uniform", -30.0, 30.0, 4001)
 def _cmd_spectrum(args, c: ConstantSet, file_cfg) -> int:
     spec = _potential_from_args(args, file_cfg, c)
     grid = _grid_from_args(args, c, _SPECTRUM_GRID)
+    check_resolution(spec, grid)
     H = discretize(spec, grid)
     sp = lowest_eigenvalues(H, args.states)
     params = dict(
@@ -332,7 +344,8 @@ def _cmd_hydrogen(args, c: ConstantSet, file_cfg) -> int:
 
 def _cmd_cutoff_sweep(args, c: ConstantSet, file_cfg) -> int:
     lam = _number(args.lam, "coulomb_strength", c) if args.lam is not None else None
-    eps = tuple(_number_list(args.epsilon, "length", c)) if args.epsilon is not None else None
+    eps = (tuple(_number_list(args.epsilon, "--epsilon", "length", c))
+           if args.epsilon is not None else None)
     L = None
     if args.domain is not None:
         x0, L = _parse_domain(args.domain, c)
@@ -386,10 +399,7 @@ def _cmd_series(args, c: ConstantSet, file_cfg) -> int:
     pair = indicial_roots(alpha)
     nu = pair.nu_plus if args.branch == "plus" else pair.nu_minus
     sol = series_coefficients(alpha, xi, nu, N=args.nterms)
-    parts = args.ys.split(",")
-    if not all(part.strip() for part in parts):
-        raise _UsageError(f"--ys has an empty entry, got {args.ys!r}")
-    ys = [float(part) for part in parts]
+    ys = [float(part) for part in _entries(args.ys, "--ys")]
     residuals = [(y, ode_residual(sol, y)) for y in ys]
     params = dict(alpha=_fmt(alpha), xi=_fmt(xi), nterms=args.nterms, branch=args.branch,
                   nu_re=_fmt(nu.real), nu_im=_fmt(nu.imag))
@@ -406,7 +416,7 @@ def _cmd_series(args, c: ConstantSet, file_cfg) -> int:
 
 
 def _cmd_dipole_limit(args, c: ConstantSet, file_cfg) -> int:
-    d_list = tuple(_number_list(args.d, "length", c)) if args.d is not None else None
+    d_list = tuple(_number_list(args.d, "--d", "length", c)) if args.d is not None else None
     epsilon = _number(args.epsilon, "length", c) if args.epsilon is not None else None
     domain = _parse_domain(args.domain, c) if args.domain is not None else None
     result = physical_dipole_scan(n=args.n, **_given(d_list=d_list, epsilon=epsilon,

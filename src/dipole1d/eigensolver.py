@@ -65,6 +65,7 @@ __all__ = [
     "IntegrationError",
     "BracketError",
     "discretize",
+    "check_resolution",
     "lowest_eigenvalues",
     "hydrogen_grid",
     "hydrogen_spectrum",
@@ -366,6 +367,19 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
                                off, grid, note, nodes)
 
 
+def check_resolution(spec: PotentialSpec, grid: Grid) -> None:
+    """Refuse a capped family whose cap a uniform grid does not resolve.
+
+    Raises :class:`ResolutionError` when ``spec.cap`` is below twice the
+    spacing of a uniform ``grid``: the plateau inside the cap then spans less
+    than a few nodes, and the discrete levels lie far below the continuum
+    ones (at h = 5 epsilon the two-centre ground level of Q = 2, d = 0.5 is
+    41 % too deep).  Uncapped families and logarithmic grids pass unchecked.
+    """
+    if spec.cap is not None and grid.kind == "uniform" and spec.cap < 2.0 * grid.spacing:
+        raise ResolutionError(spec.cap, grid.spacing)
+
+
 def _rayleigh_seeds(H: DiscreteHamiltonian, guesses, start):
     # Sharpen each guess g to theta = v^T H v, v the inverse iteration at g
     # from the unit start vector ``start``, all in one _eigenvectors call.
@@ -410,8 +424,10 @@ def lowest_eigenvalues(
     one inverse iteration at it, which is far closer to the level; a guess
     whose solve fails, or whose quotient is not finite, is kept as it is.
     The vectorless path passes the guesses on unchanged and so never loads
-    scipy.  The returned vectors are solved at the bisected values, so they
-    do not depend on the guesses either.
+    scipy; a caller that wants the sharper seeds without the vectors (the
+    coarse rungs of :func:`hydrogen_spectrum`) computes them itself and
+    passes them as guesses.  The returned vectors are solved at the bisected
+    values, so they do not depend on the guesses either.
 
     One call checks the operator once, in the bisection; H's own checks make
     its entries safe for the inverse iterations before that.  The seeds and
@@ -495,7 +511,10 @@ def hydrogen_spectrum(
     ``lam``) and on ``refine_levels`` exact spacing halvings; per-state
     Richardson error estimates must shrink from level to level (while they
     sit above the eigenvalue-bisection noise floor) or a
-    :class:`ConvergenceError` carrying the estimates is raised.
+    :class:`ConvergenceError` carrying the estimates is raised.  The
+    returned ``spectrum`` is that of the finest grid, the one the CLI
+    prints; its node counts and eigenvectors are the only ones solved, and
+    the coarser grids give energies only.
 
     The Dirichlet wall at ``grid.x_min`` > 0 raises the ground level by about
     (1/2) psi_1'(0)^2 x_min = 2 lam^3 x_min hartree to first order, i.e.
@@ -540,12 +559,20 @@ def hydrogen_spectrum(
     n_idx = np.arange(1, n_states + 1, dtype=float)
     balmer = -(lam**2) / (2.0 * n_idx**2)
 
-    # Every rung is seeded with the Balmer levels; lowest_eigenvalues sharpens
-    # them to Rayleigh quotients, and the values do not depend on the seeds.
-    spectra = [lowest_eigenvalues(discretize(Coulomb(lam), g), n_states, tol=_HYDROGEN_TOL,
-                                  guesses=balmer)
-               for g in grids]
-    E = np.vstack([sp.energies for sp in spectra])
+    # Every rung is seeded with the Rayleigh quotients of the Balmer levels,
+    # and the values do not depend on the seeds.  Only the finest rung's
+    # spectrum is returned, so the coarser ones sharpen the seeds as
+    # lowest_eigenvalues would and solve without vectors.
+    E = np.empty((len(grids), n_states))
+    for i, g in enumerate(grids):
+        H = discretize(Coulomb(lam), g)
+        if i < refine_levels:
+            seeds = _rayleigh_seeds(H, balmer, _start_vector(H.size))
+            E[i] = lowest_eigenvalues(H, n_states, tol=_HYDROGEN_TOL, want_vectors=False,
+                                      guesses=seeds).energies
+        else:
+            spectrum = lowest_eigenvalues(H, n_states, tol=_HYDROGEN_TOL, guesses=balmer)
+            E[i] = spectrum.energies
 
     extrapolated, estimates = richardson_step(E[:-1], E[1:])
     noise_floor = 10.0 * _HYDROGEN_TOL
@@ -562,7 +589,7 @@ def hydrogen_spectrum(
 
     return HydrogenResult(
         lam=lam,
-        spectrum=spectra[-1],
+        spectrum=spectrum,
         grid_sizes=tuple(g.n for g in grids),
         energies_by_level=E,
         balmer=balmer,
@@ -602,6 +629,9 @@ def cutoff_sweep(
     Uses the even-parity reduction (Neumann wall at 0, Dirichlet at L), since
     the diverging state is even, and verifies the largest cap against the
     full-line [-L, L] problem, whose even sector it reproduces exactly.
+    ValueError for an ``n`` below the grid minimum, and
+    :class:`ResolutionError` (:func:`check_resolution`) for a cap below two
+    grid steps, both before any solve.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be finite and > 0")
@@ -619,15 +649,14 @@ def cutoff_sweep(
         if not math.isfinite(nodes):
             raise ValueError(f"the default node count 4 L / min(eps) overflows for L = {L!r}")
         n = int(math.ceil(nodes))
-    h = L / n
-    for e in eps:
-        if e < 2.0 * h:
-            raise ResolutionError(e, h)
-
     grid = Grid("uniform", 0.0, L, n, left_bc="neumann")
+    specs = [RegularizedCoulomb(lam, e) for e in eps]
+    for spec in specs:
+        check_resolution(spec, grid)
+
     energies = []
-    for e in eps:
-        H = discretize(RegularizedCoulomb(lam, e), grid)
+    for spec in specs:
+        H = discretize(spec, grid)
         sp = lowest_eigenvalues(H, 1, tol=_CUTOFF_TOL, want_vectors=False)
         energies.append(float(sp.energies[0]))
 
@@ -636,7 +665,7 @@ def cutoff_sweep(
     # Full line with matched spacing: nodes at +-i*h, wall at +-L, so the
     # even sector of this operator is exactly the reduced one above.
     grid_full = Grid("uniform", -L, L, 2 * n - 1)
-    H_full = discretize(RegularizedCoulomb(lam, eps[0]), grid_full)
+    H_full = discretize(specs[0], grid_full)
     # the same even-sector level, up to the round-off parity gap
     sp_full = lowest_eigenvalues(H_full, 1, tol=_CUTOFF_TOL, want_vectors=False,
                                  guesses=[energies[0]])

@@ -12,7 +12,9 @@ strength per unit source charge kappa = q/(4*pi*eps0) equals 1.  The families:
 Each family carries its own formula (``potential``), its pinned zeros
 (``pinned_zeros``: its singular points, where the wavefunction is required to
 vanish, which is the boundary condition under which the 1D hydrogen spectrum
-is the Balmer series) and its record layout (``KIND`` and ``RECORD``).  Every
+is the Balmer series), its cap width (``cap``: the distance from each centre
+within which a capped family's potential is flat, None for the uncapped
+families) and its record layout (``KIND`` and ``RECORD``).  Every
 evaluation is pure.
 """
 
@@ -62,6 +64,7 @@ class Coulomb:
 
     KIND = "coulomb"
     RECORD = (("lambda", "lam"),)
+    cap = None
 
     lam: float
 
@@ -93,6 +96,10 @@ class RegularizedCoulomb:
         _require(_finite(self.lam, self.epsilon) and self.lam > 0.0, "lam must be finite and > 0")
         _require(self.epsilon > 0.0, "epsilon must be > 0")
 
+    @property
+    def cap(self) -> float:
+        return self.epsilon
+
     def potential(self, xs: np.ndarray) -> np.ndarray:
         return -self.lam / np.maximum(np.abs(xs), self.epsilon)
 
@@ -104,6 +111,7 @@ class PointDipole:
     KIND = "point_dipole"
     RECORD = (("p", "p"),)
     pinned_zeros = (0.0,)
+    cap = None
 
     p: float
 
@@ -138,6 +146,10 @@ class PhysicalDipole:
             "Q, d and epsilon must be finite and > 0",
         )
 
+    @property
+    def cap(self) -> float:
+        return self.epsilon
+
     def potential(self, xs: np.ndarray) -> np.ndarray:
         half = 0.5 * self.d
         return self.Q * (
@@ -159,6 +171,7 @@ class InverseSquare:
     KIND = "inverse_square"
     RECORD = (("alpha", "alpha"),)
     pinned_zeros = (0.0,)
+    cap = None
 
     alpha: float
 

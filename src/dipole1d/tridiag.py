@@ -38,19 +38,31 @@ level, the same level of a symmetric reduction) passes it as a guess;
 quotient when it solves for vectors anyway, so a seed is then usually
 within a rounding error of its level and brackets it in two passes.  The
 bisection then first counts at the two shifts g -+ tol/4 around each guess
-g, widening a side by a factor of 8 until the two counts bracket the level,
-and keeps those counts with the others.  Why tol/4: the final bisection
-bracket is wider than tol/2, so the last midpoints near the level mostly
-fall outside a seeded bracket of width tol/2, where its two counts already
-decide them; from g -+ tol, about two of them per level needed a pass.  A
-smaller first half-width saves fewer passes than its widening costs where
-the float count's switch point lies up to 5.9e-10 from the Rayleigh
-quotient, as on the default hydrogen grids at lam = 3 (62 passes at tol/4,
-63 at tol, 69 at tol/8).  The midpoints stay those of the plain bisection
-from the Gershgorin interval.  The float Sturm count is monotone in the
-shift (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995), so a midpoint
-inside a seeded bracket is decided as a pass at it would decide it: values
-and widths do not depend on the guesses, only the number of passes does.
+g, widening a side by a factor of 8 until the two counts bracket the level.
+Why tol/4: the final bisection bracket is wider than tol/2, so the last
+midpoints near the level mostly fall outside a seeded bracket of width
+tol/2, where its two counts already decide them; from g -+ tol, about two
+of them per level needed a pass.  A smaller first half-width saves fewer
+passes than its widening costs where the float count's switch point lies up
+to 5.9e-10 from the Rayleigh quotient, as on the default hydrogen grids at
+lam = 3 (62 passes at tol/4, 63 at tol, 69 at tol/8).  The midpoints stay
+those of the plain bisection from the Gershgorin interval.
+
+What the counts taken so far know is kept as one bracket per level:
+below[j], the largest shift counted with count <= j, and above[j], the
+smallest shift counted with count >= j + 1; each pass updates all k of them.
+The float Sturm count is monotone in the shift (Kahan 1966; Demmel, Dhillon
+and Ren, ETNA 3, 1995), so a midpoint at or below below[j] has count <= j
+and one at or above above[j] has count > j, and only a midpoint strictly
+between them needs a pass.  No count taken says more about level j than
+these two ends do: a shift with count <= j lies at or below below[j], one
+with count > j at or above above[j].  So the brackets hold exactly what a
+list of every (shift, count) would, a midpoint equal to an earlier shift
+costs no second pass, and a count capped at k still decides count > j for
+every j < k.  A midpoint inside a seeded bracket is decided as a pass at it
+would decide it: values and widths do not depend on the guesses, only the
+number of passes does.
+
 Entries |e| whose square overflows are refused, because the pass would then
 meet inf / inf and miscount.
 """
@@ -230,7 +242,8 @@ def eigvalsh_bisect(
     bracket stops short of ``tol`` only when no float lies strictly between
     its ends; its width is then that float spacing.
     Index bracketing is exact because the Sturm count is monotone in x.
-    Every count taken is kept, so a bisection step that an earlier count
+    Each level keeps the closest shifts counted on either side of it so far
+    (see the module docstring), so a bisection step that an earlier count
     already decides costs no Sturm pass.  Each pass stops once its count
     reaches k or the tail certificate settles it; a count capped at k still
     decides every question count(x) > j with j < k exactly.
@@ -268,14 +281,17 @@ def eigvalsh_bisect(
     off2 = off * off
     tail = _tail_certificate(diag, off, off2)
     diag_l, off2_l = diag.tolist(), off2.tolist()
-    shifts: list[float] = []  # every shift counted so far, ascending
-    counts: list[int] = []    # their Sturm counts, nondecreasing with them
+    below = [-math.inf] * k  # below[j]: the largest shift counted with count <= j
+    above = [math.inf] * k   # above[j]: the smallest shift counted with count >= j + 1
 
     def count_at(x):
-        i = bisect_left(shifts, x)
         c = _count_below(diag_l, off2_l, x, k, tail)
-        shifts.insert(i, x)
-        counts.insert(i, c)
+        for i in range(c):
+            if x < above[i]:
+                above[i] = x
+        for i in range(c, k):
+            if x > below[i]:
+                below[i] = x
         return c
 
     if guesses is not None:
@@ -288,24 +304,28 @@ def eigvalsh_bisect(
             while g + delta < hi0 and count_at(g + delta) <= j:
                 delta *= _SEED_WIDEN
 
-    def above(x, j):
-        # whether x lies above eigenvalue j, i.e. count(x) >= j + 1
-        i = bisect_left(shifts, x)
-        if i < len(shifts) and counts[i] <= j:
-            return False  # a shift >= x has at most j eigenvalues below
-        if i > 0 and counts[i - 1] > j:
-            return True  # a shift < x already has j + 1 below
-        return count_at(x) > j
-
     values = np.empty(k)
     widths = np.empty(k)
     lo_floor = lo0
     for j in range(k):
         # All eigenvalues are >= the previous one, so reuse its lower edge.
-        a, b = _narrow_bracket(lambda x: above(x, j), lo_floor, hi0, tol)
-        values[j] = 0.5 * (a + b)
-        widths[j] = b - a
-        lo_floor = a
+        # A midpoint at or below below[j] has at most j eigenvalues below it,
+        # one at or above above[j] at least j + 1: only one strictly between
+        # them costs a pass.
+        lo, hi = lo_floor, hi0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if mid <= below[j]:
+                lo = mid
+            elif mid >= above[j] or count_at(mid) > j:
+                hi = mid
+            else:
+                lo = mid
+        values[j] = 0.5 * (lo + hi)
+        widths[j] = hi - lo
+        lo_floor = lo
     return values, widths
 
 

@@ -411,6 +411,16 @@ def test_non_finite_domains_are_invalid(argv, message, capsys):
     (["series", "--alpha", "0.3", "--ys="], "code=usage --ys has an empty entry, got ''"),
     (["series", "--alpha", "0.3", "--ys", "0.1,,0.2"],
      "code=usage --ys has an empty entry, got '0.1,,0.2'"),
+    # an empty entry inside a list used to be dropped, and the run went on
+    (["cutoff-sweep", "--epsilon", "0.2,,0.1"],
+     "code=usage --epsilon has an empty entry, got '0.2,,0.1'"),
+    (["cutoff-sweep", "--epsilon", "0.2, "],
+     "code=usage --epsilon has an empty entry, got '0.2, '"),
+    (["dipole-limit", "--d", "1,,0.5"], "code=usage --d has an empty entry, got '1,,0.5'"),
+    (["critical-scan", "--windows", "1e-4:1e4,,1e-8:1e8"],
+     "code=usage --windows has an empty entry, got '1e-4:1e4,,1e-8:1e8'"),
+    # n = 0 used to end in ZeroDivisionError
+    (["cutoff-sweep", "--n", "0"], "code=invalid grid needs at least 16 points"),
 ])
 def test_an_empty_flag_value_is_refused_not_read_as_absent(argv, err, capsys):
     assert run(argv) == 1
@@ -499,6 +509,20 @@ def test_byte_identical_reruns(tmp_path, argv):
 # remaining table shapes: a two-table CSV, empty cells and the library's
 # default windows.  Outputs carry no paths or timestamps; the JSON does carry
 # the package version.  Plain stdout is the CSV text.
+@pytest.mark.parametrize("flags", [["--lambda", "1", "--epsilon", "0.05"],
+                                   ["--Q", "2", "--d", "0.5", "--epsilon", "0.01"]])
+def test_spectrum_refuses_a_cap_the_uniform_grid_does_not_resolve(flags, capsys):
+    # h = 40 / 802 is about 0.05, above half of either cap
+    assert run(["spectrum", *flags, "--domain", "-20:20", "--n", "801"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: code=invalid cut-off epsilon = {float(flags[-1])!r} is below "
+                            f"the resolvable scale for grid spacing h = {40.0 / 802!r}\n")
+    # a logarithmic grid is not checked
+    assert run(["spectrum", "--lambda", "1", "--epsilon", "1e-4", "--grid", "log",
+                "--domain", "1e-5:200", "--n", "256", "--states", "1"]) == 0
+
+
 _GOLDEN = [
     (["hydrogen", "--lambda", "1.0", "--states", "3", "--n", "384", "--domain", "1e-05:200.0"],
      0, "8752e26bab62b81aad9947d0f1957b5feb8e2d9c205185c5a2a8a395eef93cd7",
@@ -545,14 +569,21 @@ _GOLDEN = [
       "--states", "3"],
      0, "4dd37f0fde5f557363283957f41b3c2f3db7b851b0614bf23b24ffb1ed25ccbb",
      "52c1bdbc8587dd2886a43ddc23fd15836cc97d25f66a6fd227671b598ebc1052"),
+    # h = 5 epsilon: refused as unresolved, with no output; --n 10001 resolves it
     (["spectrum", "--Q", "2", "--d", "0.5", "--epsilon", "0.01", "--domain", "-20:20",
       "--n", "801", "--states", "2"],
-     0, "03d5e94538a2df5c0360beccb255b6cca1b745af06d014bfff0dc9b908520a89",
-     "74349e31a8c9da3579aa08eb189102f14cd77ebf5a1704ce9a276dc415b4b9a3"),
+     1, None, None),
+    (["spectrum", "--Q", "2", "--d", "0.5", "--epsilon", "0.01", "--domain", "-20:20",
+      "--n", "10001", "--states", "2"],
+     0, "ac56c7b1dba3ba970367d86d5a996348c894d6f63bf815726b70b126f29feef6",
+     "4c3ed38620ec7f13018596f5a828895cbf0e5aed951374cb929d0f53c144c13c"),
     (["spectrum", "--Q", "2", "--d", "2.6e-11si", "--epsilon", "5e-13si",
       "--domain", "-1e-9si:1e-9si", "--n", "801", "--states", "2"],
-     0, "2093454ad798c171e7336c1cd2145c89b1d85c5c5fa8d12355c647dcbc1e75f8",
-     "818bb7d5982b4f2ca90506b0c5dd1a69f1d8157cc66781b74c3e719f0ddb894f"),
+     1, None, None),
+    (["spectrum", "--Q", "2", "--d", "2.6e-11si", "--epsilon", "5e-13si",
+      "--domain", "-1e-9si:1e-9si", "--n", "10001", "--states", "2"],
+     0, "867b41494348744247afc5e3440cdb39ae96d9078abcab271929dd85c94d231a",
+     "2e59ef70b2926fbed51e3853a66ac90a45c6b021420c2060dfa75d660f4111cf"),
     (["convert", "--p", "1e-30si", "--energy", "4e-18si", "--length", "5e-11si",
       "--alpha", "0.3", "--pcrit-si"],
      0, "4e37ac6b9119863ec18fdfe9e08d31164b736862951521c0050bf1cce92987ed",
@@ -572,12 +603,22 @@ def _sha(data: bytes) -> str:
                          ids=["balmer", "dipole-scan", "threshold", "cutoff", "cutoff-sweep",
                               "hydrogen-4096", "spectrum-p", "spectrum-alpha", "series", "convert",
                               "critical-scan", "spectrum-capped", "spectrum-two-centre",
-                              "spectrum-two-centre-si", "convert-si", "spectrum-lambda-si"])
+                              "spectrum-two-centre-resolved", "spectrum-two-centre-si",
+                              "spectrum-two-centre-si-resolved", "convert-si",
+                              "spectrum-lambda-si"])
 def test_output_bytes_match_golden(argv, code, csv_sha, json_sha, tmp_path, capsys):
     assert run(argv) == code
     captured = capsys.readouterr()
-    assert _sha(captured.out.encode()) == csv_sha
     out = tmp_path / "o"
+    if csv_sha is None:
+        # refused before any output
+        assert captured.out == ""
+        assert captured.err.startswith("error: code=invalid ")
+        assert run(argv + ["--format", "both", "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+        return
+    assert _sha(captured.out.encode()) == csv_sha
     assert run(argv + ["--format", "both", "--out", str(out)]) == code
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -13,6 +13,7 @@ from dipole1d.eigensolver import (
     IntegrationError,
     ResolutionError,
     Spectrum,
+    check_resolution,
     cutoff_sweep,
     discretize,
     find_alpha_crit,
@@ -26,6 +27,7 @@ from dipole1d.eigensolver import (
 from dipole1d.potentials import (
     Coulomb,
     InverseSquare,
+    PhysicalDipole,
     PointDipole,
     RegularizedCoulomb,
 )
@@ -412,6 +414,31 @@ def test_cutoff_sweep_validation():
     with pytest.raises(ResolutionError) as err:
         cutoff_sweep(1.0, (0.2, 0.001), L=30.0, n=1000)
     assert err.value.epsilon == 0.001
+
+
+@pytest.mark.parametrize("n", [0, -3, 15])
+def test_cutoff_sweep_refuses_too_few_nodes_before_dividing_by_them(n):
+    # n = 0 used to end in ZeroDivisionError from h = L / n
+    with pytest.raises(ValueError, match="grid needs at least 16 points"):
+        cutoff_sweep(n=n)
+
+
+def test_check_resolution_refuses_a_cap_below_two_grid_steps():
+    grid = Grid("uniform", -20.0, 20.0, 801)
+    h = grid.spacing
+    for spec in (RegularizedCoulomb(1.0, 1.9 * h), PhysicalDipole(2.0, 0.5, 1.9 * h)):
+        with pytest.raises(ResolutionError) as err:
+            check_resolution(spec, grid)
+        assert (err.value.epsilon, err.value.spacing) == (spec.epsilon, h)
+    # two steps exactly are resolved, as in cutoff_sweep
+    check_resolution(RegularizedCoulomb(1.0, 2.0 * h), grid)
+    check_resolution(PhysicalDipole(2.0, 0.5, 2.0 * h), grid)
+    # the uncapped families have nothing to resolve
+    for spec in (Coulomb(1.0), PointDipole(1.0), InverseSquare(1.0)):
+        assert spec.cap is None
+        check_resolution(spec, grid)
+    # logarithmic grids are not checked
+    check_resolution(RegularizedCoulomb(1.0, 1e-9), Grid("logarithmic", 1e-5, 200.0, 384))
 
 
 # ----------------------------------------------- zero-energy oscillation

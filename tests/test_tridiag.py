@@ -1,5 +1,6 @@
 import math
 import warnings
+from bisect import bisect_left
 
 import mpmath
 import numpy as np
@@ -705,6 +706,108 @@ def test_seeded_bisection_bit_identical_to_reference_on_pipeline_grids(name):
     _assert_seeded_equals_reference(H.diagonal, H.offdiagonal, k, tol)
 
 
+# The bisection used to keep every (shift, count) it had taken in one sorted
+# list.  Frozen here as the reference for the per-level brackets, which must
+# give the same values and widths from a subset of its passes.
+
+def _cache_eigvalsh_bisect(diag, off, k, tol, guesses=None):
+    lo0, hi0 = gershgorin_bounds(diag, off)
+    if lo0 == hi0:
+        lo0 -= 1.0
+        hi0 += 1.0
+    off2 = off * off
+    tail = _tail_certificate(diag, off, off2)
+    diag_l, off2_l = diag.tolist(), off2.tolist()
+    shifts, counts = [], []
+
+    def count_at(x):
+        i = bisect_left(shifts, x)
+        c = tridiag._count_below(diag_l, off2_l, x, k, tail)
+        shifts.insert(i, x)
+        counts.insert(i, c)
+        return c
+
+    if guesses is not None:
+        for j, g in enumerate(np.asarray(guesses, dtype=float).tolist()):
+            g = min(max(g, lo0), hi0)
+            delta = 0.25 * tol
+            while g - delta > lo0 and count_at(g - delta) > j:
+                delta *= 8.0
+            delta = 0.25 * tol
+            while g + delta < hi0 and count_at(g + delta) <= j:
+                delta *= 8.0
+
+    def above(x, j):
+        i = bisect_left(shifts, x)
+        if i < len(shifts) and counts[i] <= j:
+            return False
+        if i > 0 and counts[i - 1] > j:
+            return True
+        return count_at(x) > j
+
+    values, widths = np.empty(k), np.empty(k)
+    lo_floor = lo0
+    for j in range(k):
+        a, b = tridiag._narrow_bracket(lambda x: above(x, j), lo_floor, hi0, tol)
+        values[j] = 0.5 * (a + b)
+        widths[j] = b - a
+        lo_floor = a
+    return values, widths
+
+
+def _assert_brackets_equal_cache(diag, off, k, tol, passes):
+    # every guess set and none: equal values and widths, and each pass is one
+    # the cache made too; returns the passes the cache made and the passes saved
+    levels, _ = _reference(_cache_eigvalsh_bisect, diag, off, min(k + 1, diag.shape[0]), tol)
+    lo, hi = gershgorin_bounds(diag, off)
+    made = saved = 0
+    for guesses in [None, *_guess_sets(levels, k, lo, hi)]:
+        del passes[:]
+        ref_vals, ref_widths = _reference(_cache_eigvalsh_bisect, diag, off, k, tol, guesses)
+        ref_shifts = [x for _, x in passes]
+        del passes[:]
+        vals, widths = eigvalsh_bisect(diag, off, k, tol=tol, guesses=guesses)
+        shifts = [x for _, x in passes]
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(widths, ref_widths)
+        assert len(shifts) <= len(ref_shifts)
+        assert set(shifts) <= set(ref_shifts)
+        made += len(ref_shifts)
+        saved += len(ref_shifts) - len(shifts)
+    return made, saved
+
+
+def test_level_brackets_equal_the_count_cache_on_random_operators(monkeypatch):
+    passes = _record_passes(monkeypatch)
+    made = 0
+    for diag, off in _random_operators():
+        made += _assert_brackets_equal_cache(diag, off, min(4, diag.shape[0]), 1e-10, passes)[0]
+    assert made > 1000
+
+
+def test_a_midpoint_at_an_earlier_shift_costs_no_second_pass(monkeypatch):
+    # Level 1 sits just above 0.5, so its bisection moves lo to 0.5 and then
+    # counts 3 at 0.75 and 2 at 0.625.  Level 2 (0.7) starts from [0.5, 1]:
+    # its first midpoint is 0.75 again, which the cache counted twice, since
+    # no shift below 0.75 had a count above 2.
+    passes = _record_passes(monkeypatch)
+    diag, off = np.array([0.0, 0.5 + 0.5e-10, 0.7, 1.0]), np.zeros(3)
+    _, saved = _assert_brackets_equal_cache(diag, off, 3, 1e-10, passes)
+    assert saved >= 1
+    del passes[:]
+    eigvalsh_bisect(diag, off, 3, tol=1e-10)
+    shifts = [x for _, x in passes]
+    assert shifts.count(0.75) == 1 and len(shifts) == len(set(shifts))
+
+
+@pytest.mark.parametrize("name", sorted(_pipeline_operators()))
+def test_level_brackets_equal_the_count_cache_on_pipeline_grids(name, monkeypatch):
+    H, k, tol = _pipeline_operators()[name]
+    passes = _record_passes(monkeypatch)
+    made, _ = _assert_brackets_equal_cache(H.diagonal, H.offdiagonal, k, tol, passes)
+    assert made > 0
+
+
 def _record_passes(monkeypatch):
     # (rows, shift) of every Sturm pass made from here on
     passes = []
@@ -756,10 +859,10 @@ def test_seeds_widen_until_they_bracket(monkeypatch):
 
 
 def test_sturm_count_monotone_near_pipeline_levels():
-    # The seeds and the count cache both assume the float count is monotone
-    # in x.  Check it across each level's transition, on 401 consecutive
-    # doubles and on a +-1e-9 window, with and without the cap and the
-    # certificate.
+    # The seeds and the per-level brackets both assume the float count is
+    # monotone in x.  Check it across each level's transition, on 401
+    # consecutive doubles and on a +-1e-9 window, with and without the cap
+    # and the certificate.
     for H, k, tol in _pipeline_operators().values():
         diag, off = H.diagonal, H.offdiagonal
         off2 = off * off
@@ -960,3 +1063,51 @@ def test_seeded_solves_take_few_passes(argv, rows, bound, monkeypatch, tmp_path)
     passes = _record_passes(monkeypatch)
     assert run(argv + ["--out", str(tmp_path / "o")]) == 0
     assert 1 <= len([n for n, _ in passes if rows is None or n == rows]) <= bound
+
+
+_BALMER_ARGV = ["hydrogen", "--lambda", "1.0", "--states", "3", "--n", "384",
+                "--domain", "1e-05:200.0"]
+
+
+@pytest.mark.parametrize("argv, bound", [(_BALMER_ARGV, 21), (["hydrogen", "--n", "4096"], 23)],
+                         ids=["balmer", "hydrogen-4096"])
+def test_hydrogen_solves_vectors_on_the_printed_rung_only(argv, bound, monkeypatch, tmp_path):
+    # Three rungs of three levels.  Each rung sharpens its three seeds with one
+    # inverse iteration apiece; only the finest, printed rung also solves its
+    # three vectors and counts their nodes: 3 + 3 + 6 inverse iterations of
+    # three dgtsv solves each (18 and 54 when every rung solved vectors).
+    import scipy.linalg.lapack as lapack
+
+    calls = {"_inverse_iteration": 0, "dgtsv": 0, "count_sign_changes": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in ((tridiag, "_inverse_iteration"), (lapack, "dgtsv"),
+                         (es, "count_sign_changes")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    passes = _record_passes(monkeypatch)
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 0
+    assert calls == {"_inverse_iteration": 12, "dgtsv": 36, "count_sign_changes": 3}
+    assert len(passes) <= bound
+
+
+def test_coarse_rungs_keep_the_seeds_and_passes_of_a_vector_solve(monkeypatch):
+    # the coarse rungs solve without vectors, from the Rayleigh seeds that a
+    # solve with vectors builds: the same energies through the same passes
+    grid = Grid("logarithmic", 1e-5, 200.0, 384)
+    balmer = [-0.5, -0.125, -1.0 / 18.0]
+    passes = _record_passes(monkeypatch)
+    result = es.hydrogen_spectrum(grid=grid)
+    ladder = list(passes)
+    del passes[:]
+    spectra = [lowest_eigenvalues(discretize(Coulomb(1.0), g), 3, tol=es._HYDROGEN_TOL,
+                                  guesses=balmer)
+               for g in (grid, grid.refined(), grid.refined().refined())]
+    assert ladder == passes
+    assert np.array_equal(result.energies_by_level, np.vstack([sp.energies for sp in spectra]))
+    _assert_same_spectrum(result.spectrum, spectra[-1])
+    assert result.spectrum.node_counts.tolist() == [0, 1, 2]

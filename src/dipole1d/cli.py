@@ -121,21 +121,24 @@ def _emit(args, c: ConstantSet, params: dict, tables: list[tuple], fields: dict)
     """
     meta = {"command": args.subcommand, "version": __version__, **params,
             "constants": c.provenance_label, "constants_hash": _constants_hash(c)}
-    lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
-    for title, columns, rows in tables:
-        if title is not None:
-            lines.append(f"# table={title}")
-        lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = {
-        "csv": "\n".join(lines) + "\n",
-        "json": json.dumps({"command": args.subcommand, "config": meta, **fields},
-                           indent=2, default=_json_default) + "\n",
-    }
+
+    def render(fmt):
+        if fmt == "json":
+            return json.dumps({"command": args.subcommand, "config": meta, **fields},
+                              indent=2, default=_json_default) + "\n"
+        lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
+        for title, columns, rows in tables:
+            if title is not None:
+                lines.append(f"# table={title}")
+            lines.append(",".join(columns))
+            lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        return "\n".join(lines) + "\n"
+
+    # only the formats asked for are rendered, all of them before any write
     if args.format == "both":
-        targets = [(f"{args.out}.{fmt}", text[fmt]) for fmt in ("csv", "json")]
+        targets = [(f"{args.out}.{fmt}", render(fmt)) for fmt in ("csv", "json")]
     else:
-        targets = [(args.out, text[args.format])]
+        targets = [(args.out, render(args.format))]
     for path, body in targets:
         if path:
             with open(path, "w", encoding="utf-8") as fh:

@@ -48,6 +48,7 @@ from .tridiag import (
     _failure,
     _narrow_bracket,
     _start_vector,
+    _wall_level,
     count_sign_changes,
     eigvalsh_bisect,
 )
@@ -299,14 +300,20 @@ def _kinetic_part(spec: PotentialSpec, grid: Grid):
             raise SingularPointError(p, f"grid node touches the singular point x = {p!r}")
 
     h = grid.spacing
-    if h**2 == 0.0:
+    try:
+        h2 = h**2
+    except OverflowError:  # a float power that overflows raises instead of giving inf
+        h2 = math.inf
+    if h2 == math.inf:
+        raise ValueError(f"grid spacing h = {h!r} is too coarse: h^2 overflows")
+    if h2 == 0.0:
         raise ValueError(f"grid spacing h = {h!r} is too fine: h^2 underflows to 0")
     if grid.kind == "uniform":
-        kin_diag = np.full(n, 1.0 / h**2)
-        kin_off = np.full(n - 1, -0.5 / h**2)
+        kin_diag = np.full(n, 1.0 / h2)
+        kin_off = np.full(n - 1, -0.5 / h2)
         if grid.left_bc == "neumann":
             # mirror row symmetrized by a positive diagonal similarity
-            kin_off[0] = -1.0 / (math.sqrt(2.0) * h**2)
+            kin_off[0] = -1.0 / (math.sqrt(2.0) * h2)
             notes.append(
                 "left Neumann wall (even-parity mirror reduction), "
                 "first coupling carries the 1/sqrt(2) symmetrizer"
@@ -317,8 +324,8 @@ def _kinetic_part(spec: PotentialSpec, grid: Grid):
         s = grid._s_ladder()
         w_left = np.exp(-2.0 * (s - 0.5 * h))
         w_right = np.exp(-2.0 * (s + 0.5 * h))
-        kin_diag = 0.5 * (w_left + w_right) / h**2 - 0.375 * np.exp(-2.0 * s)
-        kin_off = -0.5 * w_right[:-1] / h**2
+        kin_diag = 0.5 * (w_left + w_right) / h2 - 0.375 * np.exp(-2.0 * s)
+        kin_off = -0.5 * w_right[:-1] / h2
         notes.append(
             "logarithmic grid x = e^s with u = e^(s/2) psi; operator "
             "-(1/2)(e^(-2s) u')' - (3/8) e^(-2s) u + V(e^s) u, Dirichlet in u at both walls"
@@ -358,9 +365,9 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
     GridAlignmentError
         if an interior pinned zero falls between grid nodes.
     ValueError
-        if the grid spacing h has h^2 == 0, or ``DiscreteHamiltonian``
-        refuses the entries (not finite, or a coupling without a finite
-        square).
+        if the grid spacing h has h^2 == 0 or an h^2 that overflows, or
+        ``DiscreteHamiltonian`` refuses the entries (not finite, or a
+        coupling without a finite square).
     """
     kin_diag, off, note, nodes = _kinetic_part(spec, grid)
     return DiscreteHamiltonian(kin_diag + eval_potential_grid(spec, nodes),
@@ -424,9 +431,11 @@ def lowest_eigenvalues(
     one inverse iteration at it, which is far closer to the level; a guess
     whose solve fails, or whose quotient is not finite, is kept as it is.
     The vectorless path passes the guesses on unchanged and so never loads
-    scipy; a caller that wants the sharper seeds without the vectors (the
-    coarse rungs of :func:`hydrogen_spectrum`) computes them itself and
-    passes them as guesses.  The returned vectors are solved at the bisected
+    scipy; a caller that wants the sharper seeds without the vectors computes
+    them itself and passes them as guesses: the coarse rungs of
+    :func:`hydrogen_spectrum` from inverse iterations, and the caps of
+    :func:`cutoff_sweep` from the scipy-free Rayleigh quotients of
+    ``tridiag._wall_level``.  The returned vectors are solved at the bisected
     values, so they do not depend on the guesses either.
 
     One call checks the operator once, in the bisection; H's own checks make
@@ -632,6 +641,15 @@ def cutoff_sweep(
     ValueError for an ``n`` below the grid minimum, and
     :class:`ResolutionError` (:func:`check_resolution`) for a cap below two
     grid steps, both before any solve.
+
+    Each cap's level is bisected without vectors, seeded with the Rayleigh
+    quotient iteration of ``tridiag._wall_level`` (the even state peaks at
+    the Neumann wall).  The iteration starts at the last cap's level, which
+    lies above this one because the level only falls as the cap shrinks;
+    for the first cap, or when that start gives no guess, it starts at the
+    well floor -lam/epsilon, which lies below the level.  The seeds only
+    save Sturm passes (a cap takes about 3 instead of 52): the levels do not
+    depend on them.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be finite and > 0")
@@ -655,10 +673,19 @@ def cutoff_sweep(
         check_resolution(spec, grid)
 
     energies = []
+    above = math.inf  # the last cap's level, above this cap's
     for spec in specs:
         H = discretize(spec, grid)
-        sp = lowest_eigenvalues(H, 1, tol=_CUTOFF_TOL, want_vectors=False)
-        energies.append(float(sp.energies[0]))
+        floor = -lam / spec.epsilon  # the well floor, below the level
+        g = None
+        if above < math.inf:
+            g = _wall_level(H.diagonal, H.offdiagonal, above, floor, above)
+        if g is None:
+            g = _wall_level(H.diagonal, H.offdiagonal, floor, floor, above)
+        sp = lowest_eigenvalues(H, 1, tol=_CUTOFF_TOL, want_vectors=False,
+                                guesses=None if g is None else [g])
+        above = float(sp.energies[0])
+        energies.append(above)
 
     monotone = all(b < a for a, b in zip(energies[:-1], energies[1:]))
 

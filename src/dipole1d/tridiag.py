@@ -36,13 +36,21 @@ A caller that already knows roughly where each level lies (an analytic
 level, the same level of a symmetric reduction) passes it as a guess;
 ``eigensolver.lowest_eigenvalues`` first sharpens a guess to a Rayleigh
 quotient when it solves for vectors anyway, so a seed is then usually
-within a rounding error of its level and brackets it in two passes.  The
-bisection then first counts at the two shifts g -+ tol/4 around each guess
-g, widening a side by a factor of 8 until the two counts bracket the level.
-Why tol/4: the final bisection bracket is wider than tol/2, so the last
-midpoints near the level mostly fall outside a seeded bracket of width
-tol/2, where its two counts already decide them; from g -+ tol, about two
-of them per level needed a pass.  A smaller first half-width saves fewer
+within a rounding error of its level and brackets it in two passes.  A
+lowest level whose vector peaks at row 0, as the even sector's does at a
+Neumann wall, gets such a seed without vectors and without scipy:
+``_wall_level`` iterates the Rayleigh quotient of the twisted factorization
+at twist index 0, which needs only the backward pivots of T - x*I, from a
+start the caller knows (``eigensolver.cutoff_sweep`` starts each cap at the
+last cap's level).  The five caps of the perfbench ``cutoff`` argv then
+take 14 passes instead of 260.
+
+Given guesses, the bisection first counts at the two shifts g -+ tol/4
+around each guess g, widening a side by a factor of 8 until the two counts
+bracket the level.  Why tol/4: the final bisection bracket is wider than
+tol/2, so the last midpoints near the level mostly fall outside a seeded
+bracket of width tol/2, where its two counts already decide them; from
+g -+ tol, about two of them per level needed a pass.  A smaller first half-width saves fewer
 passes than its widening costs where the float count's switch point lies up
 to 5.9e-10 from the Rayleigh quotient, as on the default hydrogen grids at
 lam = 3 (62 passes at tol/4, 63 at tol, 69 at tol/8).  The midpoints stay
@@ -91,6 +99,10 @@ _SEED_FIRST = 0.25  # first half-width of a seed's bracket, in units of tol
 _SEED_WIDEN = 8.0  # factor by which a seed that fails to bracket its level moves out
 _SOLVES = 3  # dgtsv solves per inverse iteration
 _NODE_RTOL = 1e-8  # entries below this fraction of max|v| carry no sign
+_WALL_K_FIRST = 3.0  # e-folds of decay a _wall_level sweep keeps on its first step
+_WALL_K_LAST = 14.0  # ... on its last step: a truncation shift near e^-28 relative
+_WALL_K_RATE = 2.0  # K after a step of relative size r is -_WALL_K_RATE * ln(r)
+_WALL_STEPS = 12  # _wall_level steps before its guess is dropped
 
 
 def _operator(diag, off):
@@ -327,6 +339,88 @@ def eigvalsh_bisect(
         widths[j] = hi - lo
         lo_floor = lo
     return values, widths
+
+
+def _decay_table(diag, abs_off, x):
+    # (last, decay) at the shift x: last is the row after the last
+    # classically allowed row, and decay[j] the decay in e-folds from row
+    # last to row last + j + 1.  Row i decays by the factor rho < 1 with
+    # rho + 1/rho = (a_i - x) / |e_i|; an exact 0 coupling decays at once.
+    # Every row decays faster at a lower shift, so a table taken at x keeps
+    # at least as many e-folds at every shift below x.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (diag[:-1] - x) / abs_off
+        allowed = np.flatnonzero(~(t > 2.0))
+        last = int(allowed[-1]) + 1 if allowed.size else 0
+        return last, np.cumsum(np.arccosh(0.5 * t[last:]))
+
+
+def _wall_level(diag, off, x, lo, hi):
+    # A guess at the lowest level of tridiag(diag, off), for an operator
+    # whose lowest vector peaks at row 0 (the even sector at a Neumann wall),
+    # from the start x, with no product by T and no scipy.  None when a step
+    # leaves [lo, hi], meets a value that is not finite or a shift at or
+    # above the lowest level of the trailing block T[1:, 1:], or when
+    # _WALL_STEPS steps do not settle.
+    #
+    # The backward (UDU^T) pivots D_i of T - x*I give z_0 = 1 and
+    # z_{i+1} = -e_i z_i / D_{i+1}, for which (T - x*I) z = D_0 e_0 exactly:
+    # the twisted factorization at twist index 0 (Fernando, SIMAX 18(4),
+    # 1997; Parlett and Dhillon, LAA 267, 1997).  ||z||^2 = S_0 builds up in
+    # the same sweep as S_i = 1 + (e_i^2 / D_{i+1}^2) S_{i+1}, and x + D_0 / S_0
+    # is the Rayleigh quotient of z.  It is also the Newton step on D_0(x),
+    # whose derivative is -S_0.  Below the trailing block's lowest level,
+    # where every D_i with i >= 1 is positive, each D_i with i >= 1 falls as
+    # x rises, so |z| and S_0 grow: D_0 falls and is concave there, and its
+    # one root is the lowest level.  A start above the level falls
+    # monotonically onto it; one below overshoots above it first.
+    # Chebyshev's correction, with the derivative of S_0 taken from the last
+    # two steps, lifts the order of the steps above 2.
+    #
+    # Each sweep starts K e-folds past the last classically allowed row, as
+    # if a Dirichlet wall stood there, which raises the level by about
+    # e^(-2K) relative.  K grows with the convergence, keeping the
+    # truncation below the next step's error, and the step at
+    # K = _WALL_K_LAST is the last.  A decay table serves every step at or
+    # below the shift it was taken at; the lists hold the rows that the last
+    # step would read, in the order a sweep reads them.
+    n = diag.shape[0]
+    abs_off = np.abs(off)
+    off2 = off * off
+    K = _WALL_K_FIRST
+    table_x = -math.inf
+    x_prev = s_prev = None
+    for _ in range(_WALL_STEPS):
+        if x > table_x:
+            table_x = x
+            last, decay = _decay_table(diag, abs_off, x)
+            top = min(last + int(np.searchsorted(decay, _WALL_K_LAST)), n - 1)
+            diag_r = diag[:top + 1][::-1].tolist()
+            off2_r = off2[:top][::-1].tolist()
+        skip = top - min(last + int(np.searchsorted(decay, K)), n - 1)
+        d = diag_r[skip] - x
+        s = 1.0
+        for a, e2 in zip(diag_r[skip + 1:], off2_r[skip:]):
+            if d <= 0.0:  # x is at or above the trailing block's lowest level
+                return None
+            q = e2 / d
+            s = 1.0 + q / d * s
+            d = (a - x) - q
+        step = d / s
+        if x_prev is not None and x != x_prev:  # Chebyshev's correction
+            c = 0.5 * (s - s_prev) / (x - x_prev) * step / s
+            if abs(c) < 0.5:
+                step *= 1.0 - c
+        x_prev, s_prev = x, s
+        theta = x + step
+        if not (math.isfinite(theta) and math.isfinite(s) and lo <= theta <= hi):
+            return None
+        if K == _WALL_K_LAST:
+            return theta
+        r = abs(step) / max(abs(theta), _TINY)  # the step, relative
+        K = min(max(_WALL_K_FIRST, -_WALL_K_RATE * math.log(r) if r else math.inf), _WALL_K_LAST)
+        x = theta
+    return None
 
 
 def _start_vector(n):

@@ -390,6 +390,11 @@ def test_hydrogen_unresolved_grids_fail_closed(argv, message, capsys):
     (["dipole-limit", "--domain", "-1e-160:1e-160", "--n", "3001"], "grid spacing h = "),
     (["spectrum", "--Q", "1", "--d", "0.5", "--epsilon", "0.1",
       "--domain", "-1e-160:1e-160", "--n", "3001"], "grid spacing h = "),
+    # finite ends so far apart that h^2 overflows
+    (["cutoff-sweep", "--domain", "0:1e300", "--epsilon", "1e299", "--n", "100"],
+     "h^2 overflows"),
+    (["spectrum", "--p", "1", "--domain", "-1e300:1e300", "--n", "101"], "h^2 overflows"),
+    (["dipole-limit", "--domain", "-1e300:1e300", "--n", "101"], "h^2 overflows"),
 ])
 def test_non_finite_domains_are_invalid(argv, message, capsys):
     assert run(argv) == 1
@@ -624,3 +629,13 @@ def test_output_bytes_match_golden(argv, code, csv_sha, json_sha, tmp_path, caps
     assert captured.out == ""
     assert _sha(_read(str(out) + ".csv")) == csv_sha
     assert _sha(_read(str(out) + ".json")) == json_sha
+
+
+def test_csv_output_renders_no_json(monkeypatch, capsys):
+    # --format csv (the default) writes no JSON, so it encodes none either
+    calls = []
+    monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: calls.append(a) or "")
+    assert run(["cutoff-sweep", "--epsilon", "0.2,0.1", "--domain", "0:20",
+                "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("# command=cutoff-sweep\n")
+    assert calls == []

@@ -1,6 +1,8 @@
+import importlib
 import math
 import warnings
 from bisect import bisect_left
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -1111,3 +1113,169 @@ def test_coarse_rungs_keep_the_seeds_and_passes_of_a_vector_solve(monkeypatch):
     assert np.array_equal(result.energies_by_level, np.vstack([sp.energies for sp in spectra]))
     _assert_same_spectrum(result.spectrum, spectra[-1])
     assert result.spectrum.node_counts.tolist() == [0, 1, 2]
+
+
+# ------------------------------------------------ cut-off seeds at the wall
+_CUTOFF_ARGV = ["cutoff-sweep", "--lambda", "1.0", "--epsilon", "0.2,0.1,0.05,0.025,0.0125",
+                "--domain", "0:10.0", "--n", "3200"]
+_CUTOFF_KW = dict(lam=1.0, eps_list=(0.2, 0.1, 0.05, 0.025, 0.0125), L=10.0, n=3200)
+
+
+def _perfbench_cutoff_args(seed):
+    # cutoff_sweep's arguments from the perfbench `cutoff` argv at ``seed``
+    argv = importlib.import_module("workloads").WORKLOADS["cutoff"].make(seed).argv
+
+    def arg(flag):
+        return argv[argv.index(flag) + 1]
+
+    eps = tuple(float(e) for e in arg("--epsilon").split(","))
+    return dict(lam=float(arg("--lambda")), eps_list=eps,
+                L=float(arg("--domain").split(":")[1]), n=int(arg("--n")))
+
+
+def _record_cap_solves(monkeypatch):
+    # (H, guesses, spectrum) of every even-sector solve from here on
+    solves = []
+    solve = es.lowest_eigenvalues
+
+    def recording(H, k, **kwargs):
+        sp = solve(H, k, **kwargs)
+        if H.grid.left_bc == "neumann":
+            solves.append((H, kwargs.get("guesses"), sp))
+        return sp
+
+    monkeypatch.setattr(es, "lowest_eigenvalues", recording)
+    return solves
+
+
+@pytest.mark.parametrize("seed", [*range(11), None],
+                         ids=[*(f"seed-{s}" for s in range(11)), "default"])
+def test_cutoff_cap_levels_equal_the_frozen_bisection(seed, monkeypatch):
+    # every cap is seeded by _wall_level, within the bisection tolerance of
+    # its level, and still lands on the bytes of the unseeded frozen bisection
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    solves = _record_cap_solves(monkeypatch)
+    result = es.cutoff_sweep(**({} if seed is None else _perfbench_cutoff_args(seed)))
+    assert len(solves) == len(result.epsilons) == 5
+    for H, guesses, sp in solves:
+        want_vals, want_widths = _reference(
+            _seed_eigvalsh_bisect, H.diagonal, H.offdiagonal, 1, tol=es._CUTOFF_TOL)
+        assert np.array_equal(sp.energies, want_vals)
+        assert np.array_equal(sp.bracket_widths, want_widths)
+        assert abs(guesses[0] - want_vals[0]) < es._CUTOFF_TOL
+
+
+def test_cutoff_caps_take_few_passes(monkeypatch, tmp_path):
+    # 14 passes on the five caps and 2 on the full-line check; without the
+    # _wall_level seeds the caps take 260
+    passes = _record_passes(monkeypatch)
+    assert run(_CUTOFF_ARGV + ["--out", str(tmp_path / "o")]) == 0
+    assert len(passes) <= 40
+
+
+def _cap_operator(eps, lam=1.0, L=10.0, n=3200):
+    return discretize(RegularizedCoulomb(lam, eps), Grid("uniform", 0.0, L, n, left_bc="neumann"))
+
+
+@pytest.mark.parametrize("diag, off, x", [
+    # the last row's backward pivot is exactly 0 at x = 2
+    (np.full(16, 2.0), np.full(15, -1.0), 2.0),
+    # ... and the pivot of row 14 at x = 0: d_15 = 1, d_14 = 1 - 1 / 1
+    (np.ones(16), np.full(15, -1.0), 0.0),
+    # ... and row 2's, below a zero coupling: d_3 = 3, d_2 = 0 - 0 / 3
+    (np.array([1.0, 1.0, 0.0, 3.0]), np.array([-1.0, -1.0, 0.0]), 0.0),
+])
+def test_wall_level_refuses_a_zero_backward_pivot(diag, off, x):
+    # a pivot D_i <= 0 with i >= 1 puts x at or above the trailing block's
+    # lowest level; the sweep stops there, before dividing by it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tridiag._wall_level(diag, off, x, -10.0, 10.0) is None
+
+
+def test_wall_level_stops_on_a_zero_pivot_at_the_wall():
+    # D_0 = 1 - 1 / 1 = 0 at x = 0: x is the level, and the step is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tridiag._wall_level(np.ones(2), np.array([-1.0]), 0.0, -1.0, 1.0) == 0.0
+
+
+def test_wall_level_refuses_a_start_above_the_trailing_block():
+    # at eps = 0.2 the trailing block T[1:, 1:] (the odd sector, near -0.5)
+    # has a level below -0.3: Newton from there would climb to +2.6
+    H = _cap_operator(0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tridiag._wall_level(H.diagonal, H.offdiagonal, -0.3, -5.0, math.inf) is None
+        g = tridiag._wall_level(H.diagonal, H.offdiagonal, -5.0, -5.0, math.inf)
+    level = eigvalsh_bisect(H.diagonal, H.offdiagonal, 1)[0][0]
+    assert abs(g - level) < 1e-10
+
+
+def test_wall_level_reads_the_block_above_a_zero_coupling():
+    # a zero coupling inside the rows the last sweep reads (about 900 here)
+    # decouples the rows below it: the guess is the lowest level of the
+    # block that holds row 0
+    H = _cap_operator(0.0125)
+    off = H.offdiagonal.copy()
+    off[300] = 0.0
+    block = eigvalsh_bisect(H.diagonal[:301], off[:300], 1)[0][0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = tridiag._wall_level(H.diagonal, off, -10.0, -80.0, -10.0)
+    assert abs(g - block) < 1e-10
+    assert block > eigvalsh_bisect(H.diagonal, H.offdiagonal, 1)[0][0] + 1e-6
+
+
+@pytest.mark.parametrize("eps", [(0.4, 0.2), (1.0,)])
+def test_cutoff_sweep_on_the_minimum_grid(eps, monkeypatch):
+    # 16 nodes: the sweeps reach the far wall, and the seeds still land
+    solves = _record_cap_solves(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = es.cutoff_sweep(1.0, eps, L=1.6, n=16)
+    assert len(solves) == len(eps)
+    for (H, guesses, sp), energy in zip(solves, result.energies):
+        assert guesses is not None
+        assert abs(guesses[0] - energy) < es._CUTOFF_TOL
+        assert np.array_equal(sp.energies, eigvalsh_bisect(H.diagonal, H.offdiagonal, 1)[0])
+
+
+def test_cutoff_sweep_restarts_a_cap_at_the_well_floor(monkeypatch):
+    # a wide cap in a deep well: the trailing block's lowest level (the odd
+    # state of the cap's box) lies below the level of the cap before, so the
+    # start there gives no guess, and the start at the floor -lam/epsilon does
+    starts = []
+    wall_level = es._wall_level
+
+    def recorded(diag, off, x, lo, hi):
+        g = wall_level(diag, off, x, lo, hi)
+        starts.append((x, g))
+        return g
+
+    monkeypatch.setattr(es, "_wall_level", recorded)
+    result = es.cutoff_sweep(8.0, (4.0, 1.0), L=8.0, n=200)
+    assert [x for x, _ in starts] == [-2.0, result.energies[0], -8.0]
+    assert starts[1][1] is None
+    for (_, g), energy in zip(starts[::2], result.energies):
+        assert abs(g - energy) < es._CUTOFF_TOL
+
+
+@pytest.mark.parametrize("bad", ["start-above-trailing", "wrong-guess", "no-guess"])
+def test_cutoff_sweep_levels_do_not_depend_on_the_seeds(bad, monkeypatch):
+    want = es.cutoff_sweep(**_CUTOFF_KW)
+    wall_level = es._wall_level
+
+    def spoiled(diag, off, x, lo, hi):
+        if bad == "start-above-trailing":
+            return wall_level(diag, off, -0.3, lo, hi)
+        if bad == "wrong-guess":
+            g = wall_level(diag, off, x, lo, hi)
+            return None if g is None else g + 0.5
+        return None
+
+    monkeypatch.setattr(es, "_wall_level", spoiled)
+    got = es.cutoff_sweep(**_CUTOFF_KW)
+    assert got.energies == want.energies
+    assert got.full_line_check == want.full_line_check
+

@@ -605,6 +605,10 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: code=invalid {exc}\n")
         return 1
+    except MemoryError as exc:
+        # an array too large for this machine; numpy's message names its shape
+        sys.stderr.write(f"error: code=invalid out of memory: {exc}\n")
+        return 1
 
 
 def main(argv=None) -> int:

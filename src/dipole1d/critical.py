@@ -27,7 +27,7 @@ from .eigensolver import (
     _kinetic_part,
     find_alpha_crit,
 )
-from .potentials import PhysicalDipole, PointDipole, eval_potential_grid
+from .potentials import PhysicalDipole, PointDipole
 from .tridiag import _count_below, _narrow_bracket
 from .units import ConstantSet, atomic_to_si, bohr_radius
 
@@ -248,27 +248,14 @@ class DipoleScanResult:
     )
 
 
-# V overflowing to inf, or inf - inf, is refused below as a ValueError, as
-# discretize's operator refuses it, not left to warn on the way.
-@np.errstate(over="ignore", invalid="ignore")
-def _diagonal(spec, kin: DiscreteHamiltonian) -> np.ndarray:
-    """The diagonal of ``spec``'s operator on the grid of ``kin``: the kinetic
-    diagonal plus V on kin's nodes, the same float additions ``discretize``
-    makes, so the operator is bit-identical to ``discretize(spec, grid)``;
-    ValueError where an entry is not finite, as ``discretize`` refuses it."""
-    diag = kin.diagonal + eval_potential_grid(spec, kin.nodes)
-    if not np.all(np.isfinite(diag)):
-        raise ValueError("operator entries must be finite")
-    return diag
-
-
-def _binds(spec, kin: DiscreteHamiltonian, off2: list) -> bool:
+def _binds(spec, kin: DiscreteHamiltonian) -> bool:
     """Whether ``spec`` has a level below zero energy on the grid of ``kin``.
 
     ``kin`` is the operator of ``spec``'s family at V = 0 (the kinetic
-    operator, built and checked once per family by ``physical_dipole_scan``)
-    and ``off2`` its squared couplings as a list, so a predicate only
-    evaluates the potential (:func:`_diagonal`).
+    operator, built and checked once per family by ``physical_dipole_scan``),
+    so a predicate only adds the potential (``kin.diagonal_plus(spec)``, the
+    diagonal of the operator ``discretize`` builds, refused as ``discretize``
+    refuses it) and reads the squared couplings that ``kin`` keeps as a list.
 
     The discrete oscillation theorem at zero energy: the Sturm count of the
     operator at 0 is the number of levels strictly below 0, so binding is
@@ -276,9 +263,9 @@ def _binds(spec, kin: DiscreteHamiltonian, off2: list) -> bool:
     negative pivot, exact on the discrete operator, with no eigenvalue
     bisected.  The pass reads the diagonal in place through a memoryview,
     which yields the same doubles as ``tolist()`` but builds them only for
-    the rows it reaches.
+    the rows it reaches; no operator record or list view of it is built.
     """
-    return _count_below(memoryview(_diagonal(spec, kin)), off2, 0.0, 1) == 1
+    return _count_below(memoryview(kin.diagonal_plus(spec)), kin.couplings.off2, 0.0, 1) == 1
 
 
 # the moment bracket around the exact point value, and its bisection width
@@ -287,10 +274,10 @@ _P_HI = P_CRIT_AU * 10.0
 _TOL_P = 1e-3
 
 
-def _bisect_p(spec_at, kin: DiscreteHamiltonian, off2: list):
+def _bisect_p(spec_at, kin: DiscreteHamiltonian):
     """(p_c, bracket, status) of the binding onset in p over [_P_LO, _P_HI],
-    where ``spec_at(p)`` is the configuration at moment p and ``kin``,
-    ``off2`` are its family's kinetic operator and squared couplings.
+    where ``spec_at(p)`` is the configuration at moment p and ``kin`` its
+    family's kinetic operator.
 
     A bottom that binds decides the row without a Sturm pass at the top.
     At fixed d and epsilon (and for the point dipole) H(p) = K + p U is
@@ -308,10 +295,10 @@ def _bisect_p(spec_at, kin: DiscreteHamiltonian, off2: list):
     refused as before.
     """
     def binds(p: float) -> bool:
-        return _binds(spec_at(p), kin, off2)
+        return _binds(spec_at(p), kin)
 
     if binds(_P_LO):
-        _diagonal(spec_at(_P_HI), kin)
+        kin.diagonal_plus(spec_at(_P_HI))
         return None, (_P_LO, _P_HI), "binds_everywhere"
     if not binds(_P_HI):
         return None, (_P_LO, _P_HI), "no_binding"
@@ -362,25 +349,21 @@ def physical_dipole_scan(
     # PhysicalDipole has no pinned zeros: one kinetic operator serves every
     # Q, d and epsilon.  It is built from the scan's first configuration, so a
     # spec that cannot be built fails here as the first predicate would.
-    first = PhysicalDipole(Q=_P_LO / d_list[0], d=d_list[0], epsilon=epsilon)
-    kin_diag, off, note, x = _kinetic_part(first, grid)
-    two_centre = DiscreteHamiltonian(kin_diag, off, grid, note, x)
-    off2 = (off * off).tolist()
+    two_centre = _kinetic_part(PhysicalDipole(Q=_P_LO / d_list[0], d=d_list[0],
+                                              epsilon=epsilon), grid)
     rows = []
     for d in d_list:
         def spec_at(p: float, d=d) -> PhysicalDipole:
             return PhysicalDipole(Q=p / d, d=d, epsilon=epsilon)
 
-        p_c, bracket, status = _bisect_p(spec_at, two_centre, off2)
+        p_c, bracket, status = _bisect_p(spec_at, two_centre)
         rows.append(
             DipoleScanRow(d=d, p_critical=p_c, bracket=bracket,
                           conclusive=p_c is not None, status=status)
         )
 
     try:
-        kin_diag, off, note, x = _kinetic_part(PointDipole(_P_LO), grid)
-        point = DiscreteHamiltonian(kin_diag, off, grid, note, x)
-        p_ref, _, _ = _bisect_p(PointDipole, point, (off * off).tolist())
+        p_ref, _, _ = _bisect_p(PointDipole, _kinetic_part(PointDipole(_P_LO), grid))
     except GridAlignmentError:
         p_ref = None  # asymmetric domain: no grid node on the origin
 

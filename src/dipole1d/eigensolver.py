@@ -44,10 +44,12 @@ from .potentials import (
 )
 from .tridiag import (
     _OFF_MAX,
+    _Couplings,
     _eigenvectors,
     _failure,
     _narrow_bracket,
     _start_vector,
+    _Tridiagonal,
     _wall_level,
     count_sign_changes,
     eigvalsh_bisect,
@@ -167,9 +169,17 @@ class Grid:
         s0, s1 = math.log(self.x_min), math.log(self.x_max)
         return (s1 - s0) / (self.n + 1)
 
+    def _indices(self, start: int) -> np.ndarray:
+        # start, start + 1, ..., start + n - 1; a count numpy refuses, or
+        # cannot allocate, is a ValueError that names it
+        try:
+            return np.arange(start, start + self.n)
+        except (MemoryError, ValueError) as exc:
+            raise ValueError(f"a grid of n = {self.n} nodes is too large to allocate") from exc
+
     def _s_ladder(self) -> np.ndarray:
         s0 = math.log(self.x_min)
-        return s0 + self.spacing * np.arange(1, self.n + 1)
+        return s0 + self.spacing * self._indices(1)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -177,8 +187,8 @@ class Grid:
             return np.exp(self._s_ladder())
         h = self.spacing
         if self.left_bc == "neumann":
-            return self.x_min + h * np.arange(self.n)
-        return self.x_min + h * np.arange(1, self.n + 1)
+            return self.x_min + h * self._indices(0)
+        return self.x_min + h * self._indices(1)
 
     def refined(self) -> "Grid":
         """Same geometry with the spacing exactly halved."""
@@ -194,7 +204,7 @@ DEFAULT_TOL_ALPHA = 1e-4
 
 
 @dataclass(frozen=True)
-class DiscreteHamiltonian:
+class DiscreteHamiltonian(_Tridiagonal):
     """Symmetric tridiagonal operator plus the geometry it was built on.
 
     ``nodes`` are the positions actually carrying unknowns (a subset of the
@@ -203,6 +213,13 @@ class DiscreteHamiltonian:
     an interior pinned zero is stored as an exact 0.  Construction refuses
     entries that are not finite and couplings whose square is not, so a
     Sturm pass can read any operator without further checks.
+
+    ``couplings`` holds the Sturm setup that depends on the couplings alone
+    (``tridiag._Couplings``).  An operator made by :meth:`plus` shares it
+    with the operator it was made from, whose checks of the couplings it
+    does not repeat; any other construction checks the couplings and builds
+    it.  The views of the diagonal (``tridiag._Tridiagonal``) are built on
+    first use, at most once per operator.
     """
 
     diagonal: np.ndarray
@@ -210,6 +227,7 @@ class DiscreteHamiltonian:
     grid: Grid
     bc_note: str
     nodes: np.ndarray
+    couplings: _Couplings | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = np.asarray(self.diagonal, dtype=float)
@@ -220,16 +238,47 @@ class DiscreteHamiltonian:
         object.__setattr__(self, "nodes", x)
         if d.ndim != 1 or e.shape != (d.shape[0] - 1,) or x.shape != d.shape:
             raise ValueError("inconsistent operator array shapes")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        if not np.all(np.isfinite(d)):
+            raise ValueError("operator entries must be finite")
+        if self.couplings is not None and self.couplings.off is e:
+            return
+        if not np.all(np.isfinite(e)):
             raise ValueError("operator entries must be finite")
         if np.any(e > 0.0):
             raise ValueError("off-diagonal kinetic couplings must be <= 0")
         if not np.all(np.abs(e) <= _OFF_MAX):
             raise ValueError(f"off entries must have a finite square, |off| <= {_OFF_MAX!r}")
+        object.__setattr__(self, "couplings", _Couplings(e))
 
     @property
     def size(self) -> int:
         return int(self.diagonal.shape[0])
+
+    # V overflowing to inf, or inf - inf, is refused as a ValueError, not left
+    # to warn on the way.
+    @np.errstate(over="ignore", invalid="ignore")
+    def diagonal_plus(self, spec: PotentialSpec) -> np.ndarray:
+        """The diagonal of :meth:`plus`, refused as ``plus`` refuses it.
+
+        For a caller that reads one diagonal once (the dipole scan's binding
+        predicate, one Sturm pass per potential), without building the
+        operator record.
+        """
+        diag = self.diagonal + eval_potential_grid(spec, self.nodes)
+        if not np.all(np.isfinite(diag)):
+            raise ValueError("operator entries must be finite")
+        return diag
+
+    def plus(self, spec: PotentialSpec) -> "DiscreteHamiltonian":
+        """This operator with ``spec``'s potential added to its diagonal.
+
+        On the operator of ``spec``'s family at V = 0 (``_kinetic_part``)
+        this is ``discretize(spec, grid)``: the same float additions, so the
+        same bytes.  The result shares this operator's couplings, grid, note,
+        nodes and ``couplings`` setup; only its diagonal is checked.
+        """
+        return DiscreteHamiltonian(self.diagonal_plus(spec), self.offdiagonal, self.grid,
+                                   self.bc_note, self.nodes, self.couplings)
 
 
 @dataclass(frozen=True)
@@ -258,10 +307,11 @@ class Spectrum:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _kinetic_part(spec: PotentialSpec, grid: Grid):
-    # discretize(spec, grid) without V: its kinetic diagonal, couplings (an
-    # exact 0 across a dropped node), bc_note and active nodes.  They depend
-    # on spec only through its family and pinned zeros, never through V.
+def _kinetic_part(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
+    # discretize(spec, grid) without V: the operator of the kinetic diagonal,
+    # the couplings (an exact 0 across a dropped node), bc_note and active
+    # nodes.  It depends on spec only through its family and pinned zeros,
+    # never through V, so one serves every potential of the family on grid.
     if isinstance(spec, InverseSquare) and grid.x_min < 0.0:
         raise ValueError("inverse-square problems are posed on y > 0")
     nodes = grid.nodes
@@ -336,12 +386,9 @@ def _kinetic_part(spec: PotentialSpec, grid: Grid):
 
     adjacent = keep[1:] == keep[:-1] + 1
     off = np.where(adjacent, kin_off[keep[:-1]], 0.0)
-    return kin_diag[keep], off, "; ".join(notes), act_nodes
+    return DiscreteHamiltonian(kin_diag[keep], off, grid, "; ".join(notes), act_nodes)
 
 
-# Entries that overflow (a log grid reaching far below x = 1e-150, say) are
-# refused by DiscreteHamiltonian as a ValueError, not left to warn on the way.
-@np.errstate(over="ignore", invalid="ignore")
 def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
     """Assemble the symmetric tridiagonal operator for ``spec`` on ``grid``.
 
@@ -350,13 +397,19 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
     a grid spanning the origin is assembled on the x < 0 subgrid only, since
     its states vanish identically on the repulsive side.
 
-    Everything except the potential (kinetic diagonal, couplings,
-    ``bc_note`` and active nodes) comes from the private
-    ``_kinetic_part(spec, grid)``, and the diagonal is that kinetic diagonal
-    plus ``eval_potential_grid`` on those nodes.  A caller that needs many
-    potentials of one family on one grid, such as
-    ``critical.physical_dipole_scan``, builds the operator at V = 0 once and
-    adds each V itself: the same float additions, so the same bytes.
+    The operator is ``_kinetic_part(spec, grid).plus(spec)``: the private
+    ``_kinetic_part`` builds the operator of ``spec``'s family at V = 0
+    (kinetic diagonal, couplings, ``bc_note`` and active nodes), and
+    :meth:`DiscreteHamiltonian.plus` adds ``eval_potential_grid`` on those
+    nodes to the diagonal.  A caller that needs many potentials of one
+    family on one grid builds the kinetic operator once and adds each
+    potential to it: ``cutoff_sweep``'s caps call ``plus``, and the
+    predicates of ``critical.physical_dipole_scan``, which read each
+    diagonal once, call ``diagonal_plus``.  Both make the same float
+    additions, so the same bytes, and share the kinetic operator's checked
+    couplings and their Sturm setup.  Entries that overflow (a log grid
+    reaching far below x = 1e-150, say) are refused as a ValueError, not
+    left to warn on the way.
 
     Raises
     ------
@@ -369,9 +422,7 @@ def discretize(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
         ``DiscreteHamiltonian`` refuses the entries (not finite, or a
         coupling without a finite square).
     """
-    kin_diag, off, note, nodes = _kinetic_part(spec, grid)
-    return DiscreteHamiltonian(kin_diag + eval_potential_grid(spec, nodes),
-                               off, grid, note, nodes)
+    return _kinetic_part(spec, grid).plus(spec)
 
 
 def check_resolution(spec: PotentialSpec, grid: Grid) -> None:
@@ -438,16 +489,17 @@ def lowest_eigenvalues(
     ``tridiag._wall_level``.  The returned vectors are solved at the bisected
     values, so they do not depend on the guesses either.
 
-    One call checks the operator once, in the bisection; H's own checks make
-    its entries safe for the inverse iterations before that.  The seeds and
-    the returned vectors share one start vector.
+    H's construction checked its entries, so the bisection reads H's views
+    (``tridiag._Tridiagonal``) without checking them again; they are built
+    once per operator, however many solves read them.  The seeds and the
+    returned vectors share one start vector.
     """
     if not 1 <= k <= H.size:
         raise ValueError(f"k must be in [1, {H.size}], got {k}")
     start = _start_vector(H.size) if want_vectors else None
     if want_vectors and guesses is not None:
         guesses = _rayleigh_seeds(H, guesses, start)
-    values, widths = eigvalsh_bisect(H.diagonal, H.offdiagonal, k, tol=tol, guesses=guesses)
+    values, widths = eigvalsh_bisect(H, None, k, tol=tol, guesses=guesses)
     vectors = None
     counts = np.zeros(k, dtype=int)
     if want_vectors:
@@ -649,7 +701,9 @@ def cutoff_sweep(
     for the first cap, or when that start gives no guess, it starts at the
     well floor -lam/epsilon, which lies below the level.  The seeds only
     save Sturm passes (a cap takes about 3 instead of 52): the levels do not
-    depend on them.
+    depend on them.  The caps share one kinetic operator: each cap's
+    operator is ``kinetic.plus(spec)`` (see :func:`discretize`), so the
+    couplings are checked, squared and certified once for all caps.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be finite and > 0")
@@ -672,16 +726,17 @@ def cutoff_sweep(
     for spec in specs:
         check_resolution(spec, grid)
 
+    kinetic = _kinetic_part(specs[0], grid)
     energies = []
     above = math.inf  # the last cap's level, above this cap's
     for spec in specs:
-        H = discretize(spec, grid)
+        H = kinetic.plus(spec)
         floor = -lam / spec.epsilon  # the well floor, below the level
         g = None
         if above < math.inf:
-            g = _wall_level(H.diagonal, H.offdiagonal, above, floor, above)
+            g = _wall_level(H, above, floor, above)
         if g is None:
-            g = _wall_level(H.diagonal, H.offdiagonal, floor, floor, above)
+            g = _wall_level(H, floor, floor, above)
         sp = lowest_eigenvalues(H, 1, tol=_CUTOFF_TOL, want_vectors=False,
                                 guesses=None if g is None else [g])
         above = float(sp.energies[0])

@@ -5,17 +5,26 @@ index bracketing, which the node-theorem checks elsewhere rely on.  The Sturm
 kernel loops over Python floats: Python float arithmetic is the same IEEE
 double arithmetic as numpy float64, at a fraction of the cost of reading
 numpy scalars one at a time.  Where the floats come from depends on how many
-passes an operator gets.  ``eigvalsh_bisect`` counts one operator tens of
-times, so it copies the diagonal and the squared couplings to lists once and
-every pass reuses them.  A caller that makes one pass per operator
-(``sturm_count``, and the dipole scan's binding predicate ``critical._binds``)
-reads its arrays in place through memoryviews, which yield the same doubles
-but build each only when the pass reaches its row.  On the 3001-node
-dipole-scan operator at d = 0.05 and p = 0.0125 (2-vCPU Xeon VM, Python
-3.11.7, one pinned CPU), ``tolist()`` of the diagonal takes 52 us; the
-predicate's pass, capped at one level and stopping after 1,608 rows, takes
-154 us with that copy and 115 us in place; a full pass takes 329 us with
-both copies and 275 us in place.
+passes an operator gets.  A bisection counts one operator tens of times, so
+it reads list views that the operator builds once, each on first use.
+``_Couplings`` holds what depends on the couplings alone, once they have
+been checked: e^2 as a list, |e|, the Gershgorin radii and the coupling half
+of the tail certificate.  One ``_Couplings`` serves every diagonal added to
+it, as the caps of ``eigensolver.cutoff_sweep`` share their kinetic
+operator's.  ``_Tridiagonal`` (which ``eigensolver.DiscreteHamiltonian``
+extends) adds what depends on the diagonal: the diagonal as a list, the
+Gershgorin ends and the certificate's threshold floor, the last kept as a
+memoryview because it only feeds ``bisect_left``.  ``eigvalsh_bisect``
+checks its arrays and builds these views for its one solve.  A caller that
+makes one pass per operator (``sturm_count``, and the dipole scan's binding
+predicate ``critical._binds``) reads its diagonal in place through a
+memoryview, which yields the same doubles but builds each only when the
+pass reaches its row, and builds none of the diagonal's views.  On the
+3001-node dipole-scan operator at d = 0.05 and p = 0.0125 (2-vCPU Xeon VM,
+Python 3.11.7, one pinned CPU), ``tolist()`` of the diagonal takes 52 us;
+the predicate's pass, capped at one level and stopping after 1,608 rows,
+takes 154 us with that copy and 115 us in place; a full pass takes 329 us
+with both copies and 275 us in place.
 
 Eigenvectors come from inverse iteration, each solve LAPACK's ``dgtsv``:
 Gaussian elimination with partial pivoting on the general tridiagonal matrix
@@ -29,8 +38,9 @@ asks whether count(x) > j for some j < k, so the pass may stop once the count
 reaches k.  And once the LDL^T pivots reach rows that are diagonally dominant
 enough at x, no later pivot can be negative (Barth, Martin and Wilkinson
 1967): ``_tail_certificate`` proves this row by row in the same float
-operations the pass performs, once per operator, so the early stop gives the
-exact count that the full pass gives.
+operations the pass performs, its coupling half once per set of couplings
+and its threshold half once per operator, so the early stop gives the exact
+count that the full pass gives.
 
 A caller that already knows roughly where each level lies (an analytic
 level, the same level of a symmetric reduction) passes it as a guess;
@@ -80,6 +90,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -180,20 +191,28 @@ def _count_below(diag, off2, x, cap=None, tail=None):
     return count
 
 
-def _tail_certificate(diag, off, off2):
-    # The per-operator certificate of _count_below: the lists (bound, floor).
-    # Row i gets b_i = |e_i| (the smallest positive double where e_i = 0 and
-    # on the last row), r_i = fl(e2_{i-1} / b_{i-1}) and a threshold t_i
-    # checked to satisfy fl(fl(a_i - t_i) - r_i) >= b_i in exactly the float
-    # operations of the pass.  Rows where that fails get t_i = -inf.  floor
-    # holds the suffix minima of t, so it is ascending.
-    n = diag.shape[0]
+def _coupling_certificate(off, off2):
+    # The half of _tail_certificate that reads only the couplings: the arrays
+    # (b, r, usable).  Row i gets b_i = |e_i| (the smallest positive double
+    # where e_i = 0 and on the last row) and r_i = fl(e2_{i-1} / b_{i-1});
+    # rows where r_i overflowed are not usable, and their r_i is set to 0 to
+    # keep them out of inf - inf.
+    n = off.shape[0] + 1
     b = np.full(n, _DENORM)
     b[:-1] = np.where(off == 0.0, _DENORM, np.abs(off))
     r = np.zeros(n)
     r[1:] = off2 / b[:-1]  # inf where e2 overflowed
     usable = np.isfinite(r)
-    r[~usable] = 0.0  # kept out of inf - inf; those rows get -inf below
+    r[~usable] = 0.0
+    return b, r, usable
+
+
+def _threshold_floor(diag, b, r, usable):
+    # The half of _tail_certificate that reads the diagonal: each row gets a
+    # threshold t_i checked to satisfy fl(fl(a_i - t_i) - r_i) >= b_i in
+    # exactly the float operations of the pass, or -inf where that fails
+    # (and on rows that are not usable).  Returns the suffix minima of t, an
+    # ascending array.
     with np.errstate(over="ignore"):  # a threshold below -DBL_MAX is -inf, still sound
         t = (diag - r) - b
         ok = usable & (((diag - t) - r) >= b)
@@ -203,8 +222,87 @@ def _tail_certificate(diag, off, off2):
         t[retry] -= 4.0 * np.finfo(float).eps * (np.abs(diag) + r + b)[retry]
         ok |= retry & (((diag - t) - r) >= b)
     t[~ok] = -np.inf
-    floor = np.minimum.accumulate(t[::-1])[::-1]
-    return b.tolist(), floor.tolist()
+    return np.minimum.accumulate(t[::-1])[::-1]
+
+
+def _tail_certificate(diag, off, off2):
+    # The per-operator certificate of _count_below: the lists (bound, floor),
+    # bound the b of _coupling_certificate and floor the suffix minima of
+    # the thresholds t (_threshold_floor), so floor is ascending.
+    b, r, usable = _coupling_certificate(off, off2)
+    return b.tolist(), _threshold_floor(diag, b, r, usable).tolist()
+
+
+class _Couplings:
+    """What a Sturm bisection reads of the couplings ``off`` of tridiag(., off),
+    whatever the diagonal: each view is built on first use and kept, so every
+    operator that shares these couplings shares the views.  ``off`` is a
+    float array of finite entries with finite squares, as ``_operator`` (or
+    ``eigensolver.DiscreteHamiltonian``) checks them."""
+
+    def __init__(self, off):
+        self.off = off
+
+    @cached_property
+    def off2(self) -> list:
+        # the squared couplings, as every Sturm pass reads them
+        return (self.off * self.off).tolist()
+
+    @cached_property
+    def abs_off(self) -> np.ndarray:
+        return np.abs(self.off)
+
+    @cached_property
+    def radius(self) -> np.ndarray:
+        # the Gershgorin radius of each row
+        radius = np.zeros(self.off.shape[0] + 1)
+        radius[:-1] += self.abs_off
+        radius[1:] += self.abs_off
+        return radius
+
+    @cached_property
+    def certificate(self):
+        # _coupling_certificate's (b, r, usable)
+        return _coupling_certificate(self.off, self.off * self.off)
+
+    @cached_property
+    def bound(self) -> list:
+        # the b of the tail certificate, as _count_below reads it
+        return self.certificate[0].tolist()
+
+
+class _Tridiagonal:
+    """tridiag(diagonal, couplings.off) with the views a bisection reads.
+
+    ``diagonal`` is a finite float array and ``couplings`` a
+    :class:`_Couplings`.  The views of the diagonal are built on first use,
+    at most once per operator, and kept; a caller that makes one pass reads
+    ``memoryview(diagonal)`` instead and builds none of them.
+    """
+
+    def __init__(self, diagonal, couplings):
+        self.diagonal = diagonal
+        self.couplings = couplings
+
+    def __len__(self) -> int:
+        # the number of rows
+        return self.diagonal.shape[0]
+
+    @cached_property
+    def diag_list(self) -> list:
+        return self.diagonal.tolist()
+
+    @cached_property
+    def ends(self) -> tuple[float, float]:
+        # gershgorin_bounds
+        radius = self.couplings.radius
+        return float(np.min(self.diagonal - radius)), float(np.max(self.diagonal + radius))
+
+    @cached_property
+    def floor(self) -> memoryview:
+        # the floor of the tail certificate; it only feeds bisect_left, which
+        # reads a memoryview without a tolist() of every row
+        return memoryview(_threshold_floor(self.diagonal, *self.couplings.certificate))
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
@@ -229,11 +327,7 @@ def _narrow_bracket(predicate, lo: float, hi: float, width: float) -> tuple[floa
 
 def _gershgorin(diag, off):
     # gershgorin_bounds of an operator _operator already checked
-    off = np.abs(off)
-    radius = np.zeros_like(diag)
-    radius[:-1] += off
-    radius[1:] += off
-    return float(np.min(diag - radius)), float(np.max(diag + radius))
+    return _Tridiagonal(diag, _Couplings(off)).ends
 
 
 def gershgorin_bounds(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
@@ -242,8 +336,8 @@ def gershgorin_bounds(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
 
 
 def eigvalsh_bisect(
-    diag: np.ndarray,
-    off: np.ndarray,
+    diag: np.ndarray | _Tridiagonal,
+    off: np.ndarray | None,
     k: int,
     tol: float = 1e-10,
     guesses=None,
@@ -273,9 +367,19 @@ def eigvalsh_bisect(
     ETNA 3, 1995), so a midpoint inside a seeded bracket gets the decision a
     pass would give, and values and widths do not depend on the guesses; a
     good guess only saves the passes far from the level's bracket edges.
+
+    ``diag`` and ``off`` are the entries, checked here.  An operator whose
+    entries are already checked, a :class:`_Tridiagonal` such as
+    ``eigensolver.DiscreteHamiltonian``, is passed as ``diag`` with ``off``
+    None: the bisection then reads that operator's views, which it builds on
+    first use and keeps, so they are built once per operator.
     """
-    diag, off = _operator(diag, off)
-    n = diag.shape[0]
+    if isinstance(diag, _Tridiagonal) and off is None:
+        op = diag
+    else:
+        diag, off = _operator(diag, off)
+        op = _Tridiagonal(diag, _Couplings(off))
+    n = len(op)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if not (math.isfinite(tol) and tol > 0.0):
@@ -286,13 +390,12 @@ def eigvalsh_bisect(
             raise ValueError(f"guesses must hold one value per level, k = {k}")
         if not np.all(np.isfinite(guesses)):
             raise ValueError("guesses must be finite")
-    lo0, hi0 = _gershgorin(diag, off)
+    lo0, hi0 = op.ends
     if lo0 == hi0:
         lo0 -= 1.0
         hi0 += 1.0
-    off2 = off * off
-    tail = _tail_certificate(diag, off, off2)
-    diag_l, off2_l = diag.tolist(), off2.tolist()
+    diag_l, off2_l = op.diag_list, op.couplings.off2
+    tail = op.couplings.bound, op.floor
     below = [-math.inf] * k  # below[j]: the largest shift counted with count <= j
     above = [math.inf] * k   # above[j]: the smallest shift counted with count >= j + 1
 
@@ -355,8 +458,8 @@ def _decay_table(diag, abs_off, x):
         return last, np.cumsum(np.arccosh(0.5 * t[last:]))
 
 
-def _wall_level(diag, off, x, lo, hi):
-    # A guess at the lowest level of tridiag(diag, off), for an operator
+def _wall_level(op: _Tridiagonal, x, lo, hi):
+    # A guess at the lowest level of the _Tridiagonal ``op``, for an operator
     # whose lowest vector peaks at row 0 (the even sector at a Neumann wall),
     # from the start x, with no product by T and no scipy.  None when a step
     # leaves [lo, hi], meets a value that is not finite or a shift at or
@@ -382,11 +485,11 @@ def _wall_level(diag, off, x, lo, hi):
     # e^(-2K) relative.  K grows with the convergence, keeping the
     # truncation below the next step's error, and the step at
     # K = _WALL_K_LAST is the last.  A decay table serves every step at or
-    # below the shift it was taken at; the lists hold the rows that the last
-    # step would read, in the order a sweep reads them.
-    n = diag.shape[0]
-    abs_off = np.abs(off)
-    off2 = off * off
+    # below the shift it was taken at; the reversed slices of op's lists hold
+    # the rows that the last step would read, in the order a sweep reads them.
+    diag, abs_off = op.diagonal, op.couplings.abs_off
+    diag_l, off2_l = op.diag_list, op.couplings.off2
+    n = len(diag_l)
     K = _WALL_K_FIRST
     table_x = -math.inf
     x_prev = s_prev = None
@@ -395,8 +498,8 @@ def _wall_level(diag, off, x, lo, hi):
             table_x = x
             last, decay = _decay_table(diag, abs_off, x)
             top = min(last + int(np.searchsorted(decay, _WALL_K_LAST)), n - 1)
-            diag_r = diag[:top + 1][::-1].tolist()
-            off2_r = off2[:top][::-1].tolist()
+            diag_r = diag_l[top::-1]
+            off2_r = off2_l[top - 1::-1] if top else []
         skip = top - min(last + int(np.searchsorted(decay, K)), n - 1)
         d = diag_r[skip] - x
         s = 1.0

@@ -467,6 +467,42 @@ def test_convergence_maps_to_exit_2(monkeypatch, capsys):
     assert "code=convergence" in capsys.readouterr().err
 
 
+def test_a_node_count_numpy_refuses_exits_1_naming_it(capsys):
+    # 4 L / epsilon = 2.4e302 nodes: numpy refuses the count before allocating
+    assert run(["cutoff-sweep", "--epsilon", "1e-300"]) == 1
+    n = math.ceil(4.0 * 60.0 / 1e-300)
+    assert capsys.readouterr().err == (
+        f"error: code=invalid a grid of n = {n} nodes is too large to allocate\n")
+
+
+def test_a_node_count_that_cannot_be_allocated_exits_1_naming_it(monkeypatch, capsys):
+    # a grid of 10^12 nodes would need 8 TB: the allocation fails, simulated
+    # here so that no test asks the machine for it
+    arange = np.arange
+
+    def refusing(*args, **kwargs):
+        if len(args) == 2 and args[1] - args[0] > 10**9:
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", refusing)
+    assert run(["cutoff-sweep", "--epsilon", "0.2", "--n", "1000000000000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: code=invalid a grid of n = 1000000000000 nodes is too large to allocate\n")
+
+
+def test_memory_error_maps_to_exit_1(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, "cutoff_sweep", boom)
+    assert run(["cutoff-sweep", "--epsilon", "0.2", "--n", "1000000000000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: code=invalid out of memory: Unable to allocate 7.28 TiB for an array "
+        "with shape (1000000000000,) and data type float64\n")
+
+
 def test_format_both_requires_out(capsys):
     assert run(["convert", "--pcrit-si", "--format", "both"]) == 1
 

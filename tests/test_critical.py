@@ -21,7 +21,6 @@ from dipole1d.critical import (
 )
 from dipole1d.eigensolver import (
     AlphaCritEstimate,
-    DiscreteHamiltonian,
     Grid,
     IntegrationError,
     discretize,
@@ -197,9 +196,8 @@ def _bisection_binds(spec, grid):
 
 def _kinetic_operator(spec, grid):
     # what physical_dipole_scan hands _binds: the operator of spec's family
-    # at V = 0 and its squared couplings
-    diag, off, note, nodes = eigensolver._kinetic_part(spec, grid)
-    return DiscreteHamiltonian(diag, off, grid, note, nodes), (off * off).tolist()
+    # at V = 0, which keeps its squared couplings
+    return eigensolver._kinetic_part(spec, grid)
 
 
 def test_binds_matches_bisected_ground_state_on_dipole_scan_grid():
@@ -212,14 +210,14 @@ def test_binds_matches_bisected_ground_state_on_dipole_scan_grid():
     on_ladder = []
     for p in ladder:
         want = _bisection_binds(PointDipole(p), grid)
-        assert crit._binds(PointDipole(p), *point) is want
+        assert crit._binds(PointDipole(p), point) is want
         on_ladder.append(want)
     assert on_ladder == sorted(on_ladder) and on_ladder[0] is False and on_ladder[-1] is True
     for p in bracket:
-        assert crit._binds(PointDipole(p), *point) is _bisection_binds(PointDipole(p), grid)
+        assert crit._binds(PointDipole(p), point) is _bisection_binds(PointDipole(p), grid)
         for d in (1.0, 0.5, 0.2, 0.1, 0.05):
             spec = PhysicalDipole(Q=p / d, d=d, epsilon=1e-3)
-            assert crit._binds(spec, *two_centre) is _bisection_binds(spec, grid)
+            assert crit._binds(spec, two_centre) is _bisection_binds(spec, grid)
 
 
 def test_binds_refuses_the_operators_discretize_refuses():
@@ -231,7 +229,7 @@ def test_binds_refuses_the_operators_discretize_refuses():
         with pytest.raises(ValueError, match="entries must be finite"):
             discretize(spec, grid)
         with pytest.raises(ValueError, match="entries must be finite"):
-            crit._binds(spec, *_kinetic_operator(spec, grid))
+            crit._binds(spec, _kinetic_operator(spec, grid))
         # couplings -1/(2 h^2) whose square overflows
         with pytest.raises(ValueError, match="finite square"):
             _kinetic_operator(spec, Grid("uniform", -1e-75, 1e-75, 3001))
@@ -305,9 +303,9 @@ def test_discretize_bit_identical_to_one_piece_reference(spec, grid):
     assert H.offdiagonal.tobytes() == off.tobytes()
     assert H.nodes.tobytes() == nodes.tobytes()
     assert H.bc_note == note
-    kin_diag, kin_off, kin_note, kin_nodes = eigensolver._kinetic_part(spec, grid)
-    assert (kin_diag + spec.potential(kin_nodes)).tobytes() == diag.tobytes()
-    assert kin_off.tobytes() == off.tobytes() and kin_note == note
+    kin = eigensolver._kinetic_part(spec, grid)
+    assert (kin.diagonal + spec.potential(kin.nodes)).tobytes() == diag.tobytes()
+    assert kin.offdiagonal.tobytes() == off.tobytes() and kin.bc_note == note
 
 
 def test_dipole_scan_builds_two_kinetic_parts_and_never_discretizes(monkeypatch):
@@ -322,9 +320,9 @@ def test_dipole_scan_builds_two_kinetic_parts_and_never_discretizes(monkeypatch)
         parts.append(type(spec))
         return kinetic_part(spec, grid)
 
-    def counted_binds(spec, kin, off2):
+    def counted_binds(spec, kin):
         binds.append(type(spec))
-        return binds_fn(spec, kin, off2)
+        return binds_fn(spec, kin)
 
     monkeypatch.setattr(eigensolver, "discretize", no_discretize)
     monkeypatch.setattr(crit, "_kinetic_part", counted_part)
@@ -334,6 +332,30 @@ def test_dipole_scan_builds_two_kinetic_parts_and_never_discretizes(monkeypatch)
     assert len(binds) == 18
     assert binds.count(PhysicalDipole) == 5  # every row binds at the bracket bottom
     assert res.point_dipole_reference is not None
+
+
+def test_dipole_scan_reads_each_diagonal_in_place(monkeypatch):
+    # one Sturm pass per operator: each predicate reads its diagonal through
+    # a memoryview, and no list view beyond the squared couplings is built
+    kinetic, diagonals = [], []
+    kinetic_part, count_below = crit._kinetic_part, crit._count_below
+
+    def recorded_part(spec, grid):
+        kinetic.append(kinetic_part(spec, grid))
+        return kinetic[-1]
+
+    def recorded_count(diag, *args):
+        diagonals.append(diag)
+        return count_below(diag, *args)
+
+    monkeypatch.setattr(crit, "_kinetic_part", recorded_part)
+    monkeypatch.setattr(crit, "_count_below", recorded_count)
+    physical_dipole_scan(d_list=(1.0, 0.5, 0.2, 0.1, 0.05), n=3001)
+    assert len(diagonals) == 18 and all(isinstance(d, memoryview) for d in diagonals)
+    for kin in kinetic:
+        assert "off2" in vars(kin.couplings)
+        assert not {"diag_list", "ends", "floor"} & set(vars(kin))
+        assert not {"abs_off", "radius", "certificate", "bound"} & set(vars(kin.couplings))
 
 
 @pytest.mark.parametrize("n", [None, 3001])
@@ -354,7 +376,7 @@ def test_binds_is_nondecreasing_in_p_on_the_dipole_scan_grid():
         for d in (1.0, 0.5, 0.2, 0.1, 0.05)
     ]
     for spec_at, kin in configurations:
-        on_ladder = [crit._binds(spec_at(p), *kin) for p in ladder]
+        on_ladder = [crit._binds(spec_at(p), kin) for p in ladder]
         assert on_ladder == sorted(on_ladder)
         assert on_ladder[0] is False and on_ladder[-1] is True
 
@@ -375,9 +397,9 @@ def test_bisect_p_matches_the_two_predicate_reference(monkeypatch):
     workloads = importlib.import_module("workloads")
     bisect_p, statuses = crit._bisect_p, set()
 
-    def compared(spec_at, kin, off2):
-        got = bisect_p(spec_at, kin, off2)
-        assert got == _seed_bisect_p(lambda p: crit._binds(spec_at(p), kin, off2))
+    def compared(spec_at, kin):
+        got = bisect_p(spec_at, kin)
+        assert got == _seed_bisect_p(lambda p: crit._binds(spec_at(p), kin))
         statuses.add(got[2])
         return got
 
@@ -398,8 +420,8 @@ def test_a_configuration_only_the_bracket_top_refuses_is_still_refused(monkeypat
     d = 2.0 * float(grid.nodes[np.searchsorted(grid.nodes, 0.3)])
     binds_fn, passes = crit._binds, []
 
-    def counted_binds(spec, kin, off2):
-        passes.append(binds_fn(spec, kin, off2))
+    def counted_binds(spec, kin):
+        passes.append(binds_fn(spec, kin))
         return passes[-1]
 
     monkeypatch.setattr(crit, "_binds", counted_binds)

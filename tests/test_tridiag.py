@@ -1008,8 +1008,11 @@ def test_vectorless_solves_keep_the_raw_guesses(monkeypatch):
 
 def test_vector_solve_checks_the_operator_and_builds_the_start_vector_once(monkeypatch):
     # seeds, bisection and returned vectors share one operator check and one
-    # start vector, whatever k is
-    calls = {"_operator": 0, "_start_vector": 0}
+    # start vector, whatever k is.  The check is the record's, when it is
+    # built (one _Couplings, which the potential's operator shares), so the
+    # solve checks no arrays; and it builds each view of the operator once
+    calls = {"_operator": 0, "_start_vector": 0, "_Couplings": 0,
+             "_coupling_certificate": 0, "_threshold_floor": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -1022,11 +1025,17 @@ def test_vector_solve_checks_the_operator_and_builds_the_start_vector_once(monke
         for module in (tridiag, es):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, fn)
-    H, k, tol = _pipeline_operators()["coulomb_log_384"]
+    H = discretize(Coulomb(1.0), Grid("logarithmic", 1e-5, 200.0, 384))
+    k, tol = 3, 1e-11
     sp = lowest_eigenvalues(H, k, tol=tol, guesses=[-0.5, -0.125, -1.0 / 18.0],
                             want_vectors=True)
-    assert calls == {"_operator": 1, "_start_vector": 1}
+    assert calls == {"_operator": 0, "_start_vector": 1, "_Couplings": 1,
+                     "_coupling_certificate": 1, "_threshold_floor": 1}
     assert sp.eigenvectors.shape == (k, H.size)
+    # a second solve on the same operator builds no view again
+    lowest_eigenvalues(H, k, tol=tol, want_vectors=False)
+    assert calls == {"_operator": 0, "_start_vector": 1, "_Couplings": 1,
+                     "_coupling_certificate": 1, "_threshold_floor": 1}
 
 
 def test_final_vector_failure_raises_at_the_first_failed_level(monkeypatch):
@@ -1165,6 +1174,42 @@ def test_cutoff_cap_levels_equal_the_frozen_bisection(seed, monkeypatch):
         assert abs(guesses[0] - want_vals[0]) < es._CUTOFF_TOL
 
 
+def test_cached_views_equal_fresh_ones(monkeypatch):
+    # each view a record built once equals the one built fresh from its
+    # arrays, after solves have read it: on every pipeline operator, and on
+    # the five caps of the default sweep, which share one kinetic operator's
+    # coupling views
+    records = []
+    for H, k, tol in _pipeline_operators().values():
+        lowest_eigenvalues(H, k, tol=tol, want_vectors=False)
+        records.append(H)
+    solves = _record_cap_solves(monkeypatch)
+    es.cutoff_sweep()
+    caps = [H for H, _, _ in solves]
+    assert len(caps) == 5 and len({id(H.couplings) for H in caps}) == 1
+    for H in records + caps:
+        diag, off = H.diagonal, H.offdiagonal
+        assert H.diag_list == diag.tolist()
+        assert H.couplings.off2 == (off * off).tolist()
+        assert H.ends == tridiag._gershgorin(diag, off)
+        assert (H.couplings.bound, H.floor.tolist()) == _tail_certificate(diag, off, off * off)
+
+
+def test_cutoff_sweep_builds_one_kinetic_part_per_grid(monkeypatch):
+    # the five caps share the half line's kinetic operator; the full-line
+    # check builds its own
+    grids = []
+    kinetic_part = es._kinetic_part
+
+    def counted(spec, grid):
+        grids.append(grid)
+        return kinetic_part(spec, grid)
+
+    monkeypatch.setattr(es, "_kinetic_part", counted)
+    es.cutoff_sweep(**_CUTOFF_KW)
+    assert [(g.left_bc, g.n) for g in grids] == [("neumann", 3200), ("dirichlet", 6399)]
+
+
 def test_cutoff_caps_take_few_passes(monkeypatch, tmp_path):
     # 14 passes on the five caps and 2 on the full-line check; without the
     # _wall_level seeds the caps take 260
@@ -1190,14 +1235,14 @@ def test_wall_level_refuses_a_zero_backward_pivot(diag, off, x):
     # lowest level; the sweep stops there, before dividing by it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert tridiag._wall_level(diag, off, x, -10.0, 10.0) is None
+        assert tridiag._wall_level(_hamiltonian(diag, off), x, -10.0, 10.0) is None
 
 
 def test_wall_level_stops_on_a_zero_pivot_at_the_wall():
     # D_0 = 1 - 1 / 1 = 0 at x = 0: x is the level, and the step is 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert tridiag._wall_level(np.ones(2), np.array([-1.0]), 0.0, -1.0, 1.0) == 0.0
+        assert tridiag._wall_level(_hamiltonian(np.ones(2), [-1.0]), 0.0, -1.0, 1.0) == 0.0
 
 
 def test_wall_level_refuses_a_start_above_the_trailing_block():
@@ -1206,8 +1251,8 @@ def test_wall_level_refuses_a_start_above_the_trailing_block():
     H = _cap_operator(0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert tridiag._wall_level(H.diagonal, H.offdiagonal, -0.3, -5.0, math.inf) is None
-        g = tridiag._wall_level(H.diagonal, H.offdiagonal, -5.0, -5.0, math.inf)
+        assert tridiag._wall_level(H, -0.3, -5.0, math.inf) is None
+        g = tridiag._wall_level(H, -5.0, -5.0, math.inf)
     level = eigvalsh_bisect(H.diagonal, H.offdiagonal, 1)[0][0]
     assert abs(g - level) < 1e-10
 
@@ -1222,7 +1267,7 @@ def test_wall_level_reads_the_block_above_a_zero_coupling():
     block = eigvalsh_bisect(H.diagonal[:301], off[:300], 1)[0][0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g = tridiag._wall_level(H.diagonal, off, -10.0, -80.0, -10.0)
+        g = tridiag._wall_level(_hamiltonian(H.diagonal, off), -10.0, -80.0, -10.0)
     assert abs(g - block) < 1e-10
     assert block > eigvalsh_bisect(H.diagonal, H.offdiagonal, 1)[0][0] + 1e-6
 
@@ -1248,8 +1293,8 @@ def test_cutoff_sweep_restarts_a_cap_at_the_well_floor(monkeypatch):
     starts = []
     wall_level = es._wall_level
 
-    def recorded(diag, off, x, lo, hi):
-        g = wall_level(diag, off, x, lo, hi)
+    def recorded(H, x, lo, hi):
+        g = wall_level(H, x, lo, hi)
         starts.append((x, g))
         return g
 
@@ -1266,11 +1311,11 @@ def test_cutoff_sweep_levels_do_not_depend_on_the_seeds(bad, monkeypatch):
     want = es.cutoff_sweep(**_CUTOFF_KW)
     wall_level = es._wall_level
 
-    def spoiled(diag, off, x, lo, hi):
+    def spoiled(H, x, lo, hi):
         if bad == "start-above-trailing":
-            return wall_level(diag, off, -0.3, lo, hi)
+            return wall_level(H, -0.3, lo, hi)
         if bad == "wrong-guess":
-            g = wall_level(diag, off, x, lo, hi)
+            g = wall_level(H, x, lo, hi)
             return None if g is None else g + 0.5
         return None
 

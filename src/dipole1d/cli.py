@@ -50,7 +50,7 @@ from .frobenius import (
     recursion_residuals,
     series_coefficients,
 )
-from .potentials import family_for_keys, spec_from_record, spec_to_record
+from .potentials import InverseSquare, family_for_keys, spec_from_record, spec_to_record
 # unused here; the benchmark's tracer self-test wraps dipole1d.cli.sturm_count
 from .tridiag import sturm_count  # noqa: F401
 from .units import ATOMIC_UNIT_SI, ConstantSet, atomic_to_si, si_to_atomic
@@ -300,6 +300,10 @@ _SPECTRUM_GRID = Grid("uniform", -30.0, 30.0, 4001)
 
 def _cmd_spectrum(args, c: ConstantSet, file_cfg) -> int:
     spec = _potential_from_args(args, file_cfg, c)
+    if isinstance(spec, InverseSquare) and args.domain is None:
+        raise _UsageError("inverse-square problems are posed on y > 0, but the default grid "
+                          f"starts at x_min = {_fmt(_SPECTRUM_GRID.x_min)}; they need a log grid: "
+                          "--grid log --domain A:B with 0 < A")
     grid = _grid_from_args(args, c, _SPECTRUM_GRID)
     check_resolution(spec, grid)
     H = discretize(spec, grid)
@@ -460,6 +464,8 @@ def _cmd_convert(args, c: ConstantSet, file_cfg) -> int:
         rows.append(("length", x_au, atomic_to_si(c, "length", x_au), "m"))
     if args.alpha is not None:
         alpha = _number(args.alpha, "dimensionless", c)
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha!r}")
         rows.append(("alpha", alpha, None, None))
         if alpha > 0:
             p_au = alpha / 2.0

@@ -25,6 +25,7 @@ from .eigensolver import (
     Grid,
     GridAlignmentError,
     _kinetic_part,
+    _log_span,
     find_alpha_crit,
 )
 from .potentials import PhysicalDipole, PointDipole
@@ -117,12 +118,12 @@ def p_crit_numeric(
     Each window (delta, L) yields a threshold 1/4 + (pi/ln(L/delta))^2 up to
     bisection tolerance; fitting the estimates linearly in z = 1/ln^2(L/delta)
     and reading the intercept removes the bias.  Windows must come with
-    strictly increasing ln(L/delta), and the measured thresholds must strictly
-    decrease accordingly or :class:`ExtrapolationError` is raised.
+    finite, strictly increasing ln(L/delta), and the measured thresholds must
+    strictly decrease accordingly or :class:`ExtrapolationError` is raised.
     """
     if len(windows) < 2:
         raise ValueError("need at least 2 windows to extrapolate")
-    log_ratios = [math.log(L / d) for d, L in windows]
+    log_ratios = [_log_span(d, L) for d, L in windows]
     if any(b <= a for a, b in zip(log_ratios[:-1], log_ratios[1:])):
         raise ValueError("windows must have strictly increasing ln(L/delta)")
 

@@ -43,8 +43,8 @@ from .potentials import (
     eval_potential_grid,
 )
 from .tridiag import (
-    _OFF_MAX,
     _Couplings,
+    _diagonal,
     _eigenvectors,
     _failure,
     _narrow_bracket,
@@ -211,15 +211,14 @@ class DiscreteHamiltonian(_Tridiagonal):
     grid's nodes when a pinned zero or a sign restriction removed some).
     Off-diagonal entries are negative kinetic couplings; a decoupling across
     an interior pinned zero is stored as an exact 0.  Construction refuses
-    entries that are not finite and couplings whose square is not, so a
-    Sturm pass can read any operator without further checks.
+    nodes that do not match the diagonal and positive couplings; tridiag's
+    ``_diagonal`` and ``_Couplings`` check the rest, as for any operator.
 
     ``couplings`` holds the Sturm setup that depends on the couplings alone
-    (``tridiag._Couplings``).  An operator made by :meth:`plus` shares it
-    with the operator it was made from, whose checks of the couplings it
-    does not repeat; any other construction checks the couplings and builds
-    it.  The views of the diagonal (``tridiag._Tridiagonal``) are built on
-    first use, at most once per operator.
+    (``tridiag._Couplings``, built once with their checks): an operator made
+    by :meth:`plus` shares it with the one it was made from.  The views of
+    the diagonal (``tridiag._Tridiagonal``) are built on first use, at most
+    once per operator.
     """
 
     diagonal: np.ndarray
@@ -230,25 +229,18 @@ class DiscreteHamiltonian(_Tridiagonal):
     couplings: _Couplings | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.diagonal, dtype=float)
         e = np.asarray(self.offdiagonal, dtype=float)
+        d = _diagonal(self.diagonal, e)
         x = np.asarray(self.nodes, dtype=float)
+        if x.shape != d.shape:
+            raise ValueError("nodes must hold one position per diagonal entry")
+        if self.couplings is None or self.couplings.off is not e:
+            object.__setattr__(self, "couplings", _Couplings(e))
+            if np.any(e > 0.0):
+                raise ValueError("off-diagonal kinetic couplings must be <= 0")
         object.__setattr__(self, "diagonal", d)
         object.__setattr__(self, "offdiagonal", e)
         object.__setattr__(self, "nodes", x)
-        if d.ndim != 1 or e.shape != (d.shape[0] - 1,) or x.shape != d.shape:
-            raise ValueError("inconsistent operator array shapes")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("operator entries must be finite")
-        if self.couplings is not None and self.couplings.off is e:
-            return
-        if not np.all(np.isfinite(e)):
-            raise ValueError("operator entries must be finite")
-        if np.any(e > 0.0):
-            raise ValueError("off-diagonal kinetic couplings must be <= 0")
-        if not np.all(np.abs(e) <= _OFF_MAX):
-            raise ValueError(f"off entries must have a finite square, |off| <= {_OFF_MAX!r}")
-        object.__setattr__(self, "couplings", _Couplings(e))
 
     @property
     def size(self) -> int:
@@ -264,10 +256,7 @@ class DiscreteHamiltonian(_Tridiagonal):
         predicate, one Sturm pass per potential), without building the
         operator record.
         """
-        diag = self.diagonal + eval_potential_grid(spec, self.nodes)
-        if not np.all(np.isfinite(diag)):
-            raise ValueError("operator entries must be finite")
-        return diag
+        return _diagonal(self.diagonal + eval_potential_grid(spec, self.nodes), self.offdiagonal)
 
     def plus(self, spec: PotentialSpec) -> "DiscreteHamiltonian":
         """This operator with ``spec``'s potential added to its diagonal.
@@ -313,7 +302,8 @@ def _kinetic_part(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
     # nodes.  It depends on spec only through its family and pinned zeros,
     # never through V, so one serves every potential of the family on grid.
     if isinstance(spec, InverseSquare) and grid.x_min < 0.0:
-        raise ValueError("inverse-square problems are posed on y > 0")
+        raise ValueError("inverse-square problems are posed on y > 0, but the grid starts at "
+                         f"x_min = {grid.x_min!r}")
     nodes = grid.nodes
     n = nodes.shape[0]
     scale = max(abs(grid.x_min), abs(grid.x_max), 1.0)
@@ -494,8 +484,6 @@ def lowest_eigenvalues(
     once per operator, however many solves read them.  The seeds and the
     returned vectors share one start vector.
     """
-    if not 1 <= k <= H.size:
-        raise ValueError(f"k must be in [1, {H.size}], got {k}")
     start = _start_vector(H.size) if want_vectors else None
     if want_vectors and guesses is not None:
         guesses = _rayleigh_seeds(H, guesses, start)
@@ -764,6 +752,17 @@ def cutoff_sweep(
     )
 
 
+def _log_span(delta: float, L: float) -> float:
+    # ln(L/delta) of the window (delta, L), refused unless 0 < delta < L and
+    # both L and the span are finite
+    if not (0.0 < delta < L) or not math.isfinite(L):
+        raise ValueError("need 0 < delta < L, both finite")
+    span = math.log(L / delta)
+    if not math.isfinite(span):
+        raise ValueError(f"log(L/delta) is not finite for delta = {delta!r}, L = {L!r}")
+    return span
+
+
 def zero_energy_node_count(alpha: float, delta: float, L: float) -> int:
     """Interior nodes on (delta, L) of the zero-energy solution with
     psi(delta) = 0, psi'(delta) = 1, as fixed-step RK4 resolves it.
@@ -793,11 +792,7 @@ def zero_energy_node_count(alpha: float, delta: float, L: float) -> int:
     """
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    if not (0.0 < delta < L) or not math.isfinite(L):
-        raise ValueError("need 0 < delta < L, both finite")
-    span = math.log(L / delta)
-    if not math.isfinite(span):
-        raise ValueError(f"log(L/delta) is not finite for delta = {delta!r}, L = {L!r}")
+    span = _log_span(delta, L)
     nsteps = max(256, int(math.ceil(span * _STEPS_PER_UNIT)))
     coef = 0.25 - alpha
     if coef >= 0.0:
@@ -820,9 +815,7 @@ def zero_energy_node_count(alpha: float, delta: float, L: float) -> int:
 
 def window_bias(delta: float, L: float) -> float:
     """Detected threshold on a finite window: 1/4 + (pi / ln(L/delta))^2."""
-    if not (0.0 < delta < L):
-        raise ValueError("need 0 < delta < L")
-    return 0.25 + (math.pi / math.log(L / delta)) ** 2
+    return 0.25 + (math.pi / _log_span(delta, L)) ** 2
 
 
 @dataclass(frozen=True)
@@ -856,8 +849,7 @@ def find_alpha_crit(
     ``half_width`` reports which.  Raises :class:`BracketError` when the
     window is too short to oscillate even at alpha = 2.
     """
-    if not (0.0 < delta < L):
-        raise ValueError("need 0 < delta < L")
+    _log_span(delta, L)  # refuses a window without a finite ln(L/delta)
     if not (math.isfinite(tol_alpha) and tol_alpha > 0.0):
         raise ValueError(f"tol_alpha must be finite and > 0, got {tol_alpha!r}")
 

@@ -14,8 +14,9 @@ it, as the caps of ``eigensolver.cutoff_sweep`` share their kinetic
 operator's.  ``_Tridiagonal`` (which ``eigensolver.DiscreteHamiltonian``
 extends) adds what depends on the diagonal: the diagonal as a list, the
 Gershgorin ends and the certificate's threshold floor, the last kept as a
-memoryview because it only feeds ``bisect_left``.  ``eigvalsh_bisect``
-checks its arrays and builds these views for its one solve.  A caller that
+memoryview because it only feeds ``bisect_left``.  ``_Couplings`` and
+``_diagonal`` check every operator, from arrays (``_operator``) or a record,
+and ``eigvalsh_bisect`` builds these views for its one solve.  A caller that
 makes one pass per operator (``sturm_count``, and the dipole scan's binding
 predicate ``critical._binds``) reads its diagonal in place through a
 memoryview, which yields the same doubles but builds each only when the
@@ -116,19 +117,21 @@ _WALL_K_RATE = 2.0  # K after a step of relative size r is -_WALL_K_RATE * ln(r)
 _WALL_STEPS = 12  # _wall_level steps before its guess is dropped
 
 
-def _operator(diag, off):
-    # float arrays of tridiag(diag, off); the early-stop proof needs finite
-    # entries, and the pass needs finite squares e^2: an inf e^2 meets inf / inf
-    # and miscounts silently
+def _diagonal(diag, off) -> np.ndarray:
+    # diag as the checked diagonal of tridiag(diag, off), off a float array:
+    # one row more than off, and finite entries, as the early-stop proof needs
     diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
     if diag.ndim != 1 or off.shape != (diag.shape[0] - 1,):
         raise ValueError("off must have length n - 1")
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
-        raise ValueError("diag and off must be finite")
-    if not np.all(np.abs(off) <= _OFF_MAX):
-        raise ValueError(f"off entries must have a finite square, |off| <= {_OFF_MAX!r}")
-    return diag, off
+    if not np.all(np.isfinite(diag)):
+        raise ValueError("operator entries must be finite")
+    return diag
+
+
+def _operator(diag, off) -> "_Tridiagonal":
+    # the checked _Tridiagonal of the arrays tridiag(diag, off)
+    off = np.asarray(off, dtype=float)
+    return _Tridiagonal(_diagonal(diag, off), _Couplings(off))
 
 
 def _shift(x, name="x") -> float:
@@ -236,11 +239,16 @@ def _tail_certificate(diag, off, off2):
 class _Couplings:
     """What a Sturm bisection reads of the couplings ``off`` of tridiag(., off),
     whatever the diagonal: each view is built on first use and kept, so every
-    operator that shares these couplings shares the views.  ``off`` is a
-    float array of finite entries with finite squares, as ``_operator`` (or
-    ``eigensolver.DiscreteHamiltonian``) checks them."""
+    operator that shares these couplings shares the views.  Construction
+    refuses couplings that are not finite and those whose square is not: the
+    pass reads e^2, and an inf e^2 meets inf / inf and miscounts silently."""
 
     def __init__(self, off):
+        off = np.asarray(off, dtype=float)
+        if not np.all(np.isfinite(off)):
+            raise ValueError("operator entries must be finite")
+        if not np.all(np.abs(off) <= _OFF_MAX):
+            raise ValueError(f"off entries must have a finite square, |off| <= {_OFF_MAX!r}")
         self.off = off
 
     @cached_property
@@ -274,10 +282,10 @@ class _Couplings:
 class _Tridiagonal:
     """tridiag(diagonal, couplings.off) with the views a bisection reads.
 
-    ``diagonal`` is a finite float array and ``couplings`` a
-    :class:`_Couplings`.  The views of the diagonal are built on first use,
-    at most once per operator, and kept; a caller that makes one pass reads
-    ``memoryview(diagonal)`` instead and builds none of them.
+    ``diagonal`` is a float array that ``_diagonal`` checked against the
+    :class:`_Couplings` ``couplings``.  The views of the diagonal are built
+    on first use, at most once per operator, and kept; a caller that makes
+    one pass reads ``memoryview(diagonal)`` instead and builds none of them.
     """
 
     def __init__(self, diagonal, couplings):
@@ -307,8 +315,9 @@ class _Tridiagonal:
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     """Count eigenvalues of tridiag(diag, off) strictly below x."""
-    diag, off = _operator(diag, off)
-    return _count_below(memoryview(diag), memoryview(off * off), _shift(x))
+    op = _operator(diag, off)
+    off = op.couplings.off
+    return _count_below(memoryview(op.diagonal), memoryview(off * off), _shift(x))
 
 
 def _narrow_bracket(predicate, lo: float, hi: float, width: float) -> tuple[float, float]:
@@ -325,14 +334,9 @@ def _narrow_bracket(predicate, lo: float, hi: float, width: float) -> tuple[floa
     return lo, hi
 
 
-def _gershgorin(diag, off):
-    # gershgorin_bounds of an operator _operator already checked
-    return _Tridiagonal(diag, _Couplings(off)).ends
-
-
 def gershgorin_bounds(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
     """Interval certain to contain the whole spectrum."""
-    return _gershgorin(*_operator(diag, off))
+    return _operator(diag, off).ends
 
 
 def eigvalsh_bisect(
@@ -368,17 +372,12 @@ def eigvalsh_bisect(
     pass would give, and values and widths do not depend on the guesses; a
     good guess only saves the passes far from the level's bracket edges.
 
-    ``diag`` and ``off`` are the entries, checked here.  An operator whose
-    entries are already checked, a :class:`_Tridiagonal` such as
-    ``eigensolver.DiscreteHamiltonian``, is passed as ``diag`` with ``off``
-    None: the bisection then reads that operator's views, which it builds on
-    first use and keeps, so they are built once per operator.
+    ``diag`` and ``off`` are the entries, checked by ``_operator``.  A
+    :class:`_Tridiagonal` such as ``eigensolver.DiscreteHamiltonian``, checked
+    when it was built, is passed as ``diag`` with ``off`` None: the bisection
+    reads its views, built on first use and kept, so once per operator.
     """
-    if isinstance(diag, _Tridiagonal) and off is None:
-        op = diag
-    else:
-        diag, off = _operator(diag, off)
-        op = _Tridiagonal(diag, _Couplings(off))
+    op = diag if off is None and isinstance(diag, _Tridiagonal) else _operator(diag, off)
     n = len(op)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
@@ -592,9 +591,9 @@ def inverse_iteration(
     attempt, which is then repeated once at lam + 1e-13 * max(1, max|diag|);
     ValueError if that fails too.
     """
-    diag, off = _operator(diag, off)
+    op = _operator(diag, off)
     lam = _shift(lam, "lam")
-    v = _eigenvectors(diag, off, [lam], _start_vector(diag.shape[0]))[0]
+    v = _eigenvectors(op.diagonal, op.couplings.off, [lam], _start_vector(len(op)))[0]
     if np.isnan(v[0]):
         raise _failure(lam)
     return v

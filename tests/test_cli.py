@@ -54,6 +54,29 @@ def test_convert_requires_input(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "-inf", "inf"])
+def test_convert_refuses_a_non_finite_alpha(alpha, capsys):
+    # nan and -inf used to print an alpha row and exit 0; inf blamed the
+    # dipole moment it maps to
+    assert run(["convert", "--alpha", alpha]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: code=invalid alpha must be finite, got {alpha}\n"
+
+
+def test_spectrum_inverse_square_without_a_domain_names_the_grid_and_the_fix(capsys):
+    # the default spectrum grid is the uniform -30:30, which reaches y < 0
+    assert run(["spectrum", "--alpha", "1.25"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: code=usage inverse-square problems are posed on y > 0")
+    assert "x_min = -30;" in captured.err
+    assert "--grid log --domain A:B with 0 < A" in captured.err
+    # an explicit domain on y < 0 is refused by the library, which names it
+    assert run(["spectrum", "--alpha", "1.25", "--domain", "-5:5"]) == 1
+    assert "but the grid starts at x_min = -5.0" in capsys.readouterr().err
+
+
 def test_spectrum_matches_library(tmp_path):
     out = tmp_path / "box.csv"
     code = run(["spectrum", "--lambda", "0.0", "--domain", "0:3.141592653589793",
@@ -264,6 +287,19 @@ def test_critical_scan_overflowing_window_is_invalid(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: code=invalid")
     assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("windows, message", [
+    # both L/delta overflow to inf, which used to read as ln(L/delta) not increasing
+    ("1e-300:1e300,1e-301:1e301", "log(L/delta) is not finite for delta = 1e-300, L = 1e+300"),
+    # delta = 0 used to escape run() as a ZeroDivisionError
+    ("0:1e8,1e-8:1e8", "need 0 < delta < L, both finite"),
+])
+def test_critical_scan_refuses_a_window_whose_span_is_not_finite(windows, message, capsys):
+    assert run(["critical-scan", "--windows", windows]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: code=invalid {message}\n"
 
 
 def test_critical_scan_window_too_short_to_oscillate_is_a_bracket_error(capsys):

@@ -351,6 +351,18 @@ def test_discrete_hamiltonian_refuses_couplings_whose_square_overflows():
             es.DiscreteHamiltonian(np.zeros(16), np.full(15, e), g, "", g.nodes)
 
 
+def test_discrete_hamiltonian_raises_a_hamiltonians_own_rules():
+    # nodes that match the diagonal and couplings <= 0 are the record's
+    # rules; the length rule is tridiag's, with its text
+    g = Grid("uniform", 0.0, 1.0, 16)
+    with pytest.raises(ValueError, match="nodes must hold one position per diagonal entry"):
+        es.DiscreteHamiltonian(np.zeros(16), np.full(15, -1.0), g, "", g.nodes[:-1])
+    with pytest.raises(ValueError, match="off-diagonal kinetic couplings must be <= 0"):
+        es.DiscreteHamiltonian(np.zeros(16), np.full(15, 1.0), g, "", g.nodes)
+    with pytest.raises(ValueError, match="off must have length n - 1"):
+        es.DiscreteHamiltonian(np.zeros(16), np.full(16, -1.0), g, "", g.nodes)
+
+
 def test_hydrogen_convergence_guard(monkeypatch):
     calls = {"i": 0}
 

@@ -655,6 +655,37 @@ def test_gershgorin_bounds_validates_its_operator():
         gershgorin_bounds([1.0, math.nan], [1.0])
 
 
+_FINITE = "operator entries must be finite"
+_SQUARE = f"off entries must have a finite square, |off| <= {tridiag._OFF_MAX!r}"
+
+
+@pytest.mark.parametrize("diag, off, message", [
+    ([1.0, math.nan, 3.0], [-1.0, -1.0], _FINITE),
+    ([1.0, 2.0, 3.0], [-math.inf, -1.0], _FINITE),
+    ([1.0, 2.0, 3.0], [-1e200, -1.0], _SQUARE),
+], ids=["diagonal", "coupling", "square"])
+def test_each_operator_rule_has_one_refusal(diag, off, message):
+    # every front door, on arrays and on the record, refuses a fault with
+    # the one text tridiag raises for it
+    grid, nodes = Grid("uniform", 0.0, 1.0, 16), np.array([0.25, 0.5, 0.75])
+    doors = [
+        lambda: eigvalsh_bisect(diag, off, 2),
+        lambda: sturm_count(diag, off, 0.0),
+        lambda: gershgorin_bounds(diag, off),
+        lambda: inverse_iteration(diag, off, 0.5),
+        lambda: DiscreteHamiltonian(diag, off, grid, "", nodes),
+    ]
+    if message == _FINITE and not np.all(np.isfinite(diag)):
+        # a record's couplings are checked, so plus and diagonal_plus can
+        # only meet a diagonal fault: here V = -lam/|x| overflows to -inf
+        H = DiscreteHamiltonian([1.0, 2.0, 3.0], [-1.0, -1.0], grid, "", nodes)
+        doors += [lambda: H.plus(Coulomb(1e308)), lambda: H.diagonal_plus(Coulomb(1e308))]
+    for door in doors:
+        with pytest.raises(ValueError) as info:
+            door()
+        assert str(info.value) == message
+
+
 # Seeded bisection: guesses only choose where to count first, so values and
 # widths must equal the frozen reference's whatever the guesses are.
 
@@ -1191,7 +1222,7 @@ def test_cached_views_equal_fresh_ones(monkeypatch):
         diag, off = H.diagonal, H.offdiagonal
         assert H.diag_list == diag.tolist()
         assert H.couplings.off2 == (off * off).tolist()
-        assert H.ends == tridiag._gershgorin(diag, off)
+        assert H.ends == gershgorin_bounds(diag, off)
         assert (H.couplings.bound, H.floor.tolist()) == _tail_certificate(diag, off, off * off)
 
 

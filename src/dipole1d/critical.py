@@ -328,10 +328,10 @@ def physical_dipole_scan(
     d_list = tuple(float(d) for d in d_list)
     if not d_list:
         raise ValueError("d_list must not be empty")
-    if any(not d > 0.0 for d in d_list):
-        raise ValueError("every separation d must be > 0")
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be > 0")
+    if any(not (math.isfinite(d) and d > 0.0) for d in d_list):
+        raise ValueError("every separation d must be finite and > 0")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError("epsilon must be finite and > 0")
     a, b = float(domain[0]), float(domain[1])
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"domain ends must be finite, got {a!r}:{b!r}")

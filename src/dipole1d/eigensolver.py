@@ -43,6 +43,7 @@ from .potentials import (
     eval_potential_grid,
 )
 from .tridiag import (
+    _check_levels,
     _Couplings,
     _diagonal,
     _eigenvectors,
@@ -246,9 +247,13 @@ class DiscreteHamiltonian(_Tridiagonal):
     def size(self) -> int:
         return int(self.diagonal.shape[0])
 
-    # V overflowing to inf, or inf - inf, is refused as a ValueError, not left
-    # to warn on the way.
+    # V overflowing to inf, or inf - inf, is refused by _diagonal as a
+    # ValueError, not left to warn on the way.
     @np.errstate(over="ignore", invalid="ignore")
+    def _unchecked_plus(self, spec: PotentialSpec) -> np.ndarray:
+        # the diagonal plus spec's potential at the nodes, not yet checked
+        return self.diagonal + eval_potential_grid(spec, self.nodes)
+
     def diagonal_plus(self, spec: PotentialSpec) -> np.ndarray:
         """The diagonal of :meth:`plus`, refused as ``plus`` refuses it.
 
@@ -256,7 +261,7 @@ class DiscreteHamiltonian(_Tridiagonal):
         predicate, one Sturm pass per potential), without building the
         operator record.
         """
-        return _diagonal(self.diagonal + eval_potential_grid(spec, self.nodes), self.offdiagonal)
+        return _diagonal(self._unchecked_plus(spec), self.offdiagonal)
 
     def plus(self, spec: PotentialSpec) -> "DiscreteHamiltonian":
         """This operator with ``spec``'s potential added to its diagonal.
@@ -264,9 +269,10 @@ class DiscreteHamiltonian(_Tridiagonal):
         On the operator of ``spec``'s family at V = 0 (``_kinetic_part``)
         this is ``discretize(spec, grid)``: the same float additions, so the
         same bytes.  The result shares this operator's couplings, grid, note,
-        nodes and ``couplings`` setup; only its diagonal is checked.
+        nodes and ``couplings`` setup; only its diagonal is checked, once, by
+        the record's construction.
         """
-        return DiscreteHamiltonian(self.diagonal_plus(spec), self.offdiagonal, self.grid,
+        return DiscreteHamiltonian(self._unchecked_plus(spec), self.offdiagonal, self.grid,
                                    self.bc_note, self.nodes, self.couplings)
 
 
@@ -434,7 +440,8 @@ def _rayleigh_seeds(H: DiscreteHamiltonian, guesses, start):
     # For a unit v, |theta - lambda| <= ||H v - theta v||^2 / gap (Parlett, The
     # Symmetric Eigenvalue Problem, ch. 4), so a guess within a fraction of
     # the gap of its level gives a seed within about 1e-14 of it, and the
-    # seeded bisection brackets the level in two passes, at theta -+ tol/4.
+    # seeded bisection usually brackets the level in two passes, at the ends
+    # of the bisection cell that holds theta.
     # A guess whose solve fails (a NaN row) or whose theta is not finite is
     # kept as it is; guesses of the wrong shape go through unchanged for
     # eigvalsh_bisect to reject.
@@ -484,6 +491,7 @@ def lowest_eigenvalues(
     once per operator, however many solves read them.  The seeds and the
     returned vectors share one start vector.
     """
+    _check_levels(k, H.size)  # before any Rayleigh seed is solved
     start = _start_vector(H.size) if want_vectors else None
     if want_vectors and guesses is not None:
         guesses = _rayleigh_seeds(H, guesses, start)
@@ -792,12 +800,10 @@ def zero_energy_node_count(alpha: float, delta: float, L: float) -> int:
     """
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    span = _log_span(delta, L)
-    nsteps = max(256, int(math.ceil(span * _STEPS_PER_UNIT)))
+    nsteps, h = _rk4_steps(delta, L)
     coef = 0.25 - alpha
     if coef >= 0.0:
         return 0
-    h = span / nsteps
     c = coef * h * h
     # |rho^K - 1| / max(1, rho^K) from K ln(rho): rho^K itself overflows on
     # a failed step, and a c^4 overflow leaves nan, which fails the gate
@@ -808,9 +814,31 @@ def zero_energy_node_count(alpha: float, delta: float, L: float) -> int:
             f"relative conserved-quantity drift {drift:.3e} exceeds {_DRIFT_TOL:.1e}; "
             "reduce the step size"
         )
-    y = math.sqrt(-c)
-    theta = math.atan2(y - y * y * y / 6.0, 1.0 - 0.5 * y * y + (y * y) * (y * y) / 24.0)
-    return math.ceil(nsteps * abs(theta) / math.pi) - 1
+    return math.ceil(nsteps * abs(_rk4_phase(math.sqrt(-c))) / math.pi) - 1
+
+
+def _rk4_steps(delta: float, L: float) -> tuple[int, float]:
+    # (K, h): the number and size of zero_energy_node_count's RK4 steps
+    span = _log_span(delta, L)
+    nsteps = max(256, int(math.ceil(span * _STEPS_PER_UNIT)))
+    return nsteps, span / nsteps
+
+
+def _rk4_phase(y: float) -> float:
+    # theta = arg R(iy), the phase one RK4 step turns at y = h sqrt(alpha - 1/4)
+    return math.atan2(y - y * y * y / 6.0, 1.0 - 0.5 * y * y + (y * y) * (y * y) / 24.0)
+
+
+def _onset_guess(delta: float, L: float) -> float:
+    # Where zero_energy_node_count(alpha, delta, L) >= 1 switches on:
+    # K |theta(y)| / pi = 1 solved for y by a Newton step on the same float
+    # theta from y = pi/K, with theta'(y) taken as 1 (theta = y + O(y^5) and
+    # y <= pi/256), then alpha = 1/4 + (y/h)^2.  On windows from 1e-3:10 to
+    # 1e-100:1e100 this lands within an ulp of the switch.
+    nsteps, h = _rk4_steps(delta, L)
+    target = math.pi / nsteps
+    y = target - (_rk4_phase(target) - target)
+    return 0.25 + (y / h) ** 2
 
 
 def window_bias(delta: float, L: float) -> float:
@@ -848,6 +876,14 @@ def find_alpha_crit(
     or, for a ``tol_alpha`` below the float spacing, to two adjacent floats;
     ``half_width`` reports which.  Raises :class:`BracketError` when the
     window is too short to oscillate even at alpha = 2.
+
+    The bisection is seeded with the predicate's own switch, the closed-form
+    onset of the RK4 count (``_onset_guess``): the predicate is evaluated at
+    alpha = 2 and at the two ends of the final bisection cell that holds the
+    guess, and every other midpoint follows from those two by monotonicity.
+    So a window costs 3 predicate calls instead of about 31 at
+    ``tol_alpha = 1e-9``, and the result is the plain bisection's to the bit
+    (see ``tridiag._narrow_bracket``).
     """
     _log_span(delta, L)  # refuses a window without a finite ln(L/delta)
     if not (math.isfinite(tol_alpha) and tol_alpha > 0.0):
@@ -860,7 +896,8 @@ def find_alpha_crit(
         raise BracketError(
             f"oscillation predicate does not change over alpha in [0.0, {_ALPHA_MAX!r}]"
         )
-    lo, hi = _narrow_bracket(oscillates, 0.0, _ALPHA_MAX, 2.0 * tol_alpha)
+    lo, hi = _narrow_bracket(oscillates, 0.0, _ALPHA_MAX, 2.0 * tol_alpha,
+                             _onset_guess(delta, L))
     return AlphaCritEstimate(
         value=0.5 * (lo + hi),
         half_width=0.5 * (hi - lo),

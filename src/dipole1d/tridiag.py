@@ -54,18 +54,30 @@ Neumann wall, gets such a seed without vectors and without scipy:
 at twist index 0, which needs only the backward pivots of T - x*I, from a
 start the caller knows (``eigensolver.cutoff_sweep`` starts each cap at the
 last cap's level).  The five caps of the perfbench ``cutoff`` argv then
-take 14 passes instead of 260.
+take 10 passes instead of 260.
 
-Given guesses, the bisection first counts at the two shifts g -+ tol/4
-around each guess g, widening a side by a factor of 8 until the two counts
-bracket the level.  Why tol/4: the final bisection bracket is wider than
-tol/2, so the last midpoints near the level mostly fall outside a seeded
-bracket of width tol/2, where its two counts already decide them; from
-g -+ tol, about two of them per level needed a pass.  A smaller first half-width saves fewer
-passes than its widening costs where the float count's switch point lies up
-to 5.9e-10 from the Rayleigh quotient, as on the default hydrogen grids at
-lam = 3 (62 passes at tol/4, 63 at tol, 69 at tol/8).  The midpoints stay
-those of the plain bisection from the Gershgorin interval.
+``_narrow_bracket`` is the one bisection loop here, and it uses a guess the
+same way for every monotone predicate, a Sturm count at a shift or the
+oscillation test of ``eigensolver.find_alpha_crit``.  It first replays its
+own midpoints toward the guess, with no evaluation, as if the switch sat at
+the guess: they end in the final cell [c_lo, c_hi] that the bisection would
+end in.  It evaluates the predicate at c_lo and c_hi, and moves an end that
+does not bracket the switch out by the cell width times _SEED_WIDEN^m,
+m = 0, 1, ..., until it does.  Then it bisects from the same interval
+through the same midpoints as without a guess, and decides a midpoint at or
+below a point found false, or at or above one found true, without an
+evaluation.  The predicate is monotone, so each such decision is the one an
+evaluation would give: the bracket is the unguessed one, bit for bit.  Every
+midpoint of the replay lies outside its open final cell, so when the cell's
+two ends bracket the switch each midpoint falls as in the replay, and the
+cell is returned as it is: a guess in the switch's own cell costs exactly
+the two evaluations at its ends, and one a cell or two off costs one or two
+more.  The shifts
+g -+ tol/4 that this rule replaced were off the bisection's midpoints, so
+about one level in three needed a third pass between a shift and its cell
+end: at seed 0 the perfbench ``balmer`` argv took 21 passes and ``cutoff``
+16, against 18 and 12 now, and ``find_alpha_crit`` took 31 predicate calls
+per window, against 3 now.
 
 What the counts taken so far know is kept as one bracket per level:
 below[j], the largest shift counted with count <= j, and above[j], the
@@ -78,8 +90,8 @@ these two ends do: a shift with count <= j lies at or below below[j], one
 with count > j at or above above[j].  So the brackets hold exactly what a
 list of every (shift, count) would, a midpoint equal to an earlier shift
 costs no second pass, and a count capped at k still decides count > j for
-every j < k.  A midpoint inside a seeded bracket is decided as a pass at it
-would decide it: values and widths do not depend on the guesses, only the
+every j < k.  A midpoint that a guess's counts decide is decided as a pass
+at it would decide it: values and widths do not depend on the guesses, only the
 number of passes does.
 
 Entries |e| whose square overflows are refused, because the pass would then
@@ -107,8 +119,7 @@ __all__ = [
 _TINY = 1e-300
 _DENORM = 5e-324  # the smallest positive double
 _OFF_MAX = math.sqrt(sys.float_info.max)  # the largest |e| whose square is finite
-_SEED_FIRST = 0.25  # first half-width of a seed's bracket, in units of tol
-_SEED_WIDEN = 8.0  # factor by which a seed that fails to bracket its level moves out
+_SEED_WIDEN = 8.0  # factor by which a guess's cell end that misses the switch moves out
 _SOLVES = 3  # dgtsv solves per inverse iteration
 _NODE_RTOL = 1e-8  # entries below this fraction of max|v| carry no sign
 _WALL_K_FIRST = 3.0  # e-folds of decay a _wall_level sweep keeps on its first step
@@ -139,6 +150,12 @@ def _shift(x, name="x") -> float:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x}")
     return x
+
+
+def _check_levels(k, n) -> None:
+    # refuses a number of levels k that an n-row operator does not have
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
 
 
 def _count_below(diag, off2, x, cap=None, tail=None):
@@ -320,18 +337,57 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     return _count_below(memoryview(op.diagonal), memoryview(off * off), _shift(x))
 
 
-def _narrow_bracket(predicate, lo: float, hi: float, width: float) -> tuple[float, float]:
+def _narrow_bracket(predicate, lo: float, hi: float, width: float,
+                    guess: float | None = None) -> tuple[float, float]:
     """Bisect [lo, hi], where ``predicate`` is false at lo and true at hi,
-    until hi - lo <= ``width`` or no float lies strictly between the ends."""
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if predicate(mid):
-            hi = mid
+    until hi - lo <= ``width`` or no float lies strictly between the ends.
+
+    ``guess`` (optional) is where the predicate is thought to switch; it
+    only chooses where to evaluate first (see the module docstring).  The
+    midpoints the bisection would take if the switch sat at the guess give,
+    with no evaluation, the final cell [c_lo, c_hi] it would end in; the
+    predicate is evaluated at c_lo and, unless that is already true, at c_hi.
+    An end that does not bracket the switch moves out by the cell width times
+    ``_SEED_WIDEN``**m, m = 0, 1, ..., until it does or it reaches lo or hi.
+    When the cell's own ends bracket the switch, every midpoint of the
+    bisection falls as it did in the replay, and the cell is returned.
+    Otherwise the bisection runs as without a guess, and a midpoint at or
+    below the largest point found false, or at or above the smallest found
+    true, is decided without an evaluation.  For a monotone predicate the
+    result is the one without a guess, and a guess in the switch's own final
+    cell costs exactly the two evaluations at its ends (fewer where an end
+    is lo or hi).  A guess that is not finite is ignored.
+    """
+    false_at, true_at = lo, hi  # the closest points known to be false and true
+
+    def bisect(decide, lo, hi):
+        while hi - lo > width:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if decide(mid):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
+    if guess is not None and math.isfinite(guess):
+        c_lo, c_hi = bisect(lambda mid: mid >= guess, lo, hi)  # no evaluation
+        step = c_hi - c_lo
+        if c_lo > lo and predicate(c_lo):
+            true_at, x, scale = c_lo, c_lo - step, _SEED_WIDEN
+            while x > lo and predicate(x):
+                true_at, x, scale = x, c_lo - step * scale, scale * _SEED_WIDEN
+            false_at = max(x, lo)
         else:
-            lo = mid
-    return lo, hi
+            false_at, x, scale = c_lo, c_hi, 1.0
+            while x < hi and not predicate(x):
+                false_at, x, scale = x, c_hi + step * scale, scale * _SEED_WIDEN
+            true_at = min(x, hi)
+        # the switch lies in the guess's cell: each midpoint falls as in the replay
+        if (false_at, true_at) == (c_lo, c_hi):
+            return c_lo, c_hi
+    return bisect(lambda mid: mid >= true_at or (mid > false_at and predicate(mid)), lo, hi)
 
 
 def gershgorin_bounds(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
@@ -359,18 +415,17 @@ def eigvalsh_bisect(
     decides every question count(x) > j with j < k exactly.
 
     ``guesses`` (optional, one finite value per level) only choose where to
-    count first.  Level j is counted at g - delta and g + delta, delta =
-    tol/4: a seed within a rounding error of its level then brackets it in
-    those two passes, and most of the last midpoints fall outside that
-    bracket and need no pass of their own (see the module docstring).  A
-    side that does not bracket level j (count(g - delta) > j, or
-    count(g + delta) <= j) moves out by a factor of 8 and is counted again,
-    up to the Gershgorin interval.  Then the bisection runs as without
-    guesses, from the same bracket through the same midpoints.  The float
-    Sturm count is monotone in the shift (Kahan 1966; Demmel, Dhillon and Ren,
-    ETNA 3, 1995), so a midpoint inside a seeded bracket gets the decision a
-    pass would give, and values and widths do not depend on the guesses; a
-    good guess only saves the passes far from the level's bracket edges.
+    count first.  Level j is solved by ``_narrow_bracket`` with its guess g:
+    the Sturm counts at the two ends of the final bisection cell that holds
+    g, an end that does not bracket level j moved out by the cell width
+    times 8^m until it does or it reaches the interval's end, then the
+    bisection as without guesses, from the same interval through the same
+    midpoints (see the module docstring).  The float Sturm count is monotone
+    in the shift (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995), so a
+    midpoint those counts decide gets the decision a pass would give, and
+    values and widths do not depend on the guesses.  A seed within its
+    level's own cell, as a Rayleigh quotient within a rounding error usually
+    is, costs exactly two passes.
 
     ``diag`` and ``off`` are the entries, checked by ``_operator``.  A
     :class:`_Tridiagonal` such as ``eigensolver.DiscreteHamiltonian``, checked
@@ -378,9 +433,7 @@ def eigvalsh_bisect(
     reads its views, built on first use and kept, so once per operator.
     """
     op = diag if off is None and isinstance(diag, _Tridiagonal) else _operator(diag, off)
-    n = len(op)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    _check_levels(k, len(op))
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if guesses is not None:
@@ -408,35 +461,16 @@ def eigvalsh_bisect(
                 below[i] = x
         return c
 
-    if guesses is not None:
-        for j, g in enumerate(guesses.tolist()):
-            g = min(max(g, lo0), hi0)
-            delta = _SEED_FIRST * tol
-            while g - delta > lo0 and count_at(g - delta) > j:
-                delta *= _SEED_WIDEN
-            delta = _SEED_FIRST * tol
-            while g + delta < hi0 and count_at(g + delta) <= j:
-                delta *= _SEED_WIDEN
-
     values = np.empty(k)
     widths = np.empty(k)
     lo_floor = lo0
-    for j in range(k):
+    for j, g in enumerate([None] * k if guesses is None else guesses.tolist()):
         # All eigenvalues are >= the previous one, so reuse its lower edge.
-        # A midpoint at or below below[j] has at most j eigenvalues below it,
+        # A shift at or below below[j] has at most j eigenvalues below it,
         # one at or above above[j] at least j + 1: only one strictly between
         # them costs a pass.
-        lo, hi = lo_floor, hi0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            if mid <= below[j]:
-                lo = mid
-            elif mid >= above[j] or count_at(mid) > j:
-                hi = mid
-            else:
-                lo = mid
+        lo, hi = _narrow_bracket(
+            lambda x: x >= above[j] or (x > below[j] and count_at(x) > j), lo_floor, hi0, tol, g)
         values[j] = 0.5 * (lo + hi)
         widths[j] = hi - lo
         lo_floor = lo

@@ -282,6 +282,22 @@ def test_dipole_limit_has_no_Q_flag(capsys):
     assert "code=usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    # a NaN used to be refused as "epsilon must be > 0" or "d must be > 0"
+    (["--epsilon", "nan"], "epsilon must be finite and > 0"),
+    (["--d", "nan"], "every separation d must be finite and > 0"),
+    (["--d", "1,nan"], "every separation d must be finite and > 0"),
+    (["--d", "1,inf"], "every separation d must be finite and > 0"),
+    (["--epsilon", "inf"], "epsilon must be finite and > 0"),
+    (["--epsilon", "0"], "epsilon must be finite and > 0"),
+])
+def test_dipole_limit_names_a_value_that_is_not_finite(args, message, capsys):
+    assert run(["dipole-limit", *args, "--n", "301"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: code=invalid {message}\n"
+
+
 def test_critical_scan_overflowing_window_is_invalid(capsys):
     assert run(["critical-scan", "--windows", "1e-8:1e8,1e-320:1e10"]) == 1
     err = capsys.readouterr().err

@@ -555,3 +555,27 @@ def test_critical_scan_thresholds_byte_identical():
     for (delta, L), want in zip(THRESHOLD_WINDOWS, STEPPED_THRESHOLDS):
         est = find_alpha_crit(delta, L, tol_alpha=1e-9)
         assert (est.value, est.half_width, est.predicted_threshold) == want
+
+
+@pytest.mark.parametrize("tol_alpha", [1e-4, 1e-9, 1e-15])
+def test_find_alpha_crit_certifies_each_window_in_three_predicate_calls(tol_alpha, monkeypatch):
+    # alpha = 2, then the two ends of the final bisection cell that holds the
+    # closed-form onset of the RK4 count; the result is the plain bisection's
+    calls = []
+    count = eigensolver.zero_energy_node_count
+
+    def counted(alpha, delta, L):
+        calls.append(alpha)
+        return count(alpha, delta, L)
+
+    for delta, L in THRESHOLD_WINDOWS + eigensolver.DEFAULT_WINDOWS:
+        def oscillates(a):
+            return count(a, delta, L) >= 1
+
+        lo, hi = crit._narrow_bracket(oscillates, 0.0, 2.0, 2.0 * tol_alpha)
+        with monkeypatch.context() as mp:
+            mp.setattr(eigensolver, "zero_energy_node_count", counted)
+            del calls[:]
+            est = find_alpha_crit(delta, L, tol_alpha=tol_alpha)
+        assert len(calls) <= 3
+        assert (est.value, est.half_width) == (0.5 * (lo + hi), 0.5 * (hi - lo))

@@ -739,9 +739,96 @@ def test_seeded_bisection_bit_identical_to_reference_on_pipeline_grids(name):
     _assert_seeded_equals_reference(H.diagonal, H.offdiagonal, k, tol)
 
 
+def _seed_cell(lo, hi, width, g):
+    # the final cell of a plain bisection of [lo, hi] whose switch sits at g
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mid >= g:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _cell_rule_probes(lo, hi, width, g, switched):
+    # The points a guess g makes _narrow_bracket evaluate, in order, and the
+    # cell of g: the cell's lower end and, while ``switched`` (the predicate)
+    # holds there, c_lo - w * 8^m, m = 0, 1, ... above lo; otherwise the
+    # upper end and, while the predicate fails there, c_hi + w * 8^m below hi.
+    c_lo, c_hi = cell = _seed_cell(lo, hi, width, g)
+    step = c_hi - c_lo
+    xs = []
+    if c_lo > lo:
+        xs.append(c_lo)
+        if switched(c_lo):
+            m = 0
+            while c_lo - step * 8.0 ** m > lo:
+                xs.append(c_lo - step * 8.0 ** m)
+                if not switched(xs[-1]):
+                    break
+                m += 1
+            return xs, cell
+    m, x = 0, c_hi
+    while x < hi:
+        xs.append(x)
+        if switched(x):
+            break
+        x = c_hi + step * 8.0 ** m
+        m += 1
+    return xs, cell
+
+
+def _step_predicates():
+    # (lo, hi, width, switch): a monotone step x >= switch on [lo, hi], with
+    # switches at arbitrary doubles, and widths from wide cells down to
+    # brackets that end on two adjacent doubles
+    rng = np.random.default_rng(29)
+    cases = []
+    for lo, hi in ((0.0, 2.0), (-3.5, 7.25), (-1e-3, -1e-9), (1e6, 1e6 + 1.0), (-1e300, 1e300)):
+        for width in (1e-2 * (hi - lo), 1e-10 * (hi - lo), 5e-324):
+            for u in rng.random(4).tolist() + [0.5]:
+                s = lo + u * (hi - lo)
+                if lo < s <= hi:
+                    cases.append((lo, hi, width, s))
+            cases.append((lo, hi, width, math.nextafter(lo, math.inf)))
+            cases.append((lo, hi, width, hi))
+    return cases
+
+
+def test_narrow_bracket_guess_changes_only_the_evaluations():
+    in_cell = 0
+    for lo, hi, width, s in _step_predicates():
+        xs = []
+
+        def step(x):
+            xs.append(x)
+            return x >= s
+
+        want = tridiag._narrow_bracket(step, lo, hi, width)
+        assert xs and all(lo < x < hi for x in xs)
+        c_lo, c_hi = _seed_cell(lo, hi, width, s)  # the switch's own cell
+        assert want == (c_lo, c_hi)
+        cell = c_hi - c_lo
+        guesses = [s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf),
+                   s - cell, s + cell, s - 1e3 * cell, s + 1e3 * cell, lo, hi,
+                   lo - 1.0, hi + 1.0, 2.0 * lo - hi, 2.0 * hi - lo, 0.5 * (c_lo + c_hi),
+                   c_hi, math.nextafter(c_lo, math.inf), c_lo, math.nan, math.inf, -math.inf]
+        for g in guesses:
+            del xs[:]
+            assert tridiag._narrow_bracket(step, lo, hi, width, g) == want, (lo, hi, width, s, g)
+            assert len(xs) == len(set(xs)) and all(lo < x < hi for x in xs)
+            if math.isfinite(g) and _seed_cell(lo, hi, width, g) == (c_lo, c_hi):
+                in_cell += 1
+                assert len(xs) <= 2
+    assert in_cell > 500
+
+
 # The bisection used to keep every (shift, count) it had taken in one sorted
 # list.  Frozen here as the reference for the per-level brackets, which must
-# give the same values and widths from a subset of its passes.
+# give the same values and widths from a subset of its passes.  Its seed
+# phase is the cell rule, level by level, evaluated through the list.
 
 def _cache_eigvalsh_bisect(diag, off, k, tol, guesses=None):
     lo0, hi0 = gershgorin_bounds(diag, off)
@@ -760,16 +847,6 @@ def _cache_eigvalsh_bisect(diag, off, k, tol, guesses=None):
         counts.insert(i, c)
         return c
 
-    if guesses is not None:
-        for j, g in enumerate(np.asarray(guesses, dtype=float).tolist()):
-            g = min(max(g, lo0), hi0)
-            delta = 0.25 * tol
-            while g - delta > lo0 and count_at(g - delta) > j:
-                delta *= 8.0
-            delta = 0.25 * tol
-            while g + delta < hi0 and count_at(g + delta) <= j:
-                delta *= 8.0
-
     def above(x, j):
         i = bisect_left(shifts, x)
         if i < len(shifts) and counts[i] <= j:
@@ -781,6 +858,9 @@ def _cache_eigvalsh_bisect(diag, off, k, tol, guesses=None):
     values, widths = np.empty(k), np.empty(k)
     lo_floor = lo0
     for j in range(k):
+        if guesses is not None:
+            g = float(np.asarray(guesses, dtype=float)[j])
+            _cell_rule_probes(lo_floor, hi0, tol, g, lambda x: above(x, j))
         a, b = tridiag._narrow_bracket(lambda x: above(x, j), lo_floor, hi0, tol)
         values[j] = 0.5 * (a + b)
         widths[j] = b - a
@@ -854,23 +934,65 @@ def _record_passes(monkeypatch):
     return passes
 
 
-def _expected_seed_shifts(diag, off, guesses, tol):
-    # level j: g -+ (tol / 4) * 8^m, each side until it brackets level j or
-    # leaves the Gershgorin interval, with g clamped into that interval
-    lo, hi = gershgorin_bounds(diag, off)
-    xs = []
+def _expected_seeded_passes(diag, off, k, tol, guesses):
+    # (shifts, widened): every shift the seeded bisection counts, in order,
+    # and how many of them a cell end moved out to.  Level by level: the cell
+    # rule's probes, then the plain bisection from the last level's lower
+    # edge; a shift is counted only when no shift counted before decides it.
+    lo0, hi0 = gershgorin_bounds(diag, off)
+    counted = []
+
+    def exceeds(x, j):
+        if any(y >= x and c <= j for y, c in counted):
+            return False
+        if any(y <= x and c > j for y, c in counted):
+            return True
+        counted.append((x, sturm_count(diag, off, x)))
+        return counted[-1][1] > j
+
+    widened = 0
+    lo_floor = lo0
     for j, g in enumerate(guesses):
-        g = min(max(float(g), lo), hi)
-        for side in (-1.0, 1.0):
-            delta = tol / 4.0
-            while lo < g + side * delta < hi:
-                x = g + side * delta
-                xs.append(x)
-                below = sturm_count(diag, off, x)
-                if (below <= j) if side < 0 else (below > j):
-                    break
-                delta *= 8.0
-    return xs
+        g = float(g)
+        probes, cell = _cell_rule_probes(lo_floor, hi0, tol, g, lambda x: exceeds(x, j))
+        widened += len([x for x in probes if x not in cell])
+        lo, hi = lo_floor, hi0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if exceeds(mid, j):
+                hi = mid
+            else:
+                lo = mid
+        lo_floor = lo
+    return [x for x, _ in counted], widened
+
+
+@pytest.mark.parametrize("name", sorted(_pipeline_operators()))
+def test_a_seed_in_its_cell_takes_two_passes(name, monkeypatch):
+    # seeds at the midpoints and at the upper ends of the final brackets: each
+    # level is counted at the two ends of its bracket and nowhere else
+    H, k, tol = _pipeline_operators()[name]
+    ends = []
+    narrow_bracket = tridiag._narrow_bracket
+
+    def recording(*args):
+        ends.append(narrow_bracket(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(tridiag, "_narrow_bracket", recording)
+    vals, widths = eigvalsh_bisect(H, None, k, tol=tol)
+    monkeypatch.setattr(tridiag, "_narrow_bracket", narrow_bracket)
+    passes = _record_passes(monkeypatch)
+    for guesses in (vals, [hi for _, hi in ends]):
+        del passes[:]
+        got_vals, got_widths = eigvalsh_bisect(H, None, k, tol=tol, guesses=guesses)
+        assert np.array_equal(got_vals, vals) and np.array_equal(got_widths, widths)
+        shifts = [x for _, x in passes]
+        assert len(shifts) == 2 * k
+        for j in range(k):
+            assert (shifts[2 * j], shifts[2 * j + 1]) == ends[j]
 
 
 def test_seeds_widen_until_they_bracket(monkeypatch):
@@ -883,12 +1005,12 @@ def test_seeds_widen_until_they_bracket(monkeypatch):
         levels, _ = _reference(_seed_eigvalsh_bisect, diag, off, min(k + 1, diag.shape[0]), tol=tol)
         lo, hi = gershgorin_bounds(diag, off)
         for guesses in _guess_sets(levels, k, lo, hi):
-            want = _expected_seed_shifts(diag, off, guesses, tol)
+            want, moved = _expected_seeded_passes(diag, off, k, tol, guesses)
             del passes[:]
             eigvalsh_bisect(diag, off, k, tol=tol, guesses=guesses)
-            assert [x for _, x in passes[:len(want)]] == want
-            widened += len(want) - 2 * k
-    assert widened > 100  # the bad guesses did make the seeds move out
+            assert [x for _, x in passes] == want
+            widened += moved
+    assert widened > 100  # the bad guesses did make the cell ends move out
 
 
 def test_sturm_count_monotone_near_pipeline_levels():
@@ -1069,6 +1191,30 @@ def test_vector_solve_checks_the_operator_and_builds_the_start_vector_once(monke
                      "_coupling_certificate": 1, "_threshold_floor": 1}
 
 
+@pytest.mark.parametrize("k", [0, -1, 385])
+def test_vector_solve_refuses_k_before_any_rayleigh_seed(k, monkeypatch):
+    # a k the operator does not have is refused before the inverse
+    # iterations of the seeds, with the bisection's own message
+    calls = []
+    eigenvectors = tridiag._eigenvectors
+
+    def counted(*args):
+        calls.append(args)
+        return eigenvectors(*args)
+
+    for module in (tridiag, es):
+        monkeypatch.setattr(module, "_eigenvectors", counted)
+    H = discretize(Coulomb(1.0), Grid("logarithmic", 1e-5, 200.0, 384))
+    for guesses in ([-0.5, -0.125, -1.0 / 18.0], None):
+        with pytest.raises(ValueError) as info:
+            lowest_eigenvalues(H, k, guesses=guesses)
+        assert str(info.value) == f"k must be in [1, 384], got {k}"
+    with pytest.raises(ValueError) as info:
+        eigvalsh_bisect(H, None, k)
+    assert str(info.value) == f"k must be in [1, 384], got {k}"
+    assert calls == []
+
+
 def test_final_vector_failure_raises_at_the_first_failed_level(monkeypatch):
     H, k, tol = _pipeline_operators()["coulomb_log_384"]
     values = lowest_eigenvalues(H, k, tol=tol, want_vectors=False).energies
@@ -1086,20 +1232,20 @@ def test_final_vector_failure_raises_at_the_first_failed_level(monkeypatch):
 
 @pytest.mark.parametrize("argv, rows, bound", [
     # the full-line check, seeded from the even-sector level it reproduces:
-    # 2 passes, and one more for a seed that lands a rounding error further out
+    # the two ends of the seed's bisection cell
     (["cutoff-sweep", "--lambda", "1.0", "--epsilon", "0.2,0.1,0.05,0.025,0.0125",
-      "--domain", "0:10.0", "--n", "3200"], 6399, 2 + 1),
+      "--domain", "0:10.0", "--n", "3200"], 6399, 2),
     # three grids, each seeded with the Rayleigh quotients of the Balmer
-    # levels: 21 passes (467 without guesses); the bounds leave one pass per
-    # level and grid for a seed that lands a rounding error further out
+    # levels: two passes per level and grid, 18 (467 without guesses, 21
+    # when each seed was counted at theta -+ tol/4)
     (["hydrogen", "--lambda", "1.0", "--states", "3", "--n", "384", "--domain", "1e-05:200.0"],
-     None, 21 + 9),
-    # grids 4,096 / 8,193 / 16,387: 23 passes
-    (["hydrogen", "--n", "4096"], None, 23 + 9),
+     None, 18),
+    # grids 4,096 / 8,193 / 16,387: 18 passes (23 at theta -+ tol/4)
+    (["hydrogen", "--n", "4096"], None, 18),
     # the float count's switch points lie up to 5.9e-10 from the Rayleigh
-    # quotients here, so the first brackets often widen: 62 passes, and no
-    # more than the 63 of a first half-width of tol
-    (["hydrogen", "--lambda", "3"], None, 63),
+    # quotients here, about 60 cells of width tol = 1e-11, so the cell ends
+    # often move out: 60 passes (62 at theta -+ tol/4)
+    (["hydrogen", "--lambda", "3"], None, 60),
 ], ids=["cutoff-full-line", "balmer", "hydrogen-4096", "hydrogen-lambda-3"])
 def test_seeded_solves_take_few_passes(argv, rows, bound, monkeypatch, tmp_path):
     passes = _record_passes(monkeypatch)
@@ -1111,7 +1257,7 @@ _BALMER_ARGV = ["hydrogen", "--lambda", "1.0", "--states", "3", "--n", "384",
                 "--domain", "1e-05:200.0"]
 
 
-@pytest.mark.parametrize("argv, bound", [(_BALMER_ARGV, 21), (["hydrogen", "--n", "4096"], 23)],
+@pytest.mark.parametrize("argv, bound", [(_BALMER_ARGV, 18), (["hydrogen", "--n", "4096"], 18)],
                          ids=["balmer", "hydrogen-4096"])
 def test_hydrogen_solves_vectors_on_the_printed_rung_only(argv, bound, monkeypatch, tmp_path):
     # Three rungs of three levels.  Each rung sharpens its three seeds with one
@@ -1241,12 +1387,29 @@ def test_cutoff_sweep_builds_one_kinetic_part_per_grid(monkeypatch):
     assert [(g.left_bc, g.n) for g in grids] == [("neumann", 3200), ("dirichlet", 6399)]
 
 
+def test_cutoff_sweep_checks_each_diagonal_once(monkeypatch):
+    # two kinetic parts and six operators made by plus (five caps and the
+    # full-line check): each diagonal is checked once, when its record is built
+    rows = []
+    diagonal = tridiag._diagonal
+
+    def counted(diag, off):
+        rows.append(len(diag))
+        return diagonal(diag, off)
+
+    for module in (tridiag, es):
+        monkeypatch.setattr(module, "_diagonal", counted)
+    es.cutoff_sweep(**_CUTOFF_KW)
+    assert sorted(rows) == [3200] * 6 + [6399] * 2
+
+
 def test_cutoff_caps_take_few_passes(monkeypatch, tmp_path):
-    # 14 passes on the five caps and 2 on the full-line check; without the
-    # _wall_level seeds the caps take 260
+    # 10 passes on the five caps and 2 on the full-line check: the two ends
+    # of each seed's bisection cell; without the _wall_level seeds the caps
+    # take 260
     passes = _record_passes(monkeypatch)
     assert run(_CUTOFF_ARGV + ["--out", str(tmp_path / "o")]) == 0
-    assert len(passes) <= 40
+    assert len(passes) <= 12
 
 
 def _cap_operator(eps, lam=1.0, L=10.0, n=3200):

@@ -18,12 +18,12 @@ hartree, so reported eigenvalues are E = -xi/2 in hartree and the binding
 threshold sits at alpha = 1/4 as it must.
 
 Eigenvalues come from Sturm-sequence bisection (guaranteed index bracketing),
-eigenvectors from inverse iteration, and node counts from eigenvector sign
-changes.  Criticality of the inverse-square coupling is located through the
-zero-energy oscillation criterion instead of chasing exponentially small
-binding energies: a zero-energy solution with interior nodes on (delta, L)
-signals bound states, and the detected threshold carries the documented
-window bias 1/4 + (pi / ln(L/delta))^2.
+node counts from the oscillation theorem: a level's Sturm index in its block
+of rows between pinned zeros.  Criticality of the inverse-square coupling is
+located through the zero-energy oscillation criterion instead of chasing
+exponentially small binding energies: a zero-energy solution with interior
+nodes on (delta, L) signals bound states, and the detected threshold carries
+the documented window bias 1/4 + (pi / ln(L/delta))^2.
 """
 
 from __future__ import annotations
@@ -43,16 +43,14 @@ from .potentials import (
     eval_potential_grid,
 )
 from .tridiag import (
-    _check_levels,
+    _block_indices,
     _Couplings,
     _diagonal,
-    _eigenvectors,
-    _failure,
+    _eigenvector,
     _narrow_bracket,
     _start_vector,
     _Tridiagonal,
     _wall_level,
-    count_sign_changes,
     eigvalsh_bisect,
 )
 
@@ -280,14 +278,15 @@ class DiscreteHamiltonian(_Tridiagonal):
 class Spectrum:
     """Low-lying eigenvalues with per-state diagnostics.
 
-    ``node_counts[k]`` counts interior sign changes of eigenvector k; for a
-    connected interval problem the node theorem makes this exactly k.
+    ``node_counts[k]`` is level k's Sturm index within its block (the rows
+    between exact-zero couplings), by the oscillation theorem its vector's
+    sign changes: exactly k on a connected interval, and node counts are per
+    block on an operator that an interior pinned zero decouples.
     """
 
     energies: np.ndarray
     node_counts: np.ndarray
     bracket_widths: np.ndarray
-    eigenvectors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         e = np.asarray(self.energies, dtype=float)
@@ -327,7 +326,8 @@ def _kinetic_part(spec: PotentialSpec, grid: Grid) -> DiscreteHamiltonian:
                 f"(nearest node {float(nodes[idx])!r})"
             )
         drop[idx] = True
-        notes.append(f"interior Dirichlet zero at x = {p!r} decouples the operator")
+        notes.append(f"interior Dirichlet zero at x = {p!r} decouples the operator: "
+                     "node counts are per block")
 
     if isinstance(spec, PointDipole) and grid.x_max > atol and grid.x_min < -atol:
         drop |= nodes > -atol
@@ -434,30 +434,39 @@ def check_resolution(spec: PotentialSpec, grid: Grid) -> None:
         raise ResolutionError(spec.cap, grid.spacing)
 
 
-def _rayleigh_seeds(H: DiscreteHamiltonian, guesses, start):
+def _rayleigh_quotient(H: DiscreteHamiltonian, v) -> float:
+    # v^T H v; inf or NaN where it overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        hv = H.diagonal * v
+        hv[:-1] += H.offdiagonal * v[1:]
+        hv[1:] += H.offdiagonal * v[:-1]
+        return float(np.dot(v, hv))
+
+
+def _rayleigh_seeds(H: DiscreteHamiltonian, guesses, tol: float) -> list:
     # Sharpen each guess g to theta = v^T H v, v the inverse iteration at g
-    # from the unit start vector ``start``, all in one _eigenvectors call.
-    # For a unit v, |theta - lambda| <= ||H v - theta v||^2 / gap (Parlett, The
-    # Symmetric Eigenvalue Problem, ch. 4), so a guess within a fraction of
-    # the gap of its level gives a seed within about 1e-14 of it, and the
-    # seeded bisection usually brackets the level in two passes, at the ends
-    # of the bisection cell that holds theta.
-    # A guess whose solve fails (a NaN row) or whose theta is not finite is
-    # kept as it is; guesses of the wrong shape go through unchanged for
-    # eigvalsh_bisect to reject.
-    g = np.asarray(guesses, dtype=float)
-    if g.ndim != 1:
-        return guesses
-    d, e = H.diagonal, H.offdiagonal
-    xs = g.tolist()
+    # from one unit start vector.  |theta - lambda| <= ||H v - theta v||^2 /
+    # gap (Parlett, The Symmetric Eigenvalue Problem, ch. 4), and one dgtsv
+    # solve leaves theta about (theta - g)^2 / gap off: it is kept when
+    # (theta - g)^2 <= gap * tol / 64, gap the distance to the nearest other
+    # guess, and two more solves follow otherwise (always, for a lone guess).
+    # A guess whose solve fails or whose theta is not finite is kept as is.
+    start = _start_vector(H.size)
+    xs = [float(x) for x in guesses]
     seeds = []
-    for x, v in zip(xs, _eigenvectors(d, e, xs, start)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            hv = d * v
-            hv[:-1] += e * v[1:]
-            hv[1:] += e * v[:-1]
-            theta = float(np.dot(v, hv))
-        seeds.append(theta if math.isfinite(theta) else x)
+    for j, g in enumerate(xs):
+        gap = min((abs(g - y) for i, y in enumerate(xs) if i != j), default=0.0)
+        first = []  # (v, theta) after the first solve
+
+        def settled(v, g=g, gap=gap):
+            first.append((v, _rayleigh_quotient(H, v)))
+            return (first[-1][1] - g) ** 2 <= gap * tol / 64.0
+
+        v = _eigenvector(H.diagonal, H.offdiagonal, g, start, settled)
+        theta = g
+        if v is not None:
+            theta = first[-1][1] if first and first[-1][0] is v else _rayleigh_quotient(H, v)
+        seeds.append(theta if math.isfinite(theta) else g)
     return seeds
 
 
@@ -465,7 +474,6 @@ def lowest_eigenvalues(
     H: DiscreteHamiltonian,
     k: int,
     tol: float = 1e-10,
-    want_vectors: bool = True,
     guesses=None,
 ) -> Spectrum:
     """The k smallest eigenvalues of H with node counts and bracket widths.
@@ -474,42 +482,21 @@ def lowest_eigenvalues(
     ``tol`` (or no float lies strictly between its ends); the Sturm count
     guarantees the index of every returned bracket.  ``guesses`` (one per
     level) only save Sturm passes: the returned values do not depend on them
-    (see :func:`~dipole1d.tridiag.eigvalsh_bisect`).  When vectors are
-    wanted, each guess is first replaced by the Rayleigh quotient v^T H v of
-    one inverse iteration at it, which is far closer to the level; a guess
-    whose solve fails, or whose quotient is not finite, is kept as it is.
-    The vectorless path passes the guesses on unchanged and so never loads
-    scipy; a caller that wants the sharper seeds without the vectors computes
-    them itself and passes them as guesses: the coarse rungs of
-    :func:`hydrogen_spectrum` from inverse iterations, and the caps of
-    :func:`cutoff_sweep` from the scipy-free Rayleigh quotients of
-    ``tridiag._wall_level``.  The returned vectors are solved at the bisected
-    values, so they do not depend on the guesses either.
+    (see :func:`~dipole1d.tridiag.eigvalsh_bisect`).  A caller with sharper
+    seeds computes them itself and passes them as guesses: the rungs of
+    :func:`hydrogen_spectrum` from one-solve Rayleigh quotients, and the caps
+    of :func:`cutoff_sweep` from the scipy-free Rayleigh quotients of
+    ``tridiag._wall_level``.
 
-    H's construction checked its entries, so the bisection reads H's views
-    (``tridiag._Tridiagonal``) without checking them again; they are built
-    once per operator, however many solves read them.  The seeds and the
-    returned vectors share one start vector.
+    The node counts solve no vector and load no scipy: each is the level's
+    Sturm index within its block (``tridiag._block_indices``), k itself on a
+    single-block operator.  H's construction checked its entries, so the
+    bisection reads H's views (``tridiag._Tridiagonal``) without checking
+    them again; they are built once per operator.
     """
-    _check_levels(k, H.size)  # before any Rayleigh seed is solved
-    start = _start_vector(H.size) if want_vectors else None
-    if want_vectors and guesses is not None:
-        guesses = _rayleigh_seeds(H, guesses, start)
     values, widths = eigvalsh_bisect(H, None, k, tol=tol, guesses=guesses)
-    vectors = None
-    counts = np.zeros(k, dtype=int)
-    if want_vectors:
-        vectors = _eigenvectors(H.diagonal, H.offdiagonal, values.tolist(), start)
-        for j, v in enumerate(vectors):
-            if np.isnan(v[0]):
-                raise _failure(float(values[j]))
-            counts[j] = count_sign_changes(v)
-    return Spectrum(
-        energies=values,
-        node_counts=counts,
-        bracket_widths=widths,
-        eigenvectors=vectors,
-    )
+    return Spectrum(energies=values, node_counts=_block_indices(H, values, widths),
+                    bracket_widths=widths)
 
 
 def richardson_step(coarse, fine):
@@ -570,8 +557,11 @@ def hydrogen_spectrum(
     sit above the eigenvalue-bisection noise floor) or a
     :class:`ConvergenceError` carrying the estimates is raised.  The
     returned ``spectrum`` is that of the finest grid, the one the CLI
-    prints; its node counts and eigenvectors are the only ones solved, and
-    the coarser grids give energies only.
+    prints, with node counts from the oscillation theorem, not from vectors.
+    Each rung is seeded with the Rayleigh quotients (``_rayleigh_seeds``) of
+    its guesses: the Balmer levels, then the wall-shifted Balmer level W plus
+    a quarter of the first rung's distance from it, then the h^2 prediction
+    E_i-1 + (E_i-1 - E_i-2) / 4.  The levels do not depend on the seeds.
 
     The Dirichlet wall at ``grid.x_min`` > 0 raises the ground level by about
     (1/2) psi_1'(0)^2 x_min = 2 lam^3 x_min hartree to first order, i.e.
@@ -616,20 +606,21 @@ def hydrogen_spectrum(
     n_idx = np.arange(1, n_states + 1, dtype=float)
     balmer = -(lam**2) / (2.0 * n_idx**2)
 
-    # Every rung is seeded with the Rayleigh quotients of the Balmer levels,
-    # and the values do not depend on the seeds.  Only the finest rung's
-    # spectrum is returned, so the coarser ones sharpen the seeds as
-    # lowest_eigenvalues would and solve without vectors.
+    # The wall raises level n by 4 lam x_min / n relative, to first order
+    # (ROADMAP item 4's regular wall removes this term)
+    wall = balmer * (1.0 - wall_shift / n_idx)
     E = np.empty((len(grids), n_states))
     for i, g in enumerate(grids):
-        H = discretize(Coulomb(lam), g)
-        if i < refine_levels:
-            seeds = _rayleigh_seeds(H, balmer, _start_vector(H.size))
-            E[i] = lowest_eigenvalues(H, n_states, tol=_HYDROGEN_TOL, want_vectors=False,
-                                      guesses=seeds).energies
+        if i == 0:
+            guesses = balmer
+        elif i == 1:
+            guesses = wall + (E[0] - wall) / 4.0
         else:
-            spectrum = lowest_eigenvalues(H, n_states, tol=_HYDROGEN_TOL, guesses=balmer)
-            E[i] = spectrum.energies
+            guesses = E[i - 1] + (E[i - 1] - E[i - 2]) / 4.0
+        H = discretize(Coulomb(lam), g)
+        spectrum = lowest_eigenvalues(H, n_states, tol=_HYDROGEN_TOL,
+                                      guesses=_rayleigh_seeds(H, guesses, _HYDROGEN_TOL))
+        E[i] = spectrum.energies
 
     extrapolated, estimates = richardson_step(E[:-1], E[1:])
     noise_floor = 10.0 * _HYDROGEN_TOL
@@ -733,8 +724,7 @@ def cutoff_sweep(
             g = _wall_level(H, above, floor, above)
         if g is None:
             g = _wall_level(H, floor, floor, above)
-        sp = lowest_eigenvalues(H, 1, tol=_CUTOFF_TOL, want_vectors=False,
-                                guesses=None if g is None else [g])
+        sp = lowest_eigenvalues(H, 1, tol=_CUTOFF_TOL, guesses=None if g is None else [g])
         above = float(sp.energies[0])
         energies.append(above)
 
@@ -745,8 +735,7 @@ def cutoff_sweep(
     grid_full = Grid("uniform", -L, L, 2 * n - 1)
     H_full = discretize(specs[0], grid_full)
     # the same even-sector level, up to the round-off parity gap
-    sp_full = lowest_eigenvalues(H_full, 1, tol=_CUTOFF_TOL, want_vectors=False,
-                                 guesses=[energies[0]])
+    sp_full = lowest_eigenvalues(H_full, 1, tol=_CUTOFF_TOL, guesses=[energies[0]])
     full_check = (eps[0], energies[0], float(sp_full.energies[0]))
 
     return CutoffSweepResult(

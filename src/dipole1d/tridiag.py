@@ -27,12 +27,19 @@ the predicate's pass, capped at one level and stopping after 1,608 rows,
 takes 154 us with that copy and 115 us in place; a full pass takes 329 us
 with both copies and 275 us in place.
 
-Eigenvectors come from inverse iteration, each solve LAPACK's ``dgtsv``:
-Gaussian elimination with partial pivoting on the general tridiagonal matrix
-(Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999).  scipy is
-imported only there, so importing the package does not load it.
-``_eigenvectors`` runs the inverse iterations at many shifts from one start
-vector, for callers that have already checked the operator.
+Node counts need no vectors.  Exact-zero couplings (pinned zeros) split the
+operator into blocks, listed once per set of couplings (``_Couplings.blocks``).
+On a block whose couplings are negative, as ``DiscreteHamiltonian`` makes
+them, the vector of the j-th lowest level has exactly j sign changes (the
+discrete oscillation theorem; Gantmacher and Krein, Oscillation Matrices and
+Kernels), so ``_block_indices`` gives a level its Sturm index in its block.
+
+Eigenvectors, for ``inverse_iteration`` and the Rayleigh seeds of
+``eigensolver.hydrogen_spectrum`` only, come from inverse iteration, each
+solve LAPACK's ``dgtsv``: Gaussian elimination with partial pivoting on the
+general tridiagonal matrix (Anderson et al., LAPACK Users' Guide, 3rd ed.,
+SIAM 1999).  scipy is imported only there, so importing the package does not
+load it.
 
 A Sturm pass stops as soon as its answer is decided.  A bisection step only
 asks whether count(x) > j for some j < k, so the pass may stop once the count
@@ -45,16 +52,16 @@ count that the full pass gives.
 
 A caller that already knows roughly where each level lies (an analytic
 level, the same level of a symmetric reduction) passes it as a guess;
-``eigensolver.lowest_eigenvalues`` first sharpens a guess to a Rayleigh
-quotient when it solves for vectors anyway, so a seed is then usually
-within a rounding error of its level and brackets it in two passes.  A
-lowest level whose vector peaks at row 0, as the even sector's does at a
-Neumann wall, gets such a seed without vectors and without scipy:
-``_wall_level`` iterates the Rayleigh quotient of the twisted factorization
-at twist index 0, which needs only the backward pivots of T - x*I, from a
-start the caller knows (``eigensolver.cutoff_sweep`` starts each cap at the
-last cap's level).  The five caps of the perfbench ``cutoff`` argv then
-take 10 passes instead of 260.
+``eigensolver.hydrogen_spectrum`` first sharpens a guess to the Rayleigh
+quotient of an inverse iteration at it, so a seed is then usually within a
+rounding error of its level and brackets it in two passes.  A lowest level
+whose vector peaks at row 0, as the even sector's does at a Neumann wall,
+gets such a seed without vectors and without scipy: ``_wall_level``
+iterates the Rayleigh quotient of the twisted factorization at twist index
+0, which needs only the backward pivots of T - x*I, from a start the caller
+knows (``eigensolver.cutoff_sweep`` starts each cap at the last cap's
+level).  The five caps of the perfbench ``cutoff`` argv then take 10 passes
+instead of 260.
 
 ``_narrow_bracket`` is the one bisection loop here, and it uses a guess the
 same way for every monotone predicate, a Sturm count at a shift or the
@@ -113,7 +120,6 @@ __all__ = [
     "gershgorin_bounds",
     "eigvalsh_bisect",
     "inverse_iteration",
-    "count_sign_changes",
 ]
 
 _TINY = 1e-300
@@ -121,7 +127,6 @@ _DENORM = 5e-324  # the smallest positive double
 _OFF_MAX = math.sqrt(sys.float_info.max)  # the largest |e| whose square is finite
 _SEED_WIDEN = 8.0  # factor by which a guess's cell end that misses the switch moves out
 _SOLVES = 3  # dgtsv solves per inverse iteration
-_NODE_RTOL = 1e-8  # entries below this fraction of max|v| carry no sign
 _WALL_K_FIRST = 3.0  # e-folds of decay a _wall_level sweep keeps on its first step
 _WALL_K_LAST = 14.0  # ... on its last step: a truncation shift near e^-28 relative
 _WALL_K_RATE = 2.0  # K after a step of relative size r is -_WALL_K_RATE * ln(r)
@@ -294,6 +299,12 @@ class _Couplings:
     def bound(self) -> list:
         # the b of the tail certificate, as _count_below reads it
         return self.certificate[0].tolist()
+
+    @cached_property
+    def blocks(self) -> list:
+        # (start, stop) of each block: the runs of rows between exact-zero couplings
+        cuts = (np.flatnonzero(self.off == 0.0) + 1).tolist()
+        return list(zip([0, *cuts], [*cuts, self.off.shape[0] + 1]))
 
 
 class _Tridiagonal:
@@ -477,6 +488,30 @@ def eigvalsh_bisect(
     return values, widths
 
 
+def _block_indices(op: _Tridiagonal, values, widths) -> list:
+    # The index within its block of each of the k lowest levels ``values``,
+    # bisected to brackets of ``widths``.  Each block's Sturm count is taken
+    # at every bracket end, ascending; the levels between two ends are each
+    # block's next ones, listed block by block, and level j is the j-th
+    # listed: levels of two blocks within a bracket of each other (the
+    # degenerate pairs of a mirror-symmetric operator) go in block order.
+    blocks = op.couplings.blocks
+    if len(blocks) == 1:
+        return list(range(len(values)))
+    diag_l, off2_l = op.diag_list, op.couplings.off2
+    views = [(diag_l[a:b], off2_l[a:b - 1]) for a, b in blocks]
+    ends = {*(values - 0.5 * widths).tolist(), *(values + 0.5 * widths).tolist()}
+    indices, below = [], [0] * len(blocks)
+    # inf counts every row: the list reaches k even if an end rounded inward
+    for x in [*sorted(ends), math.inf]:
+        counts = [_count_below(d, e2, x) for d, e2 in views]
+        indices += [i for c0, c1 in zip(below, counts) for i in range(c0, c1)]
+        below = counts
+        if len(indices) >= len(values):
+            break
+    return indices[:len(values)]
+
+
 def _decay_table(diag, abs_off, x):
     # (last, decay) at the shift x: last is the row after the last
     # classically allowed row, and decay[j] the decay in e-folds from row
@@ -566,12 +601,14 @@ def _start_vector(n):
     return v / np.sqrt(np.sum(v * v))
 
 
-def _inverse_iteration(diag, off, lam, v):
-    # None where a solve fails: see inverse_iteration
+def _inverse_iteration(diag, off, lam, v, settled=None):
+    # v after _SOLVES dgtsv solves of (T - lam*I) w = v, each normalized, from
+    # the unit vector v; after the first solve only, stops when settled(v)
+    # holds.  None where a solve fails: see inverse_iteration
     from scipy.linalg.lapack import dgtsv
 
     shifted = diag - lam
-    for _ in range(_SOLVES):
+    for i in range(_SOLVES):
         _, _, _, w, info = dgtsv(off, shifted, off, v)
         if info != 0:
             return None
@@ -580,37 +617,22 @@ def _inverse_iteration(diag, off, lam, v):
         if nrm == 0.0 or not np.isfinite(nrm):
             return None
         v = w / nrm
+        if i == 0 and settled is not None and settled(v):
+            break
     return v
 
 
-def _eigenvectors(diag, off, shifts, start):
-    # Row i: inverse_iteration(diag, off, shifts[i]) from the unit start
-    # vector ``start``, or NaN where the shift is not finite or both attempts
-    # fail.  The operator is taken as checked: float arrays of matching shape
-    # with finite entries.
-    n = diag.shape[0]
-    rows = np.full((len(shifts), n), math.nan)
-    scale = None
-    for i, lam in enumerate(shifts):
-        if not math.isfinite(lam):
-            continue
-        if n == 1:
-            rows[i] = 1.0  # dgtsv's wrapper refuses n = 1
-            continue
-        v = _inverse_iteration(diag, off, lam, start)
-        if v is None:
-            # retry with a tiny relative shift away from an exact pivot kill
-            if scale is None:
-                scale = max(1.0, float(np.max(np.abs(diag))))
-            v = _inverse_iteration(diag, off, lam + 1e-13 * scale, start)
-        if v is not None:
-            rows[i] = v
-    return rows
-
-
-def _failure(lam):
-    # the error of an inverse iteration whose retry failed too
-    return ValueError(f"inverse iteration failed at lam = {lam!r} and at the shifted retry")
+def _eigenvector(diag, off, lam, start, settled=None):
+    # _inverse_iteration, retried once at a tiny relative shift away from an
+    # exact pivot kill; None where both attempts fail.  The operator is taken
+    # as checked: float arrays of matching shape with finite entries.
+    if diag.shape[0] == 1:
+        return np.ones(1)  # dgtsv's wrapper refuses n = 1
+    v = _inverse_iteration(diag, off, lam, start, settled)
+    if v is None:
+        scale = max(1.0, float(np.max(np.abs(diag))))
+        v = _inverse_iteration(diag, off, lam + 1e-13 * scale, start, settled)
+    return v
 
 
 def inverse_iteration(
@@ -627,18 +649,7 @@ def inverse_iteration(
     """
     op = _operator(diag, off)
     lam = _shift(lam, "lam")
-    v = _eigenvectors(op.diagonal, op.couplings.off, [lam], _start_vector(len(op)))[0]
-    if np.isnan(v[0]):
-        raise _failure(lam)
+    v = _eigenvector(op.diagonal, op.couplings.off, lam, _start_vector(len(op)))
+    if v is None:
+        raise ValueError(f"inverse iteration failed at lam = {lam!r} and at the shifted retry")
     return v
-
-
-def count_sign_changes(v: np.ndarray) -> int:
-    """Strict sign changes of v, ignoring entries below 1e-8 * max|v|."""
-    v = np.asarray(v, dtype=float)
-    vmax = float(np.max(np.abs(v)))
-    if vmax == 0.0:
-        return 0
-    keep = v[np.abs(v) > _NODE_RTOL * vmax]
-    signs = np.sign(keep)
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))

@@ -157,8 +157,7 @@ def test_criterion_7_subcritical_absence():
     with criterion(7, "alpha = 0.20: no oscillation and no bound level below -1e-8"):
         assert zero_energy_node_count(0.2, 1e-8, 1e8) == 0
         grid = Grid("logarithmic", 1e-8, 1e8, DEFAULT_HYDROGEN_GRID.n)
-        sp = lowest_eigenvalues(discretize(InverseSquare(0.2), grid), 3,
-                                want_vectors=False)
+        sp = lowest_eigenvalues(discretize(InverseSquare(0.2), grid), 3)
         assert np.all(sp.energies >= -1e-8), sp.energies
 
 

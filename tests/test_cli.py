@@ -374,20 +374,24 @@ def _scipy_after(runs):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported lazily by the eigenvector solve; the CLI's start-up
-    # time (perfbench's setup_s) must not pay for it
+    # scipy is imported lazily by the inverse iteration of hydrogen's seeds;
+    # the CLI's start-up time (perfbench's setup_s) must not pay for it
     assert _scipy_after([]) == "[] []"
 
 
 def test_vectorless_pipelines_leave_scipy_unloaded():
-    # cutoff-sweep (whose full-line check passes guesses), dipole-limit and
-    # critical-scan need no eigenvectors, so no seed or solve may import scipy
+    # cutoff-sweep (whose full-line check passes guesses), dipole-limit,
+    # critical-scan and spectrum (whose node counts come from Sturm counts,
+    # a decoupled operator's too) need no eigenvectors, so no seed or solve
+    # may import scipy
     runs = [["cutoff-sweep", "--epsilon", "0.2,0.1", "--domain", "0:20"],
             ["dipole-limit", "--d", "1.0,0.5", "--n", "601"],
-            ["critical-scan", "--windows", "1e-5:1e5,1e-6:1e6"]]
-    assert _scipy_after(runs) == "[0, 3, 0] []"
-    # the check can see the import: a solve with vectors does load it
-    assert _scipy_after([["spectrum", "--p", "1", "--domain", "-20:0", "--n", "64"]]) != "[0] []"
+            ["critical-scan", "--windows", "1e-5:1e5,1e-6:1e6"],
+            ["spectrum", "--p", "1", "--domain", "-20:0", "--n", "64"],
+            ["spectrum", "--lambda", "1", "--n", "65"]]
+    assert _scipy_after(runs) == "[0, 3, 0, 0, 0] []"
+    # the check can see the import: hydrogen's Rayleigh seeds do load it
+    assert _scipy_after([["hydrogen", "--n", "64"]]) != "[0] []"
 
 
 def test_hydrogen_default_grid_is_read_in_bohr_radii(capsys):
@@ -685,6 +689,11 @@ _GOLDEN = [
       "--n", "1024", "--states", "2"],
      0, "de1cf0a38af23dddbe5495d511a8d3c39fa3ba6bc7cb5a18b64763a879dd7bf9",
      "7adab1f91ea988dacd072c736b4285bc7a8718f760060873426bd85096832842"),
+    # a pinned zero at 0 splits the line into two blocks: node counts per
+    # block, 0, 0, 1, 1, 2, 2 for three degenerate pairs
+    (["spectrum", "--lambda", "1", "--states", "6"],
+     0, "5e1d4d487be7b793c53c8654562c72bfe76062f8888f7c42db0b1837cb5742a7",
+     "f21da3418e0642424e631816ed9e7cf1b5df6de052cbb477671cf119d377a421"),
 ]
 
 
@@ -698,7 +707,7 @@ def _sha(data: bytes) -> str:
                               "critical-scan", "spectrum-capped", "spectrum-two-centre",
                               "spectrum-two-centre-resolved", "spectrum-two-centre-si",
                               "spectrum-two-centre-si-resolved", "convert-si",
-                              "spectrum-lambda-si"])
+                              "spectrum-lambda-si", "spectrum-decoupled"])
 def test_output_bytes_match_golden(argv, code, csv_sha, json_sha, tmp_path, capsys):
     assert run(argv) == code
     captured = capsys.readouterr()

@@ -190,7 +190,7 @@ def test_numeric_half_width_covers_float_spacing_stop():
 
 def _bisection_binds(spec, grid):
     # the binding predicate as a bisected ground state: E0 < 0
-    sp = lowest_eigenvalues(discretize(spec, grid), 1, want_vectors=False)
+    sp = lowest_eigenvalues(discretize(spec, grid), 1)
     return float(sp.energies[0]) < 0.0
 
 
@@ -250,7 +250,8 @@ def _seed_discretize(spec, grid):
         idx = int(np.argmin(np.abs(nodes - p)))
         assert abs(nodes[idx] - p) <= atol
         drop[idx] = True
-        notes.append(f"interior Dirichlet zero at x = {p!r} decouples the operator")
+        notes.append(f"interior Dirichlet zero at x = {p!r} decouples the operator: "
+                     "node counts are per block")
     if isinstance(spec, PointDipole) and grid.x_max > atol and grid.x_min < -atol:
         drop |= nodes > -atol
         notes = [n_ for n_ in notes if "decouples" not in n_]

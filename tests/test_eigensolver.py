@@ -1,13 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import dipole1d.eigensolver as es
+from dipole1d.cli import run
 from dipole1d.eigensolver import (
     DEFAULT_HYDROGEN_GRID,
     BracketError,
     ConvergenceError,
+    DiscreteHamiltonian,
     Grid,
     GridAlignmentError,
     IntegrationError,
@@ -134,7 +137,7 @@ def test_full_line_coulomb_decouples_at_origin():
     g = Grid("uniform", -40.0, 40.0, 3999)
     H = discretize(Coulomb(1.0), g)
     assert int(np.sum(H.offdiagonal == 0.0)) == 1
-    sp = lowest_eigenvalues(H, 4, want_vectors=False)
+    sp = lowest_eigenvalues(H, 4)
     # mirror-symmetric halves: levels come in exactly degenerate pairs
     assert sp.energies[1] - sp.energies[0] < 1e-8
     assert sp.energies[3] - sp.energies[2] < 1e-8
@@ -197,6 +200,54 @@ def test_node_theorem_regularized_coulomb_full_line():
     assert list(sp.node_counts) == [0, 1, 2, 3, 4]
 
 
+def _dense_block_node_counts(H, k):
+    # The oracle: each block of H (the rows between exact-zero couplings) by
+    # a dense eigh, each vector's sign changes counted over the entries above
+    # 1e-8 max|v|, and the node counts of the k lowest levels of all blocks
+    d, e = H.diagonal, H.offdiagonal
+    cuts = [0, *(np.flatnonzero(e == 0.0) + 1).tolist(), H.size]
+    levels = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        off = e[a:b - 1]
+        values, vectors = np.linalg.eigh(np.diag(d[a:b]) + np.diag(off, 1) + np.diag(off, -1))
+        for lam, v in zip(values, vectors.T):
+            signs = np.sign(v[np.abs(v) > 1e-8 * np.max(np.abs(v))])
+            levels.append((lam, int(np.count_nonzero(signs[1:] != signs[:-1]))))
+    return [count for _, count in sorted(levels)[:k]]
+
+
+def test_node_counts_are_per_block_on_the_decoupled_line(tmp_path):
+    # spectrum --lambda 1: a pinned zero at the origin splits the default
+    # line into two mirror blocks, so the levels come in degenerate pairs,
+    # one per block, and each pair shares its node count
+    out = tmp_path / "o"
+    assert run(["spectrum", "--lambda", "1", "--states", "6", "--format", "both",
+                "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "o.json").read_text())
+    assert "node counts are per block" in doc["config"]["bc_note"]
+    H = discretize(Coulomb(1.0), Grid("uniform", -30.0, 30.0, 4001))
+    assert len(H.couplings.blocks) == 2
+    assert doc["node_counts"] == _dense_block_node_counts(H, 6) == [0, 0, 1, 1, 2, 2]
+
+
+def test_node_counts_are_per_block_on_a_random_three_block_operator():
+    # weak disorder, and the lower half of the spectrum: a strongly
+    # disordered block localizes its vectors, as every block does near the
+    # top of its band, and a node between two localized humps then falls
+    # below the oracle's 1e-8 cut
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        n = int(rng.integers(30, 80))
+        d = rng.uniform(-0.5, 0.5, size=n)
+        e = -rng.uniform(0.5, 1.5, size=n - 1)
+        e[rng.choice(n - 1, size=2, replace=False)] = 0.0
+        H = DiscreteHamiltonian(d, e, Grid("uniform", 0.0, 1.0, 16), "test operator",
+                                np.arange(float(n)))
+        assert len(H.couplings.blocks) == 3
+        sp = lowest_eigenvalues(H, n // 2)
+        assert sp.node_counts.tolist() == _dense_block_node_counts(H, n // 2)
+
+
 # -------------------------------------------------------------- hydrogen
 
 
@@ -222,8 +273,8 @@ def test_hydrogen_coulomb_scaling():
     lam = 2.0
     g1 = Grid("logarithmic", 1e-5, 200.0, 2048)
     g2 = Grid("logarithmic", 1e-5 / lam, 200.0 / lam, 2048)
-    e1 = lowest_eigenvalues(discretize(Coulomb(1.0), g1), 3, want_vectors=False).energies
-    e2 = lowest_eigenvalues(discretize(Coulomb(lam), g2), 3, want_vectors=False).energies
+    e1 = lowest_eigenvalues(discretize(Coulomb(1.0), g1), 3).energies
+    e2 = lowest_eigenvalues(discretize(Coulomb(lam), g2), 3).energies
     assert np.max(np.abs(e2 / e1 - lam**2)) < 1e-6
 
 
@@ -312,8 +363,7 @@ def test_hydrogen_outer_wall_at_the_bound_moves_the_top_level_below_1e_3(n_state
     def top_level(x_max):
         m = round(math.log(x_max / 1e-5) / h) - 1
         g = Grid("logarithmic", 1e-5, 1e-5 * math.exp(h * (m + 1)), m)
-        sp = lowest_eigenvalues(discretize(Coulomb(1.0), g), n_states, tol=1e-13,
-                                want_vectors=False)
+        sp = lowest_eigenvalues(discretize(Coulomb(1.0), g), n_states, tol=1e-13)
         return sp.energies[-1]
 
     near, far = top_level(2 * n_states**2 + 6 * n_states), top_level(1000.0)
@@ -366,7 +416,7 @@ def test_discrete_hamiltonian_raises_a_hamiltonians_own_rules():
 def test_hydrogen_convergence_guard(monkeypatch):
     calls = {"i": 0}
 
-    def fake_lowest(H, k, tol=1e-10, want_vectors=True, guesses=None):
+    def fake_lowest(H, k, tol=1e-10, guesses=None):
         # fabricated non-shrinking ladder
         e = np.array([-0.5 + 0.01 * (calls["i"] % 2)])
         calls["i"] += 1
@@ -387,15 +437,14 @@ def test_eigenvalue_monotone_in_attraction():
     g = Grid("logarithmic", 1e-5, 200.0, 1024)
     prev = None
     for lam in (0.5, 1.0, 2.0):
-        e = lowest_eigenvalues(discretize(Coulomb(lam), g), 3, want_vectors=False).energies
+        e = lowest_eigenvalues(discretize(Coulomb(lam), g), 3).energies
         if prev is not None:
             assert np.all(e <= prev + 1e-12)
         prev = e
     g2 = Grid("logarithmic", 1e-4, 1e4, 1024)
     prev = None
     for alpha in (0.1, 0.2, 0.3, 0.6):
-        e = lowest_eigenvalues(discretize(InverseSquare(alpha), g2), 3,
-                               want_vectors=False).energies
+        e = lowest_eigenvalues(discretize(InverseSquare(alpha), g2), 3).energies
         if prev is not None:
             assert np.all(e <= prev + 1e-12)
         prev = e

@@ -16,7 +16,6 @@ from dipole1d.potentials import Coulomb, PhysicalDipole, PointDipole, Regularize
 from dipole1d.tridiag import (
     _count_below,
     _tail_certificate,
-    count_sign_changes,
     eigvalsh_bisect,
     gershgorin_bounds,
     inverse_iteration,
@@ -103,15 +102,6 @@ def test_k_out_of_range():
         eigvalsh_bisect(diag, off, 0)
     with pytest.raises(ValueError):
         eigvalsh_bisect(diag, off, 6)
-
-
-def test_count_sign_changes():
-    assert count_sign_changes(np.array([1.0, 2.0, 1.0])) == 0
-    assert count_sign_changes(np.array([1.0, -1.0, 1.0])) == 2
-    assert count_sign_changes(np.array([1.0, 1e-14, -1.0])) == 1
-    assert count_sign_changes(np.array([0.0, 0.0])) == 0
-    x = np.sin(np.linspace(0.01, 3 * math.pi - 0.01, 200))
-    assert count_sign_changes(x) == 2
 
 
 def test_exact_zero_pivot_count_matches_dense_oracle():
@@ -1044,13 +1034,13 @@ def test_sturm_count_monotone_near_pipeline_levels():
 def test_bad_guesses_rejected(guesses):
     with pytest.raises(ValueError, match="guesses"):
         eigvalsh_bisect(np.array([1.0, 2.0, 3.0]), np.array([-1.0, -1.0]), 3, guesses=guesses)
-    # also after the Rayleigh-quotient step of a solve with vectors
+    # also through lowest_eigenvalues, which hands its guesses on unchanged
     with pytest.raises(ValueError, match="guesses"):
         lowest_eigenvalues(_hamiltonian([1.0, 2.0, 3.0], [-1.0, -1.0]), 3, guesses=guesses)
 
 
-# Seeded eigen solves: with vectors, lowest_eigenvalues sharpens each guess to
-# a Rayleigh quotient first; the spectrum must still equal the unseeded one.
+# Seeded eigen solves: whatever the guesses, and however _rayleigh_seeds
+# sharpened them, the spectrum must equal the unseeded one.
 
 def _hamiltonian(diag, off):
     # lowest_eigenvalues reads only the entries; the grid is a placeholder
@@ -1074,13 +1064,13 @@ def _record_seeds(monkeypatch):
 
 
 def _assert_same_spectrum(sp, ref):
-    for name in ("energies", "bracket_widths", "node_counts", "eigenvectors"):
+    for name in ("energies", "bracket_widths", "node_counts"):
         assert np.array_equal(getattr(sp, name), getattr(ref, name)), name
 
 
 def _assert_seeded_solve_equals_unseeded(H, k, tol, seeds):
     ref = lowest_eigenvalues(H, k, tol=tol)
-    levels = lowest_eigenvalues(H, min(k + 1, H.size), tol=tol, want_vectors=False).energies
+    levels = lowest_eigenvalues(H, min(k + 1, H.size), tol=tol).energies
     lo, hi = gershgorin_bounds(H.diagonal, H.offdiagonal)
     for guesses in _guess_sets(levels, k, lo, hi):
         del seeds[:]
@@ -1102,15 +1092,15 @@ def test_seeded_solve_bit_identical_to_unseeded_on_balmer_grids(name, monkeypatc
     _assert_seeded_solve_equals_unseeded(H, k, tol, seeds)
     # a guess at the next level sends the Rayleigh quotient to that level:
     # the seed is wrong, and the spectrum above must not have noticed
-    levels = lowest_eigenvalues(H, k + 1, tol=tol, want_vectors=False).energies
-    del seeds[:]
-    lowest_eigenvalues(H, k, tol=tol, guesses=levels[1:])
-    assert seeds[0] == pytest.approx(levels[1:].tolist(), abs=1e-9)
+    levels = lowest_eigenvalues(H, k + 1, tol=tol).energies
+    wrong = es._rayleigh_seeds(H, levels[1:], tol)
+    assert wrong == pytest.approx(levels[1:].tolist(), abs=1e-9)
+    _assert_same_spectrum(lowest_eigenvalues(H, k, tol=tol, guesses=wrong),
+                          lowest_eigenvalues(H, k, tol=tol))
     # Balmer guesses become seeds far closer to the levels than they were
     balmer = np.array([-0.5, -0.125, -1.0 / 18.0])
-    del seeds[:]
-    lowest_eigenvalues(H, k, tol=tol, guesses=balmer)
-    assert np.all(np.abs(np.array(seeds[0]) - levels[:k]) < 1e-3 * np.abs(balmer - levels[:k]))
+    seeded = np.array(es._rayleigh_seeds(H, balmer, tol))
+    assert np.all(np.abs(seeded - levels[:k]) < 1e-3 * np.abs(balmer - levels[:k]))
 
 
 def test_seed_solve_failure_keeps_the_raw_guess(monkeypatch):
@@ -1121,51 +1111,50 @@ def test_seed_solve_failure_keeps_the_raw_guess(monkeypatch):
     with pytest.raises(ValueError, match="inverse iteration failed"):
         inverse_iteration(H.diagonal, H.offdiagonal, 2.0)
     ref = lowest_eigenvalues(H, 3)
-    seeds = _record_seeds(monkeypatch)
-    _assert_same_spectrum(lowest_eigenvalues(H, 3, guesses=[1.01, 2.0, 2.01]), ref)
-    assert seeds[0][1] == 2.0                       # the raw guess
-    assert abs(seeds[0][0] - 1.0) < 1e-9            # Rayleigh quotients
-    assert abs(seeds[0][2] - 2.0000000000002) < 1e-9
+    seeds = es._rayleigh_seeds(H, [1.01, 2.0, 2.01], 1e-10)
+    _assert_same_spectrum(lowest_eigenvalues(H, 3, guesses=seeds), ref)
+    assert seeds[1] == 2.0                       # the raw guess
+    assert abs(seeds[0] - 1.0) < 1e-9            # Rayleigh quotients
+    assert abs(seeds[2] - 2.0000000000002) < 1e-9
 
 
 def test_non_finite_rayleigh_quotient_keeps_the_raw_guess(monkeypatch):
     H, k, tol = _pipeline_operators()["coulomb_log_384"]
     ref = lowest_eigenvalues(H, k, tol=tol)
     bad = -0.49
-    real = es._eigenvectors
+    real = es._eigenvector
 
-    def nan_at_bad(diag, off, shifts, *args):
-        rows = real(diag, off, shifts, *args)
-        rows[np.asarray(shifts) == bad] = math.nan
-        return rows
+    def nan_at_bad(diag, off, lam, *args):
+        v = real(diag, off, lam, *args)
+        return np.full_like(v, math.nan) if lam == bad else v
 
-    monkeypatch.setattr(es, "_eigenvectors", nan_at_bad)
-    seeds = _record_seeds(monkeypatch)
-    _assert_same_spectrum(lowest_eigenvalues(H, k, tol=tol, guesses=[bad, -0.125, -1.0 / 18.0]),
-                          ref)
-    assert seeds[0][0] == bad
-    assert seeds[0][1:] == pytest.approx(ref.energies[1:].tolist(), abs=1e-9)
+    monkeypatch.setattr(es, "_eigenvector", nan_at_bad)
+    seeds = es._rayleigh_seeds(H, [bad, -0.125, -1.0 / 18.0], tol)
+    _assert_same_spectrum(lowest_eigenvalues(H, k, tol=tol, guesses=seeds), ref)
+    assert seeds[0] == bad
+    assert seeds[1:] == pytest.approx(ref.energies[1:].tolist(), abs=1e-9)
 
 
 def test_vectorless_solves_keep_the_raw_guesses(monkeypatch):
-    # the seeds' inverse iteration would load scipy on paths that need none
+    # an inverse iteration would load scipy: lowest_eigenvalues solves no
+    # vector, neither for its seeds nor for its node counts
     def no_vectors(*args, **kwargs):
         raise AssertionError("inverse iteration on a vectorless solve")
 
-    monkeypatch.setattr(es, "_eigenvectors", no_vectors)
+    monkeypatch.setattr(tridiag, "_inverse_iteration", no_vectors)
     seeds = _record_seeds(monkeypatch)
     H, k, tol = _pipeline_operators()["coulomb_log_384"]
-    lowest_eigenvalues(H, k, tol=tol, want_vectors=False, guesses=[-0.5, -0.125, -0.05])
+    lowest_eigenvalues(H, k, tol=tol, guesses=[-0.5, -0.125, -0.05])
     assert seeds == [[-0.5, -0.125, -0.05]]
 
 
-def test_vector_solve_checks_the_operator_and_builds_the_start_vector_once(monkeypatch):
-    # seeds, bisection and returned vectors share one operator check and one
-    # start vector, whatever k is.  The check is the record's, when it is
-    # built (one _Couplings, which the potential's operator shares), so the
-    # solve checks no arrays; and it builds each view of the operator once
-    calls = {"_operator": 0, "_start_vector": 0, "_Couplings": 0,
-             "_coupling_certificate": 0, "_threshold_floor": 0}
+def test_solve_checks_the_operator_and_builds_each_view_once(monkeypatch):
+    # the bisection and the node counts share one operator check, whatever
+    # k is.  The check is the record's, when it is built (one _Couplings,
+    # which the potential's operator shares), so the solve checks no arrays;
+    # and it builds each view of the operator once
+    calls = {"_operator": 0, "_Couplings": 0, "_coupling_certificate": 0,
+             "_threshold_floor": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -1180,30 +1169,26 @@ def test_vector_solve_checks_the_operator_and_builds_the_start_vector_once(monke
                 monkeypatch.setattr(module, name, fn)
     H = discretize(Coulomb(1.0), Grid("logarithmic", 1e-5, 200.0, 384))
     k, tol = 3, 1e-11
-    sp = lowest_eigenvalues(H, k, tol=tol, guesses=[-0.5, -0.125, -1.0 / 18.0],
-                            want_vectors=True)
-    assert calls == {"_operator": 0, "_start_vector": 1, "_Couplings": 1,
-                     "_coupling_certificate": 1, "_threshold_floor": 1}
-    assert sp.eigenvectors.shape == (k, H.size)
+    lowest_eigenvalues(H, k, tol=tol, guesses=[-0.5, -0.125, -1.0 / 18.0])
+    want = {"_operator": 0, "_Couplings": 1, "_coupling_certificate": 1, "_threshold_floor": 1}
+    assert calls == want
     # a second solve on the same operator builds no view again
-    lowest_eigenvalues(H, k, tol=tol, want_vectors=False)
-    assert calls == {"_operator": 0, "_start_vector": 1, "_Couplings": 1,
-                     "_coupling_certificate": 1, "_threshold_floor": 1}
+    lowest_eigenvalues(H, k, tol=tol)
+    assert calls == want
 
 
 @pytest.mark.parametrize("k", [0, -1, 385])
 def test_vector_solve_refuses_k_before_any_rayleigh_seed(k, monkeypatch):
-    # a k the operator does not have is refused before the inverse
-    # iterations of the seeds, with the bisection's own message
+    # a k the operator does not have is refused, with the bisection's own
+    # message, and no guess is solved for
     calls = []
-    eigenvectors = tridiag._eigenvectors
+    inverse_iteration = tridiag._inverse_iteration
 
     def counted(*args):
         calls.append(args)
-        return eigenvectors(*args)
+        return inverse_iteration(*args)
 
-    for module in (tridiag, es):
-        monkeypatch.setattr(module, "_eigenvectors", counted)
+    monkeypatch.setattr(tridiag, "_inverse_iteration", counted)
     H = discretize(Coulomb(1.0), Grid("logarithmic", 1e-5, 200.0, 384))
     for guesses in ([-0.5, -0.125, -1.0 / 18.0], None):
         with pytest.raises(ValueError) as info:
@@ -1215,36 +1200,23 @@ def test_vector_solve_refuses_k_before_any_rayleigh_seed(k, monkeypatch):
     assert calls == []
 
 
-def test_final_vector_failure_raises_at_the_first_failed_level(monkeypatch):
-    H, k, tol = _pipeline_operators()["coulomb_log_384"]
-    values = lowest_eigenvalues(H, k, tol=tol, want_vectors=False).energies
-    real = es._eigenvectors
-
-    def fail_from_level_1(diag, off, shifts, *args):
-        rows = real(diag, off, shifts, *args)
-        rows[1:] = math.nan
-        return rows
-
-    monkeypatch.setattr(es, "_eigenvectors", fail_from_level_1)
-    with pytest.raises(ValueError, match=f"failed at lam = {float(values[1])!r} and"):
-        lowest_eigenvalues(H, k, tol=tol)
-
-
 @pytest.mark.parametrize("argv, rows, bound", [
     # the full-line check, seeded from the even-sector level it reproduces:
     # the two ends of the seed's bisection cell
     (["cutoff-sweep", "--lambda", "1.0", "--epsilon", "0.2,0.1,0.05,0.025,0.0125",
       "--domain", "0:10.0", "--n", "3200"], 6399, 2),
-    # three grids, each seeded with the Rayleigh quotients of the Balmer
-    # levels: two passes per level and grid, 18 (467 without guesses, 21
-    # when each seed was counted at theta -+ tol/4)
+    # three grids, each seeded with the Rayleigh quotients of its guesses
+    # (the Balmer levels, then the rungs' predictions): two passes per level
+    # and grid, 18 (467 without guesses, 21 when each seed was counted at
+    # theta -+ tol/4)
     (["hydrogen", "--lambda", "1.0", "--states", "3", "--n", "384", "--domain", "1e-05:200.0"],
      None, 18),
     # grids 4,096 / 8,193 / 16,387: 18 passes (23 at theta -+ tol/4)
     (["hydrogen", "--n", "4096"], None, 18),
     # the float count's switch points lie up to 5.9e-10 from the Rayleigh
     # quotients here, about 60 cells of width tol = 1e-11, so the cell ends
-    # often move out: 60 passes (62 at theta -+ tol/4)
+    # often move out: 60 passes (62 at theta -+ tol/4), with the Balmer
+    # guesses on every rung and with the predictions alike
     (["hydrogen", "--lambda", "3"], None, 60),
 ], ids=["cutoff-full-line", "balmer", "hydrogen-4096", "hydrogen-lambda-3"])
 def test_seeded_solves_take_few_passes(argv, rows, bound, monkeypatch, tmp_path):
@@ -1260,13 +1232,15 @@ _BALMER_ARGV = ["hydrogen", "--lambda", "1.0", "--states", "3", "--n", "384",
 @pytest.mark.parametrize("argv, bound", [(_BALMER_ARGV, 18), (["hydrogen", "--n", "4096"], 18)],
                          ids=["balmer", "hydrogen-4096"])
 def test_hydrogen_solves_vectors_on_the_printed_rung_only(argv, bound, monkeypatch, tmp_path):
-    # Three rungs of three levels.  Each rung sharpens its three seeds with one
-    # inverse iteration apiece; only the finest, printed rung also solves its
-    # three vectors and counts their nodes: 3 + 3 + 6 inverse iterations of
-    # three dgtsv solves each (18 and 54 when every rung solved vectors).
+    # Three rungs of three levels, one inverse iteration per level and rung,
+    # and no vector for the node counts.  The first rung's Balmer guesses
+    # lie far from their levels and take three dgtsv solves each; the finer
+    # rungs' predictions lie close and take one: 9 inverse iterations of 15
+    # solves (12 of 36 when every seed took three and the printed rung also
+    # solved its vectors).
     import scipy.linalg.lapack as lapack
 
-    calls = {"_inverse_iteration": 0, "dgtsv": 0, "count_sign_changes": 0}
+    calls = {"_inverse_iteration": 0, "dgtsv": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -1274,31 +1248,59 @@ def test_hydrogen_solves_vectors_on_the_printed_rung_only(argv, bound, monkeypat
             return fn(*args, **kwargs)
         return wrapped
 
-    for module, name in ((tridiag, "_inverse_iteration"), (lapack, "dgtsv"),
-                         (es, "count_sign_changes")):
+    for module, name in ((tridiag, "_inverse_iteration"), (lapack, "dgtsv")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     passes = _record_passes(monkeypatch)
     assert run(argv + ["--out", str(tmp_path / "o")]) == 0
-    assert calls == {"_inverse_iteration": 12, "dgtsv": 36, "count_sign_changes": 3}
+    assert calls == {"_inverse_iteration": 9, "dgtsv": 15}
     assert len(passes) <= bound
 
 
-def test_coarse_rungs_keep_the_seeds_and_passes_of_a_vector_solve(monkeypatch):
-    # the coarse rungs solve without vectors, from the Rayleigh seeds that a
-    # solve with vectors builds: the same energies through the same passes
+@pytest.mark.parametrize("seed", range(12))
+def test_perfbench_balmer_takes_two_passes_per_level(seed, monkeypatch, tmp_path):
+    # every seed of the benchmark's balmer argv: 3 rungs x 3 levels, each
+    # seed in its level's final cell
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    argv = importlib.import_module("workloads").WORKLOADS["balmer"].make(seed).argv
+    passes = _record_passes(monkeypatch)
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 0
+    assert len(passes) == 18
+
+
+def test_rungs_solve_from_the_prediction_seeds(monkeypatch):
+    # each rung is seeded by _rayleigh_seeds from its guesses: the Balmer
+    # levels, then the wall-shifted Balmer level W plus a quarter of the
+    # first rung's distance from it, then the h^2 prediction from the two
+    # rungs below; the ladder makes the passes of those seeded solves and
+    # no other
     grid = Grid("logarithmic", 1e-5, 200.0, 384)
-    balmer = [-0.5, -0.125, -1.0 / 18.0]
+    balmer = np.array([-0.5, -0.125, -1.0 / 18.0])
+    wall = balmer * (1.0 - 4.0 * 1e-5 / np.arange(1.0, 4.0))
     passes = _record_passes(monkeypatch)
     result = es.hydrogen_spectrum(grid=grid)
     ladder = list(passes)
     del passes[:]
-    spectra = [lowest_eigenvalues(discretize(Coulomb(1.0), g), 3, tol=es._HYDROGEN_TOL,
-                                  guesses=balmer)
-               for g in (grid, grid.refined(), grid.refined().refined())]
+    E, spectra = [], []
+    for i, g in enumerate((grid, grid.refined(), grid.refined().refined())):
+        if i == 0:
+            guesses = balmer
+        elif i == 1:
+            guesses = wall + (E[0] - wall) / 4.0
+        else:
+            guesses = E[1] + (E[1] - E[0]) / 4.0
+        H = discretize(Coulomb(1.0), g)
+        spectra.append(lowest_eigenvalues(H, 3, tol=es._HYDROGEN_TOL,
+                                          guesses=es._rayleigh_seeds(H, guesses, es._HYDROGEN_TOL)))
+        E.append(spectra[-1].energies)
     assert ladder == passes
-    assert np.array_equal(result.energies_by_level, np.vstack([sp.energies for sp in spectra]))
+    assert len(ladder) == 18
+    assert np.array_equal(result.energies_by_level, np.vstack(E))
     _assert_same_spectrum(result.spectrum, spectra[-1])
     assert result.spectrum.node_counts.tolist() == [0, 1, 2]
+    # the predictions lie within 1e-8 of each rung's levels (Balmer lies
+    # 3e-6 to 5e-5 from them)
+    assert np.all(np.abs(wall + (E[0] - wall) / 4.0 - E[1]) < 1e-8)
+    assert np.all(np.abs(E[1] + (E[1] - E[0]) / 4.0 - E[2]) < 1e-8)
 
 
 # ------------------------------------------------ cut-off seeds at the wall
@@ -1358,7 +1360,7 @@ def test_cached_views_equal_fresh_ones(monkeypatch):
     # coupling views
     records = []
     for H, k, tol in _pipeline_operators().values():
-        lowest_eigenvalues(H, k, tol=tol, want_vectors=False)
+        lowest_eigenvalues(H, k, tol=tol)
         records.append(H)
     solves = _record_cap_solves(monkeypatch)
     es.cutoff_sweep()
@@ -1370,6 +1372,8 @@ def test_cached_views_equal_fresh_ones(monkeypatch):
         assert H.couplings.off2 == (off * off).tolist()
         assert H.ends == gershgorin_bounds(diag, off)
         assert (H.couplings.bound, H.floor.tolist()) == _tail_certificate(diag, off, off * off)
+        cuts = [i + 1 for i, e in enumerate(off.tolist()) if e == 0.0]
+        assert H.couplings.blocks == list(zip([0, *cuts], [*cuts, len(diag)]))
 
 
 def test_cutoff_sweep_builds_one_kinetic_part_per_grid(monkeypatch):

@@ -46,9 +46,8 @@ from .tridiag import (
     _block_indices,
     _Couplings,
     _diagonal,
-    _eigenvector,
     _narrow_bracket,
-    _start_vector,
+    _rayleigh_seeds,
     _Tridiagonal,
     _wall_level,
     eigvalsh_bisect,
@@ -434,42 +433,6 @@ def check_resolution(spec: PotentialSpec, grid: Grid) -> None:
         raise ResolutionError(spec.cap, grid.spacing)
 
 
-def _rayleigh_quotient(H: DiscreteHamiltonian, v) -> float:
-    # v^T H v; inf or NaN where it overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        hv = H.diagonal * v
-        hv[:-1] += H.offdiagonal * v[1:]
-        hv[1:] += H.offdiagonal * v[:-1]
-        return float(np.dot(v, hv))
-
-
-def _rayleigh_seeds(H: DiscreteHamiltonian, guesses, tol: float) -> list:
-    # Sharpen each guess g to theta = v^T H v, v the inverse iteration at g
-    # from one unit start vector.  |theta - lambda| <= ||H v - theta v||^2 /
-    # gap (Parlett, The Symmetric Eigenvalue Problem, ch. 4), and one dgtsv
-    # solve leaves theta about (theta - g)^2 / gap off: it is kept when
-    # (theta - g)^2 <= gap * tol / 64, gap the distance to the nearest other
-    # guess, and two more solves follow otherwise (always, for a lone guess).
-    # A guess whose solve fails or whose theta is not finite is kept as is.
-    start = _start_vector(H.size)
-    xs = [float(x) for x in guesses]
-    seeds = []
-    for j, g in enumerate(xs):
-        gap = min((abs(g - y) for i, y in enumerate(xs) if i != j), default=0.0)
-        first = []  # (v, theta) after the first solve
-
-        def settled(v, g=g, gap=gap):
-            first.append((v, _rayleigh_quotient(H, v)))
-            return (first[-1][1] - g) ** 2 <= gap * tol / 64.0
-
-        v = _eigenvector(H.diagonal, H.offdiagonal, g, start, settled)
-        theta = g
-        if v is not None:
-            theta = first[-1][1] if first and first[-1][0] is v else _rayleigh_quotient(H, v)
-        seeds.append(theta if math.isfinite(theta) else g)
-    return seeds
-
-
 def lowest_eigenvalues(
     H: DiscreteHamiltonian,
     k: int,
@@ -558,10 +521,11 @@ def hydrogen_spectrum(
     :class:`ConvergenceError` carrying the estimates is raised.  The
     returned ``spectrum`` is that of the finest grid, the one the CLI
     prints, with node counts from the oscillation theorem, not from vectors.
-    Each rung is seeded with the Rayleigh quotients (``_rayleigh_seeds``) of
-    its guesses: the Balmer levels, then the wall-shifted Balmer level W plus
-    a quarter of the first rung's distance from it, then the h^2 prediction
-    E_i-1 + (E_i-1 - E_i-2) / 4.  The levels do not depend on the seeds.
+    Each rung is seeded with the Rayleigh quotients
+    (``tridiag._rayleigh_seeds``) of its guesses: the Balmer levels, then
+    the wall-shifted Balmer level W plus a quarter of the first rung's
+    distance from it, then the h^2 prediction E_i-1 + (E_i-1 - E_i-2) / 4.
+    The levels do not depend on the seeds.
 
     The Dirichlet wall at ``grid.x_min`` > 0 raises the ground level by about
     (1/2) psi_1'(0)^2 x_min = 2 lam^3 x_min hartree to first order, i.e.

@@ -20,12 +20,8 @@ and ``eigvalsh_bisect`` builds these views for its one solve.  A caller that
 makes one pass per operator (``sturm_count``, and the dipole scan's binding
 predicate ``critical._binds``) reads its diagonal in place through a
 memoryview, which yields the same doubles but builds each only when the
-pass reaches its row, and builds none of the diagonal's views.  On the
-3001-node dipole-scan operator at d = 0.05 and p = 0.0125 (2-vCPU Xeon VM,
-Python 3.11.7, one pinned CPU), ``tolist()`` of the diagonal takes 52 us;
-the predicate's pass, capped at one level and stopping after 1,608 rows,
-takes 154 us with that copy and 115 us in place; a full pass takes 329 us
-with both copies and 275 us in place.
+pass reaches its row, and builds none of the diagonal's views: a pass that
+stops early then pays only for the rows it reads.
 
 Node counts need no vectors.  Exact-zero couplings (pinned zeros) split the
 operator into blocks, listed once per set of couplings (``_Couplings.blocks``).
@@ -34,34 +30,36 @@ them, the vector of the j-th lowest level has exactly j sign changes (the
 discrete oscillation theorem; Gantmacher and Krein, Oscillation Matrices and
 Kernels), so ``_block_indices`` gives a level its Sturm index in its block.
 
-Eigenvectors, for ``inverse_iteration`` and the Rayleigh seeds of
-``eigensolver.hydrogen_spectrum`` only, come from inverse iteration, each
-solve LAPACK's ``dgtsv``: Gaussian elimination with partial pivoting on the
-general tridiagonal matrix (Anderson et al., LAPACK Users' Guide, 3rd ed.,
-SIAM 1999).  scipy is imported only there, so importing the package does not
-load it.
+Vectors are solved in one place, ``_inverse_iteration``, for the public
+``inverse_iteration`` and for ``_rayleigh_seeds``, the seeds of
+``eigensolver.hydrogen_spectrum``; no node count or eigenvalue needs one.
+Each solve is LAPACK's ``dgtsv``: Gaussian elimination with partial pivoting
+on the general tridiagonal matrix (Anderson et al., LAPACK Users' Guide, 3rd
+ed., SIAM 1999).  scipy is imported only there, so importing the package,
+and every pipeline that solves no vector, does not load it.
 
 A Sturm pass stops as soon as its answer is decided.  A bisection step only
 asks whether count(x) > j for some j < k, so the pass may stop once the count
 reaches k.  And once the LDL^T pivots reach rows that are diagonally dominant
 enough at x, no later pivot can be negative (Barth, Martin and Wilkinson
-1967): ``_tail_certificate`` proves this row by row in the same float
-operations the pass performs, its coupling half once per set of couplings
-and its threshold half once per operator, so the early stop gives the exact
-count that the full pass gives.
+1967): a tail certificate proves this row by row in the same float
+operations the pass performs, its coupling half (``_coupling_certificate``)
+once per set of couplings and its threshold half (``_threshold_floor``) once
+per operator, so the early stop gives the exact count that the full pass
+gives.
 
 A caller that already knows roughly where each level lies (an analytic
 level, the same level of a symmetric reduction) passes it as a guess;
 ``eigensolver.hydrogen_spectrum`` first sharpens a guess to the Rayleigh
-quotient of an inverse iteration at it, so a seed is then usually within a
-rounding error of its level and brackets it in two passes.  A lowest level
-whose vector peaks at row 0, as the even sector's does at a Neumann wall,
-gets such a seed without vectors and without scipy: ``_wall_level``
-iterates the Rayleigh quotient of the twisted factorization at twist index
-0, which needs only the backward pivots of T - x*I, from a start the caller
-knows (``eigensolver.cutoff_sweep`` starts each cap at the last cap's
-level).  The five caps of the perfbench ``cutoff`` argv then take 10 passes
-instead of 260.
+quotient of an inverse iteration at it (``_rayleigh_seeds``), so a seed is
+then usually within a rounding error of its level and brackets it in two
+passes.  A lowest level whose vector peaks at row 0, as the even sector's
+does at a Neumann wall, gets such a seed without vectors and without scipy:
+``_wall_level`` iterates the Rayleigh quotient of the twisted factorization
+at twist index 0, which needs only the backward pivots of T - x*I, from a
+start the caller knows (``eigensolver.cutoff_sweep`` starts each cap at
+the last cap's level).  The five caps of the perfbench ``cutoff`` argv then
+take 10 passes instead of 260.
 
 ``_narrow_bracket`` is the one bisection loop here, and it uses a guess the
 same way for every monotone predicate, a Sturm count at a shift or the
@@ -79,12 +77,7 @@ midpoint of the replay lies outside its open final cell, so when the cell's
 two ends bracket the switch each midpoint falls as in the replay, and the
 cell is returned as it is: a guess in the switch's own cell costs exactly
 the two evaluations at its ends, and one a cell or two off costs one or two
-more.  The shifts
-g -+ tol/4 that this rule replaced were off the bisection's midpoints, so
-about one level in three needed a third pass between a shift and its cell
-end: at seed 0 the perfbench ``balmer`` argv took 21 passes and ``cutoff``
-16, against 18 and 12 now, and ``find_alpha_crit`` took 31 predicate calls
-per window, against 3 now.
+more.
 
 What the counts taken so far know is kept as one bracket per level:
 below[j], the largest shift counted with count <= j, and above[j], the
@@ -117,7 +110,6 @@ import numpy as np
 
 __all__ = [
     "sturm_count",
-    "gershgorin_bounds",
     "eigvalsh_bisect",
     "inverse_iteration",
 ]
@@ -157,12 +149,6 @@ def _shift(x, name="x") -> float:
     return x
 
 
-def _check_levels(k, n) -> None:
-    # refuses a number of levels k that an n-row operator does not have
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-
-
 def _count_below(diag, off2, x, cap=None, tail=None):
     # Number of sign agreements in the LDL^T pivots of T - x*I equals the
     # number of eigenvalues strictly below x (Sturm sequence).  A pivot of
@@ -170,8 +156,9 @@ def _count_below(diag, off2, x, cap=None, tail=None):
     # inf, which IEEE arithmetic carries through correctly.
     #
     # The pass returns early in two cases.  (1) The count reaches ``cap``:
-    # it returns cap, i.e. min(count, cap).  (2) ``tail`` is
-    # _tail_certificate(...) = (bound, floor), and a pivot d_i >= bound[i]
+    # it returns cap, i.e. min(count, cap).  (2) ``tail`` is the tail
+    # certificate (bound, floor) of the operator (the ``couplings.bound`` and
+    # ``floor`` of its _Tridiagonal), and a pivot d_i >= bound[i]
     # occurs at a row i >= start - 1, where start is the first row with
     # floor[start] >= x: every row from start on then has a threshold
     # t >= x.  IEEE rounding is monotone, so d_{i-1} >= b_{i-1} > 0 gives
@@ -217,11 +204,11 @@ def _count_below(diag, off2, x, cap=None, tail=None):
 
 
 def _coupling_certificate(off, off2):
-    # The half of _tail_certificate that reads only the couplings: the arrays
-    # (b, r, usable).  Row i gets b_i = |e_i| (the smallest positive double
-    # where e_i = 0 and on the last row) and r_i = fl(e2_{i-1} / b_{i-1});
-    # rows where r_i overflowed are not usable, and their r_i is set to 0 to
-    # keep them out of inf - inf.
+    # The half of the tail certificate that reads only the couplings: the
+    # arrays (b, r, usable).  Row i gets b_i = |e_i| (the smallest positive
+    # double where e_i = 0 and on the last row) and r_i = fl(e2_{i-1} /
+    # b_{i-1}); rows where r_i overflowed are not usable, and their r_i is
+    # set to 0 to keep them out of inf - inf.
     n = off.shape[0] + 1
     b = np.full(n, _DENORM)
     b[:-1] = np.where(off == 0.0, _DENORM, np.abs(off))
@@ -233,8 +220,8 @@ def _coupling_certificate(off, off2):
 
 
 def _threshold_floor(diag, b, r, usable):
-    # The half of _tail_certificate that reads the diagonal: each row gets a
-    # threshold t_i checked to satisfy fl(fl(a_i - t_i) - r_i) >= b_i in
+    # The half of the tail certificate that reads the diagonal: each row gets
+    # a threshold t_i checked to satisfy fl(fl(a_i - t_i) - r_i) >= b_i in
     # exactly the float operations of the pass, or -inf where that fails
     # (and on rows that are not usable).  Returns the suffix minima of t, an
     # ascending array.
@@ -248,14 +235,6 @@ def _threshold_floor(diag, b, r, usable):
         ok |= retry & (((diag - t) - r) >= b)
     t[~ok] = -np.inf
     return np.minimum.accumulate(t[::-1])[::-1]
-
-
-def _tail_certificate(diag, off, off2):
-    # The per-operator certificate of _count_below: the lists (bound, floor),
-    # bound the b of _coupling_certificate and floor the suffix minima of
-    # the thresholds t (_threshold_floor), so floor is ascending.
-    b, r, usable = _coupling_certificate(off, off2)
-    return b.tolist(), _threshold_floor(diag, b, r, usable).tolist()
 
 
 class _Couplings:
@@ -330,7 +309,7 @@ class _Tridiagonal:
 
     @cached_property
     def ends(self) -> tuple[float, float]:
-        # gershgorin_bounds
+        # the Gershgorin interval, certain to hold the whole spectrum
         radius = self.couplings.radius
         return float(np.min(self.diagonal - radius)), float(np.max(self.diagonal + radius))
 
@@ -401,11 +380,6 @@ def _narrow_bracket(predicate, lo: float, hi: float, width: float,
     return bisect(lambda mid: mid >= true_at or (mid > false_at and predicate(mid)), lo, hi)
 
 
-def gershgorin_bounds(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
-    """Interval certain to contain the whole spectrum."""
-    return _operator(diag, off).ends
-
-
 def eigvalsh_bisect(
     diag: np.ndarray | _Tridiagonal,
     off: np.ndarray | None,
@@ -444,7 +418,8 @@ def eigvalsh_bisect(
     reads its views, built on first use and kept, so once per operator.
     """
     op = diag if off is None and isinstance(diag, _Tridiagonal) else _operator(diag, off)
-    _check_levels(k, len(op))
+    if not 1 <= k <= len(op):
+        raise ValueError(f"k must be in [1, {len(op)}], got {k}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if guesses is not None:
@@ -594,6 +569,39 @@ def _wall_level(op: _Tridiagonal, x, lo, hi):
     return None
 
 
+def _rayleigh_quotient(op: _Tridiagonal, v) -> float:
+    # v^T T v; inf or NaN where it overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        tv = op.diagonal * v
+        tv[:-1] += op.couplings.off * v[1:]
+        tv[1:] += op.couplings.off * v[:-1]
+        return float(np.dot(v, tv))
+
+
+def _rayleigh_seeds(op: _Tridiagonal, guesses, tol: float) -> list:
+    # Sharpen each guess g to theta = v^T T v, v the inverse iteration at g
+    # from one unit start vector.  |theta - lambda| <= ||T v - theta v||^2 /
+    # gap (Parlett, The Symmetric Eigenvalue Problem, ch. 4), and one dgtsv
+    # solve leaves theta about (theta - g)^2 / gap off: it is kept when
+    # (theta - g)^2 <= gap * tol / 64, gap the distance to the nearest other
+    # guess, and _SOLVES - 1 more solves from its vector follow otherwise
+    # (always, for a lone guess or a theta that is not finite).  A guess
+    # whose solves fail or whose theta is not finite is kept as is.
+    diag, off = op.diagonal, op.couplings.off
+    start = _start_vector(len(op))
+    xs = [float(x) for x in guesses]
+    seeds = []
+    for j, g in enumerate(xs):
+        gap = min((abs(g - y) for i, y in enumerate(xs) if i != j), default=0.0)
+        v = _inverse_iteration(diag, off, g, start, 1)
+        theta = g if v is None else _rayleigh_quotient(op, v)
+        if v is not None and not (theta - g) ** 2 <= gap * tol / 64.0:
+            v = _inverse_iteration(diag, off, g, v, _SOLVES - 1)
+            theta = g if v is None else _rayleigh_quotient(op, v)
+        seeds.append(theta if math.isfinite(theta) else g)
+    return seeds
+
+
 def _start_vector(n):
     # deterministic, generic unit start vector (float-hash; no RNG state needed)
     x = np.sin(np.arange(1.0, n + 1.0) * 12.9898) * 43758.5453
@@ -601,38 +609,32 @@ def _start_vector(n):
     return v / np.sqrt(np.sum(v * v))
 
 
-def _inverse_iteration(diag, off, lam, v, settled=None):
-    # v after _SOLVES dgtsv solves of (T - lam*I) w = v, each normalized, from
-    # the unit vector v; after the first solve only, stops when settled(v)
-    # holds.  None where a solve fails: see inverse_iteration
-    from scipy.linalg.lapack import dgtsv
-
-    shifted = diag - lam
-    for i in range(_SOLVES):
-        _, _, _, w, info = dgtsv(off, shifted, off, v)
-        if info != 0:
-            return None
-        with np.errstate(over="ignore"):
-            nrm = np.sqrt(np.sum(w * w))
-        if nrm == 0.0 or not np.isfinite(nrm):
-            return None
-        v = w / nrm
-        if i == 0 and settled is not None and settled(v):
-            break
-    return v
-
-
-def _eigenvector(diag, off, lam, start, settled=None):
-    # _inverse_iteration, retried once at a tiny relative shift away from an
-    # exact pivot kill; None where both attempts fail.  The operator is taken
-    # as checked: float arrays of matching shape with finite entries.
+def _inverse_iteration(diag, off, lam, v, solves=_SOLVES):
+    # v after ``solves`` dgtsv solves of (T - lam*I) w = v, each normalized,
+    # from the unit vector v.  A solve that meets an exact zero pivot, or
+    # gives a zero or overflowing norm, fails the attempt, which is repeated
+    # once from v at lam + 1e-13 * max(1, max|diag|); None where that fails
+    # too.  The operator is taken as checked: float arrays of matching shape
+    # with finite entries.
     if diag.shape[0] == 1:
         return np.ones(1)  # dgtsv's wrapper refuses n = 1
-    v = _inverse_iteration(diag, off, lam, start, settled)
-    if v is None:
-        scale = max(1.0, float(np.max(np.abs(diag))))
-        v = _inverse_iteration(diag, off, lam + 1e-13 * scale, start, settled)
-    return v
+    from scipy.linalg.lapack import dgtsv
+
+    for attempt in range(2):
+        if attempt:
+            lam += 1e-13 * max(1.0, float(np.max(np.abs(diag))))
+        shifted = diag - lam
+        w = v
+        for _ in range(solves):
+            _, _, _, w, info = dgtsv(off, shifted, off, w)
+            with np.errstate(over="ignore"):
+                nrm = np.sqrt(np.sum(w * w))
+            if info != 0 or nrm == 0.0 or not np.isfinite(nrm):
+                break
+            w = w / nrm
+        else:
+            return w
+    return None
 
 
 def inverse_iteration(
@@ -649,7 +651,7 @@ def inverse_iteration(
     """
     op = _operator(diag, off)
     lam = _shift(lam, "lam")
-    v = _eigenvector(op.diagonal, op.couplings.off, lam, _start_vector(len(op)))
+    v = _inverse_iteration(op.diagonal, op.couplings.off, lam, _start_vector(len(op)))
     if v is None:
         raise ValueError(f"inverse iteration failed at lam = {lam!r} and at the shifted retry")
     return v

@@ -15,9 +15,8 @@ from dipole1d.eigensolver import DiscreteHamiltonian, Grid, discretize, lowest_e
 from dipole1d.potentials import Coulomb, PhysicalDipole, PointDipole, RegularizedCoulomb
 from dipole1d.tridiag import (
     _count_below,
-    _tail_certificate,
+    _operator,
     eigvalsh_bisect,
-    gershgorin_bounds,
     inverse_iteration,
     sturm_count,
 )
@@ -25,6 +24,12 @@ from dipole1d.tridiag import (
 
 def _dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _tail(diag, off):
+    # the tail certificate (bound, floor) of a freshly built operator, as lists
+    op = _operator(diag, off)
+    return op.couplings.bound, op.floor.tolist()
 
 
 def test_closed_form_three_point_laplacian():
@@ -75,7 +80,7 @@ def test_gershgorin_contains_spectrum():
     rng = np.random.default_rng(9)
     diag = rng.uniform(-5, 5, size=30)
     off = rng.uniform(-2, 2, size=29)
-    lo, hi = gershgorin_bounds(diag, off)
+    lo, hi = _operator(diag, off).ends
     ref = np.linalg.eigvalsh(_dense(diag, off))
     assert lo <= ref[0] and ref[-1] <= hi
 
@@ -147,7 +152,7 @@ def _seed_eigvalsh_bisect(diag, off, k, tol=1e-10, maxit=200):
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     off2 = np.ascontiguousarray(off * off)
-    lo0, hi0 = gershgorin_bounds(diag, off)
+    lo0, hi0 = _operator(diag, off).ends
     if lo0 == hi0:
         lo0 -= 1.0
         hi0 += 1.0
@@ -412,7 +417,7 @@ def _certified_cases():
     rng = np.random.default_rng(606)
     cases = []
     for diag, off in _random_operators():
-        lo, hi = gershgorin_bounds(diag, off)
+        lo, hi = _operator(diag, off).ends
         xs = np.concatenate([rng.uniform(lo - 1, hi + 1, size=8), diag[:3]])
         cases.append((diag, off, xs.tolist()))
     # exact-zero couplings: three decoupled blocks
@@ -437,7 +442,7 @@ def _certified_cases():
 def test_early_stopped_count_equals_capped_reference():
     for diag, off, xs in _certified_cases():
         off2 = off * off
-        tail = _tail_certificate(diag, off, off2)
+        tail = _tail(diag, off)
         diag_l, off2_l = diag.tolist(), off2.tolist()
         for x in xs:
             full = _reference(_seed_count_below, diag, off2, x)
@@ -453,12 +458,12 @@ def test_count_below_reads_memoryviews_as_it_reads_lists():
     cases = _certified_cases()
     for H, _, _ in _pipeline_operators().values():
         diag = H.diagonal
-        lo, hi = gershgorin_bounds(diag, H.offdiagonal)
+        lo, hi = _operator(diag, H.offdiagonal).ends
         xs = [lo, 0.0, float(diag[0]), float(diag[diag.shape[0] // 2]), 0.5 * (lo + hi), hi]
         cases.append((diag, H.offdiagonal, xs))
     for diag, off, xs in cases:
         off2 = off * off
-        tail = _tail_certificate(diag, off, off2)
+        tail = _tail(diag, off)
         lists = diag.tolist(), off2.tolist()
         for x in xs:
             for cap in (None, 1, 3):
@@ -485,7 +490,7 @@ def test_certificate_rows_verified_in_float_arithmetic():
     # same Python float operations the pass performs
     for diag, off, _ in _certified_cases():
         off2 = off * off
-        bound, floor = _tail_certificate(diag, off, off2)
+        bound, floor = _tail(diag, off)
         want_bound = [abs(e) if e != 0.0 else 5e-324 for e in off.tolist()] + [5e-324]
         assert bound == want_bound
         assert floor == sorted(floor)
@@ -503,7 +508,7 @@ def test_certificate_is_tight_on_the_laplacian():
     diag = np.full(n, 2.0)
     diag[0] = 1.0
     off = np.full(n - 1, -1.0)
-    bound, floor = _tail_certificate(diag, off, off * off)
+    bound, floor = _tail(diag, off)
     assert floor[:-1] == [0.0] * (n - 1)
     assert 0.0 < floor[-1] <= 1.0
 
@@ -518,12 +523,12 @@ def test_pass_reads_no_row_after_a_certified_pivot():
     # row 0: pivot 1 - 0 = b_0 = 1, so the pass stops at row 0
     diag = np.full(n, 2.0)
     diag[0] = 1.0
-    tail = _tail_certificate(diag, off, off * off)
+    tail = _tail(diag, off)
     assert _count_below(diag.tolist()[:1] + poison[1:], off2, 0.0, None, tail) == 0
     # row 1 (threshold -0.5 < x): pivot 1.5 - 1/2 = b_1 = 1, so it stops there
     diag = np.full(n, 2.0)
     diag[1] = 1.5
-    tail = _tail_certificate(diag, off, off * off)
+    tail = _tail(diag, off)
     assert _count_below(diag.tolist()[:2] + poison[2:], off2, 0.0, None, tail) == 0
     assert _count_below(diag.tolist()[:2] + poison[2:], off2, 0.0) == n - 2
 
@@ -539,7 +544,8 @@ def test_certificate_setup_survives_overflowing_couplings():
         off2 = off * off
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bound, floor = _tail_certificate(diag, off, off2)
+        b, r, usable = tridiag._coupling_certificate(off, off2)
+        bound, floor = b.tolist(), tridiag._threshold_floor(diag, b, r, usable).tolist()
     assert floor[:5] == [-math.inf] * 5
     assert all(math.isfinite(t) for t in floor[5:])
     diag_l, off2_l = diag.tolist(), off2.tolist()
@@ -568,7 +574,7 @@ def test_early_stopped_count_matches_exact_arithmetic_on_balmer_grid():
     diag, off = H.diagonal, H.offdiagonal
     vals, widths = eigvalsh_bisect(diag, off, 3)
     off2 = off * off
-    tail = _tail_certificate(diag, off, off2)
+    tail = _tail(diag, off)
     diag_l, off2_l, off_l = diag.tolist(), off2.tolist(), off.tolist()
     xs = [-1e4, -10.0, 1.0, 1e4]
     for v, w in zip(vals.tolist(), widths.tolist()):
@@ -637,14 +643,6 @@ def test_inverse_iteration_single_node(lam):
     assert np.array_equal(inverse_iteration([1.0], [], lam), [1.0])
 
 
-def test_gershgorin_bounds_validates_its_operator():
-    # unvalidated, an off of the wrong length broadcasts: (0.0, 4.0) for [1, 2, 3], [1]
-    with pytest.raises(ValueError, match="length"):
-        gershgorin_bounds([1.0, 2.0, 3.0], [1.0])
-    with pytest.raises(ValueError, match="finite"):
-        gershgorin_bounds([1.0, math.nan], [1.0])
-
-
 _FINITE = "operator entries must be finite"
 _SQUARE = f"off entries must have a finite square, |off| <= {tridiag._OFF_MAX!r}"
 
@@ -661,7 +659,6 @@ def test_each_operator_rule_has_one_refusal(diag, off, message):
     doors = [
         lambda: eigvalsh_bisect(diag, off, 2),
         lambda: sturm_count(diag, off, 0.0),
-        lambda: gershgorin_bounds(diag, off),
         lambda: inverse_iteration(diag, off, 0.5),
         lambda: DiscreteHamiltonian(diag, off, grid, "", nodes),
     ]
@@ -710,7 +707,7 @@ def _assert_seeded_equals_reference(diag, off, k, tol):
     # The frozen bisection solves level j from the levels below it only, so
     # the first k of its k + 1 levels are those of a k-level solve.
     ref_vals, ref_widths = _reference(_seed_eigvalsh_bisect, diag, off, min(k + 1, n), tol=tol)
-    lo, hi = gershgorin_bounds(diag, off)
+    lo, hi = _operator(diag, off).ends
     for guesses in _guess_sets(ref_vals, k, lo, hi):
         vals, widths = eigvalsh_bisect(diag, off, k, tol=tol, guesses=guesses)
         assert np.array_equal(vals, ref_vals[:k])
@@ -821,12 +818,12 @@ def test_narrow_bracket_guess_changes_only_the_evaluations():
 # phase is the cell rule, level by level, evaluated through the list.
 
 def _cache_eigvalsh_bisect(diag, off, k, tol, guesses=None):
-    lo0, hi0 = gershgorin_bounds(diag, off)
+    lo0, hi0 = _operator(diag, off).ends
     if lo0 == hi0:
         lo0 -= 1.0
         hi0 += 1.0
     off2 = off * off
-    tail = _tail_certificate(diag, off, off2)
+    tail = _tail(diag, off)
     diag_l, off2_l = diag.tolist(), off2.tolist()
     shifts, counts = [], []
 
@@ -862,7 +859,7 @@ def _assert_brackets_equal_cache(diag, off, k, tol, passes):
     # every guess set and none: equal values and widths, and each pass is one
     # the cache made too; returns the passes the cache made and the passes saved
     levels, _ = _reference(_cache_eigvalsh_bisect, diag, off, min(k + 1, diag.shape[0]), tol)
-    lo, hi = gershgorin_bounds(diag, off)
+    lo, hi = _operator(diag, off).ends
     made = saved = 0
     for guesses in [None, *_guess_sets(levels, k, lo, hi)]:
         del passes[:]
@@ -929,7 +926,7 @@ def _expected_seeded_passes(diag, off, k, tol, guesses):
     # and how many of them a cell end moved out to.  Level by level: the cell
     # rule's probes, then the plain bisection from the last level's lower
     # edge; a shift is counted only when no shift counted before decides it.
-    lo0, hi0 = gershgorin_bounds(diag, off)
+    lo0, hi0 = _operator(diag, off).ends
     counted = []
 
     def exceeds(x, j):
@@ -993,7 +990,7 @@ def test_seeds_widen_until_they_bracket(monkeypatch):
     widened = 0
     for diag, off, k, tol in ops:
         levels, _ = _reference(_seed_eigvalsh_bisect, diag, off, min(k + 1, diag.shape[0]), tol=tol)
-        lo, hi = gershgorin_bounds(diag, off)
+        lo, hi = _operator(diag, off).ends
         for guesses in _guess_sets(levels, k, lo, hi):
             want, moved = _expected_seeded_passes(diag, off, k, tol, guesses)
             del passes[:]
@@ -1011,7 +1008,7 @@ def test_sturm_count_monotone_near_pipeline_levels():
     for H, k, tol in _pipeline_operators().values():
         diag, off = H.diagonal, H.offdiagonal
         off2 = off * off
-        tail = _tail_certificate(diag, off, off2)
+        tail = _tail(diag, off)
         diag_l, off2_l = diag.tolist(), off2.tolist()
         # tol below every spacing: each bracket ends on two adjacent doubles
         vals, _ = eigvalsh_bisect(diag, off, k, tol=5e-324)
@@ -1071,7 +1068,7 @@ def _assert_same_spectrum(sp, ref):
 def _assert_seeded_solve_equals_unseeded(H, k, tol, seeds):
     ref = lowest_eigenvalues(H, k, tol=tol)
     levels = lowest_eigenvalues(H, min(k + 1, H.size), tol=tol).energies
-    lo, hi = gershgorin_bounds(H.diagonal, H.offdiagonal)
+    lo, hi = _operator(H.diagonal, H.offdiagonal).ends
     for guesses in _guess_sets(levels, k, lo, hi):
         del seeds[:]
         _assert_same_spectrum(lowest_eigenvalues(H, k, tol=tol, guesses=guesses), ref)
@@ -1093,13 +1090,13 @@ def test_seeded_solve_bit_identical_to_unseeded_on_balmer_grids(name, monkeypatc
     # a guess at the next level sends the Rayleigh quotient to that level:
     # the seed is wrong, and the spectrum above must not have noticed
     levels = lowest_eigenvalues(H, k + 1, tol=tol).energies
-    wrong = es._rayleigh_seeds(H, levels[1:], tol)
+    wrong = tridiag._rayleigh_seeds(H, levels[1:], tol)
     assert wrong == pytest.approx(levels[1:].tolist(), abs=1e-9)
     _assert_same_spectrum(lowest_eigenvalues(H, k, tol=tol, guesses=wrong),
                           lowest_eigenvalues(H, k, tol=tol))
     # Balmer guesses become seeds far closer to the levels than they were
     balmer = np.array([-0.5, -0.125, -1.0 / 18.0])
-    seeded = np.array(es._rayleigh_seeds(H, balmer, tol))
+    seeded = np.array(tridiag._rayleigh_seeds(H, balmer, tol))
     assert np.all(np.abs(seeded - levels[:k]) < 1e-3 * np.abs(balmer - levels[:k]))
 
 
@@ -1111,7 +1108,7 @@ def test_seed_solve_failure_keeps_the_raw_guess(monkeypatch):
     with pytest.raises(ValueError, match="inverse iteration failed"):
         inverse_iteration(H.diagonal, H.offdiagonal, 2.0)
     ref = lowest_eigenvalues(H, 3)
-    seeds = es._rayleigh_seeds(H, [1.01, 2.0, 2.01], 1e-10)
+    seeds = tridiag._rayleigh_seeds(H, [1.01, 2.0, 2.01], 1e-10)
     _assert_same_spectrum(lowest_eigenvalues(H, 3, guesses=seeds), ref)
     assert seeds[1] == 2.0                       # the raw guess
     assert abs(seeds[0] - 1.0) < 1e-9            # Rayleigh quotients
@@ -1122,17 +1119,125 @@ def test_non_finite_rayleigh_quotient_keeps_the_raw_guess(monkeypatch):
     H, k, tol = _pipeline_operators()["coulomb_log_384"]
     ref = lowest_eigenvalues(H, k, tol=tol)
     bad = -0.49
-    real = es._eigenvector
+    real = tridiag._inverse_iteration
+    shifts = []
 
     def nan_at_bad(diag, off, lam, *args):
-        v = real(diag, off, lam, *args)
-        return np.full_like(v, math.nan) if lam == bad else v
+        # at the guess ``bad``, a vector whose Rayleigh quotient is NaN
+        shifts.append(lam)
+        return np.full_like(diag, math.nan) if lam == bad else real(diag, off, lam, *args)
 
-    monkeypatch.setattr(es, "_eigenvector", nan_at_bad)
-    seeds = es._rayleigh_seeds(H, [bad, -0.125, -1.0 / 18.0], tol)
+    monkeypatch.setattr(tridiag, "_inverse_iteration", nan_at_bad)
+    seeds = tridiag._rayleigh_seeds(H, [bad, -0.125, -1.0 / 18.0], tol)
+    assert shifts.count(bad) == 2  # a NaN quotient takes the further solves
     _assert_same_spectrum(lowest_eigenvalues(H, k, tol=tol, guesses=seeds), ref)
     assert seeds[0] == bad
     assert seeds[1:] == pytest.approx(ref.energies[1:].tolist(), abs=1e-9)
+
+
+# The Rayleigh seeds as they were computed through a callback: the first
+# dgtsv solve called ``settled(v)``, which stored v's Rayleigh quotient and
+# decided whether the next two solves were needed.  Frozen here with its own
+# start vector, its own solve loop and its own retry, as the reference the
+# two-call _rayleigh_seeds must reproduce bit for bit, solve for solve.
+
+def _callback_inverse_iteration(diag, off, lam, v, settled):
+    from scipy.linalg.lapack import dgtsv
+
+    shifted = diag - lam
+    for i in range(3):
+        _, _, _, w, info = dgtsv(off, shifted, off, v)
+        if info != 0:
+            return None
+        with np.errstate(over="ignore"):
+            nrm = np.sqrt(np.sum(w * w))
+        if nrm == 0.0 or not np.isfinite(nrm):
+            return None
+        v = w / nrm
+        if i == 0 and settled(v):
+            break
+    return v
+
+
+def _callback_rayleigh_seeds(H, guesses, tol):
+    diag, off = H.diagonal, H.offdiagonal
+
+    def quotient(v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            hv = diag * v
+            hv[:-1] += off * v[1:]
+            hv[1:] += off * v[:-1]
+            return float(np.dot(v, hv))
+
+    x = np.sin(np.arange(1.0, H.size + 1.0) * 12.9898) * 43758.5453
+    start = (x - np.floor(x)) - 0.5
+    start = start / np.sqrt(np.sum(start * start))
+    xs = [float(x) for x in guesses]
+    seeds = []
+    for j, g in enumerate(xs):
+        gap = min((abs(g - y) for i, y in enumerate(xs) if i != j), default=0.0)
+        first = []  # (v, theta) after the first solve
+
+        def settled(v, g=g, gap=gap):
+            first.append((v, quotient(v)))
+            return (first[-1][1] - g) ** 2 <= gap * tol / 64.0
+
+        v = _callback_inverse_iteration(diag, off, g, start, settled)
+        if v is None:
+            scale = max(1.0, float(np.max(np.abs(diag))))
+            v = _callback_inverse_iteration(diag, off, g + 1e-13 * scale, start, settled)
+        theta = g
+        if v is not None:
+            theta = first[-1][1] if first and first[-1][0] is v else quotient(v)
+        seeds.append(theta if math.isfinite(theta) else g)
+    return seeds
+
+
+def _seed_cases(monkeypatch, tmp_path):
+    # (H, guesses, tol): the three rungs of the perfbench balmer argv at
+    # seeds 0 and 11 and the 401-row rung of hydrogen --n 200, each with the
+    # guesses the ladder gives it; a lone guess; and the operator on which
+    # both attempts at the guess 2.0 meet an exact zero pivot
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads").WORKLOADS
+    cases = []
+    rayleigh_seeds = es._rayleigh_seeds
+
+    def recording(H, guesses, tol):
+        cases.append((H, [float(g) for g in guesses], tol))
+        return rayleigh_seeds(H, guesses, tol)
+
+    monkeypatch.setattr(es, "_rayleigh_seeds", recording)
+    for argv in (workloads["balmer"].make(0).argv, workloads["balmer"].make(11).argv):
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 0
+    assert run(["hydrogen", "--n", "200", "--out", str(tmp_path / "o")]) == 0
+    cases[6:] = [case for case in cases[6:] if case[0].size == 401]
+    monkeypatch.setattr(es, "_rayleigh_seeds", rayleigh_seeds)
+    assert [H.size for H, _, _ in cases] == [384, 769, 1539] * 2 + [401]
+    cases.append((cases[0][0], [-0.5], 1e-10))
+    cases.append((_hamiltonian([1.0, 2.0, 2.0000000000002], [0.0, 0.0]), [1.01, 2.0, 2.01], 1e-10))
+    return cases
+
+
+def test_rayleigh_seeds_equal_the_callback_seeds(monkeypatch, tmp_path):
+    import scipy.linalg.lapack as lapack
+
+    cases = _seed_cases(monkeypatch, tmp_path)
+    solves = []
+    dgtsv = lapack.dgtsv
+
+    def counting(*args, **kwargs):
+        solves.append(len(args[1]))
+        return dgtsv(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgtsv", counting)
+    for H, guesses, tol in cases:
+        del solves[:]
+        want = _callback_rayleigh_seeds(H, guesses, tol)
+        want_solves = len(solves)
+        del solves[:]
+        assert tridiag._rayleigh_seeds(H, guesses, tol) == want
+        assert len(solves) == want_solves > 0
 
 
 def test_vectorless_solves_keep_the_raw_guesses(monkeypatch):
@@ -1229,30 +1334,36 @@ _BALMER_ARGV = ["hydrogen", "--lambda", "1.0", "--states", "3", "--n", "384",
                 "--domain", "1e-05:200.0"]
 
 
-@pytest.mark.parametrize("argv, bound", [(_BALMER_ARGV, 18), (["hydrogen", "--n", "4096"], 18)],
-                         ids=["balmer", "hydrogen-4096"])
-def test_hydrogen_solves_vectors_on_the_printed_rung_only(argv, bound, monkeypatch, tmp_path):
-    # Three rungs of three levels, one inverse iteration per level and rung,
-    # and no vector for the node counts.  The first rung's Balmer guesses
-    # lie far from their levels and take three dgtsv solves each; the finer
-    # rungs' predictions lie close and take one: 9 inverse iterations of 15
-    # solves (12 of 36 when every seed took three and the printed rung also
-    # solved its vectors).
+@pytest.mark.parametrize("argv, rows, bound", [
+    (_BALMER_ARGV, [384, 769, 1539], 18),
+    (["hydrogen", "--n", "4096"], [4096, 8193, 16387], 18),
+], ids=["balmer", "hydrogen-4096"])
+def test_hydrogen_solves_vectors_on_the_printed_rung_only(argv, rows, bound, monkeypatch,
+                                                           tmp_path):
+    # Three rungs of three levels, one _rayleigh_seeds call per rung, and no
+    # vector for the node counts.  The first rung's Balmer guesses lie far
+    # from their levels and take three dgtsv solves each; the finer rungs'
+    # predictions lie close and take one: 15 solves (36 when every seed took
+    # three and the printed rung also solved its vectors).
     import scipy.linalg.lapack as lapack
 
-    calls = {"_inverse_iteration": 0, "dgtsv": 0}
+    seeded, solves = [], []
+    rayleigh_seeds, dgtsv = es._rayleigh_seeds, lapack.dgtsv
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def recording_seeds(H, *args):
+        seeded.append(len(H))
+        return rayleigh_seeds(H, *args)
 
-    for module, name in ((tridiag, "_inverse_iteration"), (lapack, "dgtsv")):
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    def counting_dgtsv(*args, **kwargs):
+        solves.append(len(args[1]))
+        return dgtsv(*args, **kwargs)
+
+    monkeypatch.setattr(es, "_rayleigh_seeds", recording_seeds)
+    monkeypatch.setattr(lapack, "dgtsv", counting_dgtsv)
     passes = _record_passes(monkeypatch)
     assert run(argv + ["--out", str(tmp_path / "o")]) == 0
-    assert calls == {"_inverse_iteration": 9, "dgtsv": 15}
+    assert seeded == rows
+    assert len(solves) == 15
     assert len(passes) <= bound
 
 
@@ -1290,7 +1401,8 @@ def test_rungs_solve_from_the_prediction_seeds(monkeypatch):
             guesses = E[1] + (E[1] - E[0]) / 4.0
         H = discretize(Coulomb(1.0), g)
         spectra.append(lowest_eigenvalues(H, 3, tol=es._HYDROGEN_TOL,
-                                          guesses=es._rayleigh_seeds(H, guesses, es._HYDROGEN_TOL)))
+                                          guesses=tridiag._rayleigh_seeds(H, guesses,
+                                                                          es._HYDROGEN_TOL)))
         E.append(spectra[-1].energies)
     assert ladder == passes
     assert len(ladder) == 18
@@ -1370,8 +1482,8 @@ def test_cached_views_equal_fresh_ones(monkeypatch):
         diag, off = H.diagonal, H.offdiagonal
         assert H.diag_list == diag.tolist()
         assert H.couplings.off2 == (off * off).tolist()
-        assert H.ends == gershgorin_bounds(diag, off)
-        assert (H.couplings.bound, H.floor.tolist()) == _tail_certificate(diag, off, off * off)
+        assert H.ends == _operator(diag, off).ends
+        assert (H.couplings.bound, H.floor.tolist()) == _tail(diag, off)
         cuts = [i + 1 for i, e in enumerate(off.tolist()) if e == 0.0]
         assert H.couplings.blocks == list(zip([0, *cuts], [*cuts, len(diag)]))
 

@@ -12,6 +12,7 @@ documented 1/ln^2(L/delta) window bias to zero.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -232,7 +233,12 @@ class DipoleScanResult:
     choices, so these numbers probe the expectation that the critical moment
     does not depend on the charge separation; they do not assert it.
     ``point_dipole_reference`` is the same existence bisection run with the
-    ideal point dipole on the same grid, the d -> 0 comparison target.
+    ideal point dipole on the same grid, the d -> 0 comparison target.  It
+    is the zero-energy threshold of the point dipole's N-row lattice on
+    x < 0 and depends on N alone, not on h: 0.17595 at N = 1,500 and
+    0.15178 at N = 60,000 (the default grid).  Its distance from 1/8 is
+    the ln N window bias, 2p - 1/4 ~ pi^2 / (ln N + 2.6)^2, not a solver
+    error.  Its bisection starts from :func:`_point_threshold_guess`.
     """
 
     rows: tuple[DipoleScanRow, ...]
@@ -273,9 +279,81 @@ def _binds(spec, kin: DiscreteHamiltonian) -> bool:
 _P_LO = P_CRIT_AU / 10.0
 _P_HI = P_CRIT_AU * 10.0
 _TOL_P = 1e-3
+_MATCH_ROWS = 16  # rows the point-dipole guess runs exactly before the closed form takes over
+_GUESS_STEPS = 40  # root-finder steps before the guess gives up
 
 
-def _bisect_p(spec_at, kin: DiscreteHamiltonian):
+def _log_gamma(z: complex) -> complex:
+    # Stirling's series for log Gamma(z) less ln(2 pi) / 2, through the z^-7
+    # term: the first term left out is below 2e-14 for |z| >= 16
+    w = 1.0 / (z * z)
+    return ((z - 0.5) * cmath.log(z) - z
+            + (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w / 1680.0))) / z)
+
+
+def _wall_phase(nu: float, n: int) -> float | None:
+    # The phase of the zero-energy solution at the wall row n + 1, less
+    # pi / 2, at alpha = 2p = 1/4 + nu^2; None when the solution already
+    # has a node in the rows run exactly.
+    p = 0.125 + 0.5 * nu * nu
+    v, v_next = 0.0, 1.0
+    for j in range(1, _MATCH_ROWS + 1):
+        v, v_next = v_next, (2.0 - 2.0 * p / (j * j)) * v_next - v
+    if not v > 0.0:
+        return None
+    a, b = complex(0.75, 0.5 * nu), complex(0.25, -0.5 * nu)
+    r = (_MATCH_ROWS + a) / (_MATCH_ROWS + b)  # y_{J+1} / y_J
+    start = math.atan2(v * r.real - v_next, v * r.imag)  # arg(c y_J), v_J = 2 Re(c y_J)
+    turn = (_log_gamma(n + 1 + a) - _log_gamma(n + 1 + b)
+            - _log_gamma(_MATCH_ROWS + a) + _log_gamma(_MATCH_ROWS + b)).imag
+    return start + turn - 0.5 * math.pi
+
+
+def _point_threshold_guess(n: int) -> float | None:
+    """The moment p^ at which the point dipole's n-row operator on x < 0
+    first has a level below 0, to about 1e-5; None when n < 4 * _MATCH_ROWS
+    or a step is not finite.
+
+    With rows j = 1..n at x = -j h and Dirichlet walls at j = 0 and n + 1,
+    the operator is (T - p diag(1/j^2)) / h^2, T = tridiag(-1/2, 1, -1/2),
+    so p^ depends on n alone.  It is the smallest p at which the zero-energy
+    solution, v_{j+1} = (2 - 2p / j^2) v_j - v_{j-1} with v_0 = 0 and
+    v_1 = 1, has a node by row n + 1.  The recurrence runs exactly over the
+    first J = _MATCH_ROWS rows.  From there v_j = 2 Re(c y_j), matched at
+    rows J and J + 1, where y_j = Gamma(j + 3/4 + i nu/2) / Gamma(j + 1/4 -
+    i nu/2) with alpha = 2p = 1/4 + nu^2 solves the recurrence with p / j^2
+    replaced by p / (j^2 - (1/4 - i nu/2)^2), an O(j^-4) change.  Stirling's
+    series carries the phase of c y_j to row n + 1, and p^ is where it
+    reaches pi / 2.  Less pi / 2, the phase tends to -pi as nu -> 0 (the
+    phase at row J tends to -pi / 2, the turn after it to 0) and grows with
+    nu, so a secant from (0, -pi), kept inside the bracket the steps so far
+    have found, finds that nu.
+    """
+    if n < 4 * _MATCH_ROWS:
+        return None
+    lo, hi = 0.0, math.inf
+    prev, f_prev = 0.0, -math.pi
+    nu = math.pi / (math.log(n + 1.0) + 2.5)  # the window law nu ~ pi / (ln n + 2.5)
+    for _ in range(_GUESS_STEPS):
+        f = _wall_phase(nu, n)
+        if f is not None and not math.isfinite(f):
+            return None
+        if f is None or f > 0.0:
+            hi = nu
+        else:
+            lo = nu
+        step = math.nan
+        if f is not None and f != f_prev:
+            step, prev, f_prev = nu - f * (nu - prev) / (f - f_prev), nu, f
+        if not lo < step < hi:  # no secant step, or one outside the bracket
+            step = 2.0 * nu if hi == math.inf else 0.5 * (lo + hi)
+        if abs(step - nu) <= 1e-12 * nu:
+            return 0.125 + 0.5 * step * step
+        nu = step
+    return None
+
+
+def _bisect_p(spec_at, kin: DiscreteHamiltonian, guess: float | None = None):
     """(p_c, bracket, status) of the binding onset in p over [_P_LO, _P_HI],
     where ``spec_at(p)`` is the configuration at moment p and ``kin`` its
     family's kinetic operator.
@@ -294,16 +372,41 @@ def _bisect_p(spec_at, kin: DiscreteHamiltonian):
     top binds whenever the bottom does.  The top's operator is still formed
     and checked, so a configuration that only the top would refuse is
     refused as before.
+
+    ``guess`` (optional) is where the onset is thought to be, and changes
+    only the number of Sturm passes.  Both ends' operators are formed and
+    checked first, so every refusal is the one without a guess.  Then
+    ``_narrow_bracket`` narrows the whole bracket from the guess, and the
+    predicate is evaluated only at a returned end that is _P_LO or _P_HI:
+    an interior end was found false (or true) by a pass, or decided by one.
+    This needs the float predicate itself, not only lam(p), to be monotone
+    in p, and it is for an operator whose potential is negative on every
+    row, as the point dipole's on x < 0: each diagonal entry
+    fl(k_i + fl(p / c_i)), c_i < 0, is nonincreasing in p because rounding
+    is monotone, and Kahan's proof that the float Sturm count at a shift x
+    is nondecreasing in x uses only that every fl(a_i - x) is nonincreasing
+    in x, so it holds entry by entry.  ``_narrow_bracket`` then returns the
+    unguessed bracket bit for bit, whatever the guess, and a guess in the
+    final cell costs the two passes at the cell's ends.
     """
     def binds(p: float) -> bool:
         return _binds(spec_at(p), kin)
 
-    if binds(_P_LO):
+    if guess is None:
+        if binds(_P_LO):
+            kin.diagonal_plus(spec_at(_P_HI))
+            return None, (_P_LO, _P_HI), "binds_everywhere"
+        if not binds(_P_HI):
+            return None, (_P_LO, _P_HI), "no_binding"
+        lo, hi = _narrow_bracket(binds, _P_LO, _P_HI, _TOL_P)
+    else:
+        kin.diagonal_plus(spec_at(_P_LO))
         kin.diagonal_plus(spec_at(_P_HI))
-        return None, (_P_LO, _P_HI), "binds_everywhere"
-    if not binds(_P_HI):
-        return None, (_P_LO, _P_HI), "no_binding"
-    lo, hi = _narrow_bracket(binds, _P_LO, _P_HI, _TOL_P)
+        lo, hi = _narrow_bracket(binds, _P_LO, _P_HI, _TOL_P, guess)
+        if lo == _P_LO and binds(_P_LO):
+            return None, (_P_LO, _P_HI), "binds_everywhere"
+        if hi == _P_HI and not binds(_P_HI):
+            return None, (_P_LO, _P_HI), "no_binding"
     return 0.5 * (lo + hi), (lo, hi), "bisected"
 
 
@@ -364,7 +467,8 @@ def physical_dipole_scan(
         )
 
     try:
-        p_ref, _, _ = _bisect_p(PointDipole, _kinetic_part(PointDipole(_P_LO), grid))
+        point = _kinetic_part(PointDipole(_P_LO), grid)
+        p_ref, _, _ = _bisect_p(PointDipole, point, _point_threshold_guess(len(point)))
     except GridAlignmentError:
         p_ref = None  # asymmetric domain: no grid node on the origin
 

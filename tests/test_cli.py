@@ -502,7 +502,7 @@ def test_perfbench_traced_names_exist(monkeypatch, capsys):
     capsys.readouterr()
     assert tracer.absent == []
     assert code == case.expected_exit
-    assert tracer.totals()["critical.predicate"].calls == 18
+    assert tracer.totals()["critical.predicate"].calls == 7
 
 
 def test_perfbench_selftest_passes():

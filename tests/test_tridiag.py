@@ -1582,6 +1582,71 @@ def test_wall_level_reads_the_block_above_a_zero_coupling():
     assert block > eigvalsh_bisect(H.diagonal, H.offdiagonal, 1)[0][0] + 1e-6
 
 
+@pytest.mark.parametrize("bias", ["measured", "underestimated"])
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.0125])
+def test_wall_level_lands_from_any_start(eps, bias, monkeypatch):
+    # from E (1 -+ r), wherever that lies in [floor, T[1:, 1:]'s lowest level)
+    # (the starts a Newton step on D_0 can use), the guess lands within the
+    # bisection tolerance 1e-10 of the bisected level: the last step comes
+    # from a converged point, even from a start so near the level that a
+    # shallow first step measures only the truncation's bias (as r = 1e-3
+    # and 3e-3 above it do).  The last step's own size proves it: with the
+    # tail's bias taken as 1e-12 e^(-2K), the steps reach K = _WALL_K_LAST
+    # too early, and the guess still lands.
+    if bias == "underestimated":
+        monkeypatch.setattr(tridiag, "_WALL_BIAS", 1e-12)
+    H = _cap_operator(eps)
+    level = eigvalsh_bisect(H.diagonal, H.offdiagonal, 1, tol=es._CUTOFF_TOL)[0][0]
+    trailing = eigvalsh_bisect(H.diagonal[1:], H.offdiagonal[1:], 1)[0][0]
+    floor = -1.0 / eps
+    starts = [level * (1.0 - sign * r) for r in (1e-6, 1e-4, 1e-3, 3e-3, 1e-2, 1e-1, 0.5)
+              for sign in (1.0, -1.0)]
+    starts = [x for x in starts if floor <= x < trailing]
+    assert len(starts) >= 13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in starts:
+            g = tridiag._wall_level(H, x, floor, math.inf)
+            assert g is not None and abs(g - level) < es._CUTOFF_TOL, x
+
+
+@pytest.mark.parametrize("eps", [(0.2, 0.1999), (0.2, 0.1999998), (0.1, 0.0999, 0.0998),
+                                 (0.2, 0.2 * (1.0 - 1e-9)), (0.2, 0.2 * (1.0 - 1e-12))],
+                         ids=lambda eps: ",".join(map(repr, eps)))
+def test_nearly_equal_caps_keep_their_seeds(eps, monkeypatch):
+    # a cap's guess may round above the last cap's level, or land there from
+    # the truncation's bias: it is kept, within the bisection tolerance of the
+    # level, and the cap takes the two passes of a seed in its cell, or three
+    # (a cap bisected without a guess takes 52)
+    solves = _record_cap_solves(monkeypatch)
+    passes = _record_passes(monkeypatch)
+    result = es.cutoff_sweep(1.0, eps, L=10.0, n=3200)
+    assert len(solves) == len(eps)
+    for _, guesses, sp in solves:
+        assert guesses is not None
+        assert abs(guesses[0] - sp.energies[0]) < es._CUTOFF_TOL
+    assert result.energies == tuple(float(sp.energies[0]) for _, _, sp in solves)
+    assert len(passes) <= 3 * len(eps) + 2
+
+
+def test_extrapolated_level_predicts_the_next_cap():
+    # kappa = sqrt(-2E) through the last caps, as a polynomial in ln(epsilon):
+    # on the perfbench caps it predicts the third within 6 % and the fourth
+    # and fifth within 4e-3; it gives nan where it has no polynomial to fit
+    eps = (0.2, 0.1, 0.05, 0.025, 0.0125)
+    levels = es.cutoff_sweep(1.0, eps, L=10.0, n=3200).energies
+    for i, bound in ((2, 0.06), (3, 4e-3), (4, 4e-3)):
+        guess = es._extrapolated_level(eps[:i], levels[:i], eps[i])
+        assert abs(guess - levels[i]) < bound * abs(levels[i])
+    a = math.nextafter(0.2, 0.0)
+    b = math.nextafter(a, 0.0)
+    assert math.log(a) == math.log(b)  # two caps, one ln(epsilon)
+    nan_cases = [((), (), 0.1), ((0.2,), (levels[0],), 0.1), ((0.2, 0.1), (levels[0], 0.0), 0.05),
+                 ((a, b), levels[:2], 0.1)]
+    for args in nan_cases:
+        assert math.isnan(es._extrapolated_level(*args))
+
+
 @pytest.mark.parametrize("eps", [(0.4, 0.2), (1.0,)])
 def test_cutoff_sweep_on_the_minimum_grid(eps, monkeypatch):
     # 16 nodes: the sweeps reach the far wall, and the seeds still land

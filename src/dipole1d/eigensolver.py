@@ -571,7 +571,7 @@ def hydrogen_spectrum(
     balmer = -(lam**2) / (2.0 * n_idx**2)
 
     # The wall raises level n by 4 lam x_min / n relative, to first order
-    # (ROADMAP item 4's regular wall removes this term)
+    # (ROADMAP item 1's regular wall removes this term)
     wall = balmer * (1.0 - wall_shift / n_idx)
     E = np.empty((len(grids), n_states))
     for i, g in enumerate(grids):
@@ -661,7 +661,7 @@ def cutoff_sweep(
     perfbench caps read 12,980 rows): the levels do not depend on them.
     The caps share one kinetic operator: each cap's operator is
     ``kinetic.plus(spec)`` (see :func:`discretize`), so the couplings are
-    checked, squared and certified once for all caps.
+    checked and squared once for all caps.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be finite and > 0")

@@ -5,23 +5,22 @@ index bracketing, which the node-theorem checks elsewhere rely on.  The Sturm
 kernel loops over Python floats: Python float arithmetic is the same IEEE
 double arithmetic as numpy float64, at a fraction of the cost of reading
 numpy scalars one at a time.  Where the floats come from depends on how many
-passes an operator gets.  A bisection counts one operator tens of times, so
+passes an operator gets.  A bisection counts one operator several times, so
 it reads list views that the operator builds once, each on first use.
 ``_Couplings`` holds what depends on the couplings alone, once they have
-been checked: e^2 as a list, |e|, the Gershgorin radii and the coupling half
-of the tail certificate.  One ``_Couplings`` serves every diagonal added to
-it, as the caps of ``eigensolver.cutoff_sweep`` share their kinetic
-operator's.  ``_Tridiagonal`` (which ``eigensolver.DiscreteHamiltonian``
-extends) adds what depends on the diagonal: the diagonal as a list, the
-Gershgorin ends and the certificate's threshold floor, the last kept as a
-memoryview because it only feeds ``bisect_left``.  ``_Couplings`` and
-``_diagonal`` check every operator, from arrays (``_operator``) or a record,
-and ``eigvalsh_bisect`` builds these views for its one solve.  A caller that
-makes one pass per operator (``sturm_count``, and the dipole scan's binding
-predicate ``critical._binds``) reads its diagonal in place through a
-memoryview, which yields the same doubles but builds each only when the
-pass reaches its row, and builds none of the diagonal's views: a pass that
-stops early then pays only for the rows it reads.
+been checked: e^2 as a list, |e|, the Gershgorin radii and the blocks.  One
+``_Couplings`` serves every diagonal added to it, as the caps of
+``eigensolver.cutoff_sweep`` share their kinetic operator's.
+``_Tridiagonal`` (which ``eigensolver.DiscreteHamiltonian`` extends) adds
+what depends on the diagonal: the diagonal as a list and the Gershgorin
+ends.  ``_Couplings`` and ``_diagonal`` check every operator, from arrays
+(``_operator``) or a record, and ``eigvalsh_bisect`` builds these views for
+its one solve.  A caller that makes one pass per operator (``sturm_count``,
+and the dipole scan's binding predicate ``critical._binds``) reads its
+diagonal in place through a memoryview, which yields the same doubles but
+builds each only when the pass reaches its row, and builds none of the
+diagonal's views: a pass that stops early then pays only for the rows it
+reads.
 
 Node counts need no vectors.  Exact-zero couplings (pinned zeros) split the
 operator into blocks, listed once per set of couplings (``_Couplings.blocks``).
@@ -38,15 +37,13 @@ on the general tridiagonal matrix (Anderson et al., LAPACK Users' Guide, 3rd
 ed., SIAM 1999).  scipy is imported only there, so importing the package,
 and every pipeline that solves no vector, does not load it.
 
-A Sturm pass stops as soon as its answer is decided.  A bisection step only
-asks whether count(x) > j for some j < k, so the pass may stop once the count
-reaches k.  And once the LDL^T pivots reach rows that are diagonally dominant
-enough at x, no later pivot can be negative (Barth, Martin and Wilkinson
-1967): a tail certificate proves this row by row in the same float
-operations the pass performs, its coupling half (``_coupling_certificate``)
-once per set of couplings and its threshold half (``_threshold_floor``) once
-per operator, so the early stop gives the exact count that the full pass
-gives.
+A Sturm pass stops only when its count reaches a cap.  A bisection step
+only asks whether count(x) > j for some j < k, and min(count, k) answers
+every such question as the full count does, so a bisection caps its passes
+at k; a pass that stays below its cap reads every row.  (A pass could also
+stop once its remaining rows are diagonally dominant enough, Barth, Martin
+and Wilkinson 1967, but proving that takes an O(n) setup per operator, more
+than it saves when seeded solves make two or three passes a level.)
 
 A caller that already knows roughly where each level lies (an analytic
 level, the same level of a symmetric reduction) passes it as a guess;
@@ -107,7 +104,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from functools import cached_property
 from itertools import islice
 
@@ -120,7 +116,6 @@ __all__ = [
 ]
 
 _TINY = 1e-300
-_DENORM = 5e-324  # the smallest positive double
 _OFF_MAX = math.sqrt(sys.float_info.max)  # the largest |e| whose square is finite
 _SEED_WIDEN = 8.0  # factor by which a guess's cell end that misses the switch moves out
 _SOLVES = 3  # dgtsv solves per inverse iteration
@@ -135,7 +130,7 @@ _WALL_STEPS = 12  # _wall_level steps before its guess is dropped
 
 def _diagonal(diag, off) -> np.ndarray:
     # diag as the checked diagonal of tridiag(diag, off), off a float array:
-    # one row more than off, and finite entries, as the early-stop proof needs
+    # one row more than off, and finite entries
     diag = np.asarray(diag, dtype=float)
     if diag.ndim != 1 or off.shape != (diag.shape[0] - 1,):
         raise ValueError("off must have length n - 1")
@@ -157,51 +152,22 @@ def _shift(x, name="x") -> float:
     return x
 
 
-def _count_below(diag, off2, x, cap=None, tail=None):
+def _count_below(diag, off2, x, cap=None):
     # Number of sign agreements in the LDL^T pivots of T - x*I equals the
     # number of eigenvalues strictly below x (Sturm sequence).  A pivot of
     # exactly 0 is floored to -_TINY; the next e2 / d may then overflow to
-    # inf, which IEEE arithmetic carries through correctly.
-    #
-    # The pass returns early in two cases.  (1) The count reaches ``cap``:
-    # it returns cap, i.e. min(count, cap).  (2) ``tail`` is the tail
-    # certificate (bound, floor) of the operator (the ``couplings.bound`` and
-    # ``floor`` of its _Tridiagonal), and a pivot d_i >= bound[i]
-    # occurs at a row i >= start - 1, where start is the first row with
-    # floor[start] >= x: every row from start on then has a threshold
-    # t >= x.  IEEE rounding is monotone, so d_{i-1} >= b_{i-1} > 0 gives
-    # fl(e2 / d_{i-1}) <= r_i, x <= t_i gives fl(a_i - x) >= fl(a_i - t_i),
-    # and so d_i >= fl(fl(a_i - t_i) - r_i) >= b_i: no later pivot is zero or
-    # negative, and the count so far is the exact count.
-    n = len(diag)
+    # inf, which IEEE arithmetic carries through correctly.  The pass returns
+    # as soon as the count reaches ``cap``: it returns min(count, cap).
     if cap is None:
-        cap = n
-    bound, first = (), n  # first: the first row whose pivot may end the pass
-    if tail is not None:
-        bound, floor = tail
-        first = max(bisect_left(floor, x) - 1, 0)
+        cap = len(diag)
     d = diag[0] - x
     if d == 0.0:
         d = -_TINY
     count = 1 if d < 0.0 else 0
-    if count == cap or (first == 0 and d >= bound[0]):
+    if count == cap:
         return count
-    first = max(first, 1)
-    for a, e2 in zip(islice(diag, 1, first), off2):
+    for a, e2 in zip(islice(diag, 1, None), off2):
         d = (a - x) - e2 / d
-        if d <= 0.0:
-            if d == 0.0:
-                d = -_TINY
-            count += 1
-            if count == cap:
-                return count
-    # bound leads the zip: without a tail it is empty, and the loop ends
-    # before islice steps a memoryview through rows the pass has read
-    for b, a, e2 in zip(islice(bound, first, None), islice(diag, first, None),
-                        islice(off2, first - 1, None)):
-        d = (a - x) - e2 / d
-        if d >= b:
-            return count
         if d <= 0.0:
             if d == 0.0:
                 d = -_TINY
@@ -209,40 +175,6 @@ def _count_below(diag, off2, x, cap=None, tail=None):
             if count == cap:
                 return count
     return count
-
-
-def _coupling_certificate(off, off2):
-    # The half of the tail certificate that reads only the couplings: the
-    # arrays (b, r, usable).  Row i gets b_i = |e_i| (the smallest positive
-    # double where e_i = 0 and on the last row) and r_i = fl(e2_{i-1} /
-    # b_{i-1}); rows where r_i overflowed are not usable, and their r_i is
-    # set to 0 to keep them out of inf - inf.
-    n = off.shape[0] + 1
-    b = np.full(n, _DENORM)
-    b[:-1] = np.where(off == 0.0, _DENORM, np.abs(off))
-    r = np.zeros(n)
-    r[1:] = off2 / b[:-1]  # inf where e2 overflowed
-    usable = np.isfinite(r)
-    r[~usable] = 0.0
-    return b, r, usable
-
-
-def _threshold_floor(diag, b, r, usable):
-    # The half of the tail certificate that reads the diagonal: each row gets
-    # a threshold t_i checked to satisfy fl(fl(a_i - t_i) - r_i) >= b_i in
-    # exactly the float operations of the pass, or -inf where that fails
-    # (and on rows that are not usable).  Returns the suffix minima of t, an
-    # ascending array.
-    with np.errstate(over="ignore"):  # a threshold below -DBL_MAX is -inf, still sound
-        t = (diag - r) - b
-        ok = usable & (((diag - t) - r) >= b)
-        # Rounding can leave the first guess a few ulps short: retry once
-        # with a margin on the scale of the rounding errors.
-        retry = usable & ~ok
-        t[retry] -= 4.0 * np.finfo(float).eps * (np.abs(diag) + r + b)[retry]
-        ok |= retry & (((diag - t) - r) >= b)
-    t[~ok] = -np.inf
-    return np.minimum.accumulate(t[::-1])[::-1]
 
 
 class _Couplings:
@@ -278,16 +210,6 @@ class _Couplings:
         return radius
 
     @cached_property
-    def certificate(self):
-        # _coupling_certificate's (b, r, usable)
-        return _coupling_certificate(self.off, self.off * self.off)
-
-    @cached_property
-    def bound(self) -> list:
-        # the b of the tail certificate, as _count_below reads it
-        return self.certificate[0].tolist()
-
-    @cached_property
     def blocks(self) -> list:
         # (start, stop) of each block: the runs of rows between exact-zero couplings
         cuts = (np.flatnonzero(self.off == 0.0) + 1).tolist()
@@ -320,12 +242,6 @@ class _Tridiagonal:
         # the Gershgorin interval, certain to hold the whole spectrum
         radius = self.couplings.radius
         return float(np.min(self.diagonal - radius)), float(np.max(self.diagonal + radius))
-
-    @cached_property
-    def floor(self) -> memoryview:
-        # the floor of the tail certificate; it only feeds bisect_left, which
-        # reads a memoryview without a tolist() of every row
-        return memoryview(_threshold_floor(self.diagonal, *self.couplings.certificate))
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
@@ -404,7 +320,7 @@ def eigvalsh_bisect(
     Each level keeps the closest shifts counted on either side of it so far
     (see the module docstring), so a bisection step that an earlier count
     already decides costs no Sturm pass.  Each pass stops once its count
-    reaches k or the tail certificate settles it; a count capped at k still
+    reaches k, and reads every row otherwise; a count capped at k still
     decides every question count(x) > j with j < k exactly.
 
     ``guesses`` (optional, one finite value per level) only choose where to
@@ -441,12 +357,11 @@ def eigvalsh_bisect(
         lo0 -= 1.0
         hi0 += 1.0
     diag_l, off2_l = op.diag_list, op.couplings.off2
-    tail = op.couplings.bound, op.floor
     below = [-math.inf] * k  # below[j]: the largest shift counted with count <= j
     above = [math.inf] * k   # above[j]: the smallest shift counted with count >= j + 1
 
     def count_at(x):
-        c = _count_below(diag_l, off2_l, x, k, tail)
+        c = _count_below(diag_l, off2_l, x, k)
         for i in range(c):
             if x < above[i]:
                 above[i] = x

@@ -2,6 +2,7 @@ import importlib
 import math
 import warnings
 from bisect import bisect_left
+from functools import cached_property
 from pathlib import Path
 
 import mpmath
@@ -24,12 +25,6 @@ from dipole1d.tridiag import (
 
 def _dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
-def _tail(diag, off):
-    # the tail certificate (bound, floor) of a freshly built operator, as lists
-    op = _operator(diag, off)
-    return op.couplings.bound, op.floor.tolist()
 
 
 def test_closed_form_three_point_laplacian():
@@ -394,12 +389,12 @@ def test_has_eigenvalue_below_matches_sturm_count():
     assert seen == {True, False}
 
 
-# The early-stopped pass: _count_below(..., cap, tail) must equal
-# min(full count, cap), where the full count is the frozen reference above.
+# The capped pass: _count_below(..., cap) must equal min(full count, cap),
+# where the full count is the frozen reference above.
 
 def _well_operator():
-    # a Laplacian with one deep row: only the rows after the well are
-    # certified at x = 0, so a stop one row too early misses its count
+    # a Laplacian with one deep row: a pass that stopped before row 4
+    # would miss its count at x = 0
     diag = np.full(12, 2.0)
     diag[4] = -5.0
     return diag, np.full(11, -1.0)
@@ -407,13 +402,13 @@ def _well_operator():
 
 def _inf_pivot_operator():
     # x = 1e5 makes rows 0 and 1 exact-zero pivots (-_TINY), across a zero
-    # coupling; row 2 then overflows to +inf and is already certified
+    # coupling; row 2 then overflows to +inf
     diag = np.array([1e5, 1e5, 3e5, 3e5, 3e5, 3e5, 3e5])
     off = np.array([0.0, -1e5, -1e5, -1e5, -1e5, -1e5])
     return diag, off
 
 
-def _certified_cases():
+def _count_cases():
     rng = np.random.default_rng(606)
     cases = []
     for diag, off in _random_operators():
@@ -440,22 +435,20 @@ def _certified_cases():
 
 
 def test_early_stopped_count_equals_capped_reference():
-    for diag, off, xs in _certified_cases():
+    for diag, off, xs in _count_cases():
         off2 = off * off
-        tail = _tail(diag, off)
         diag_l, off2_l = diag.tolist(), off2.tolist()
         for x in xs:
             full = _reference(_seed_count_below, diag, off2, x)
-            assert _count_below(diag_l, off2_l, x, None, tail) == full
+            assert _count_below(diag_l, off2_l, x) == full
             for cap in (1, 2, 3, len(diag)):
-                assert _count_below(diag_l, off2_l, x, cap, tail) == min(full, cap)
                 assert _count_below(diag_l, off2_l, x, cap) == min(full, cap)
 
 
 def test_count_below_reads_memoryviews_as_it_reads_lists():
     # one-pass callers (sturm_count, critical._binds) hand the pass memoryviews
-    # of their arrays; the certified cases include exact-zero pivots
-    cases = _certified_cases()
+    # of their arrays; the count cases include exact-zero pivots
+    cases = _count_cases()
     for H, _, _ in _pipeline_operators().values():
         diag = H.diagonal
         lo, hi = _operator(diag, H.offdiagonal).ends
@@ -463,14 +456,12 @@ def test_count_below_reads_memoryviews_as_it_reads_lists():
         cases.append((diag, H.offdiagonal, xs))
     for diag, off, xs in cases:
         off2 = off * off
-        tail = _tail(diag, off)
         lists = diag.tolist(), off2.tolist()
         for x in xs:
             for cap in (None, 1, 3):
-                for cert in (None, tail):
-                    want = _count_below(*lists, x, cap, cert)
-                    assert _count_below(memoryview(diag), memoryview(off2), x, cap, cert) == want
-                    assert _count_below(memoryview(diag), lists[1], x, cap, cert) == want
+                want = _count_below(*lists, x, cap)
+                assert _count_below(memoryview(diag), memoryview(off2), x, cap) == want
+                assert _count_below(memoryview(diag), lists[1], x, cap) == want
 
 
 def test_sturm_count_reads_strided_and_byte_swapped_arrays():
@@ -483,75 +474,6 @@ def test_sturm_count_reads_strided_and_byte_swapped_arrays():
         assert sturm_count(wide_diag[::2], wide_off[::2], x) == want
         assert sturm_count(diag.astype(">f8"), off.astype(">f8"), x) == want
         assert sturm_count(diag.tolist(), off.tolist(), x) == want
-
-
-def test_certificate_rows_verified_in_float_arithmetic():
-    # every row's suffix minimum t satisfies fl(fl(a - t) - r) >= b, with the
-    # same Python float operations the pass performs
-    for diag, off, _ in _certified_cases():
-        off2 = off * off
-        bound, floor = _tail(diag, off)
-        want_bound = [abs(e) if e != 0.0 else 5e-324 for e in off.tolist()] + [5e-324]
-        assert bound == want_bound
-        assert floor == sorted(floor)
-        for i, (a, t, b) in enumerate(zip(diag.tolist(), floor, bound)):
-            if t == -math.inf:
-                continue
-            r = float(off2[i - 1]) / bound[i - 1] if i > 0 else 0.0
-            assert (a - t) - r >= b
-
-
-def test_certificate_is_tight_on_the_laplacian():
-    # diag 1, 2, 2, ..., off -1: every row but the last has threshold
-    # exactly 0, the bottom of the infinite Laplacian's spectrum
-    n = 12
-    diag = np.full(n, 2.0)
-    diag[0] = 1.0
-    off = np.full(n - 1, -1.0)
-    bound, floor = _tail(diag, off)
-    assert floor[:-1] == [0.0] * (n - 1)
-    assert 0.0 < floor[-1] <= 1.0
-
-
-def test_pass_reads_no_row_after_a_certified_pivot():
-    # Rows after the stop are replaced by a deep well the certificate never
-    # saw: a pass that stops where it should does not count them.
-    n = 12
-    off = np.full(n - 1, -1.0)
-    off2 = (off * off).tolist()
-    poison = [-1e3] * n
-    # row 0: pivot 1 - 0 = b_0 = 1, so the pass stops at row 0
-    diag = np.full(n, 2.0)
-    diag[0] = 1.0
-    tail = _tail(diag, off)
-    assert _count_below(diag.tolist()[:1] + poison[1:], off2, 0.0, None, tail) == 0
-    # row 1 (threshold -0.5 < x): pivot 1.5 - 1/2 = b_1 = 1, so it stops there
-    diag = np.full(n, 2.0)
-    diag[1] = 1.5
-    tail = _tail(diag, off)
-    assert _count_below(diag.tolist()[:2] + poison[2:], off2, 0.0, None, tail) == 0
-    assert _count_below(diag.tolist()[:2] + poison[2:], off2, 0.0) == n - 2
-
-
-def test_certificate_setup_survives_overflowing_couplings():
-    # |e| = 1e200 squares to inf, and r = inf / 1e200 is inf: a threshold
-    # computed as a - r would meet inf - inf in the verification.  Row 3's
-    # threshold overflows to -inf.  Neither may warn, and neither row is
-    # certified.
-    diag = np.array([1.0, 2.0, 2.0, -1.79e308, 2.0, 2.0, 2.0, 2.0])
-    off = np.array([-1e200, -1.0, -1.0, -1e307, -1.0, -1.0, -1.0])
-    with np.errstate(over="ignore"):
-        off2 = off * off
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        b, r, usable = tridiag._coupling_certificate(off, off2)
-        bound, floor = b.tolist(), tridiag._threshold_floor(diag, b, r, usable).tolist()
-    assert floor[:5] == [-math.inf] * 5
-    assert all(math.isfinite(t) for t in floor[5:])
-    diag_l, off2_l = diag.tolist(), off2.tolist()
-    for x in (-1.0, 0.0, 0.5):
-        assert _count_below(diag_l, off2_l, x, None, (bound, floor)) == _count_below(
-            diag_l, off2_l, x)
 
 
 def _mp_sturm_count(diag, off, x, dps=40):
@@ -574,7 +496,6 @@ def test_early_stopped_count_matches_exact_arithmetic_on_balmer_grid():
     diag, off = H.diagonal, H.offdiagonal
     vals, widths = eigvalsh_bisect(diag, off, 3)
     off2 = off * off
-    tail = _tail(diag, off)
     diag_l, off2_l, off_l = diag.tolist(), off2.tolist(), off.tolist()
     xs = [-1e4, -10.0, 1.0, 1e4]
     for v, w in zip(vals.tolist(), widths.tolist()):
@@ -582,8 +503,8 @@ def test_early_stopped_count_matches_exact_arithmetic_on_balmer_grid():
     counts = []
     for x in xs:
         exact = _mp_sturm_count(diag_l, off_l, x)
-        assert _count_below(diag_l, off2_l, x, None, tail) == exact
-        assert _count_below(diag_l, off2_l, x, 3, tail) == min(exact, 3)
+        assert _count_below(diag_l, off2_l, x) == exact
+        assert _count_below(diag_l, off2_l, x, 3) == min(exact, 3)
         counts.append(exact)
     assert counts[:2] == [0, 0] and counts[2] > 3
     assert counts[4:] == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3]
@@ -823,13 +744,12 @@ def _cache_eigvalsh_bisect(diag, off, k, tol, guesses=None):
         lo0 -= 1.0
         hi0 += 1.0
     off2 = off * off
-    tail = _tail(diag, off)
     diag_l, off2_l = diag.tolist(), off2.tolist()
     shifts, counts = [], []
 
     def count_at(x):
         i = bisect_left(shifts, x)
-        c = tridiag._count_below(diag_l, off2_l, x, k, tail)
+        c = tridiag._count_below(diag_l, off2_l, x, k)
         shifts.insert(i, x)
         counts.insert(i, c)
         return c
@@ -1003,12 +923,10 @@ def test_seeds_widen_until_they_bracket(monkeypatch):
 def test_sturm_count_monotone_near_pipeline_levels():
     # The seeds and the per-level brackets both assume the float count is
     # monotone in x.  Check it across each level's transition, on 401
-    # consecutive doubles and on a +-1e-9 window, with and without the cap
-    # and the certificate.
+    # consecutive doubles and on a +-1e-9 window, with and without the cap.
     for H, k, tol in _pipeline_operators().values():
         diag, off = H.diagonal, H.offdiagonal
         off2 = off * off
-        tail = _tail(diag, off)
         diag_l, off2_l = diag.tolist(), off2.tolist()
         # tol below every spacing: each bracket ends on two adjacent doubles
         vals, _ = eigvalsh_bisect(diag, off, k, tol=5e-324)
@@ -1020,8 +938,8 @@ def test_sturm_count_monotone_near_pipeline_levels():
             doubles = lower[:0:-1] + upper
             window = np.linspace(v - 1e-9, v + 1e-9, 41).tolist()
             for xs in (doubles, window):
-                for cap, cert in ((None, None), (k, tail)):
-                    counts = [_count_below(diag_l, off2_l, x, cap, cert) for x in xs]
+                for cap in (None, k):
+                    counts = [_count_below(diag_l, off2_l, x, cap) for x in xs]
                     assert counts == sorted(counts)
                     assert counts[0] <= j < counts[-1]
 
@@ -1253,13 +1171,18 @@ def test_vectorless_solves_keep_the_raw_guesses(monkeypatch):
     assert seeds == [[-0.5, -0.125, -0.05]]
 
 
+def _cached_views(obj):
+    # the names of the cached_property views ``obj`` has built
+    return {name for name in vars(obj)
+            if isinstance(getattr(type(obj), name, None), cached_property)}
+
+
 def test_solve_checks_the_operator_and_builds_each_view_once(monkeypatch):
     # the bisection and the node counts share one operator check, whatever
     # k is.  The check is the record's, when it is built (one _Couplings,
     # which the potential's operator shares), so the solve checks no arrays;
-    # and it builds each view of the operator once
-    calls = {"_operator": 0, "_Couplings": 0, "_coupling_certificate": 0,
-             "_threshold_floor": 0}
+    # and it builds each view of the operator once, and no view beyond these
+    calls = {"_operator": 0, "_Couplings": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -1275,8 +1198,10 @@ def test_solve_checks_the_operator_and_builds_each_view_once(monkeypatch):
     H = discretize(Coulomb(1.0), Grid("logarithmic", 1e-5, 200.0, 384))
     k, tol = 3, 1e-11
     lowest_eigenvalues(H, k, tol=tol, guesses=[-0.5, -0.125, -1.0 / 18.0])
-    want = {"_operator": 0, "_Couplings": 1, "_coupling_certificate": 1, "_threshold_floor": 1}
+    want = {"_operator": 0, "_Couplings": 1}
     assert calls == want
+    assert _cached_views(H) == {"diag_list", "ends"}
+    assert _cached_views(H.couplings) == {"off2", "abs_off", "radius", "blocks"}
     # a second solve on the same operator builds no view again
     lowest_eigenvalues(H, k, tol=tol)
     assert calls == want
@@ -1483,7 +1408,6 @@ def test_cached_views_equal_fresh_ones(monkeypatch):
         assert H.diag_list == diag.tolist()
         assert H.couplings.off2 == (off * off).tolist()
         assert H.ends == _operator(diag, off).ends
-        assert (H.couplings.bound, H.floor.tolist()) == _tail(diag, off)
         cuts = [i + 1 for i, e in enumerate(off.tolist()) if e == 0.0]
         assert H.couplings.blocks == list(zip([0, *cuts], [*cuts, len(diag)]))
 

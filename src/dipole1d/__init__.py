@@ -55,7 +55,6 @@ from .eigensolver import (
     Grid,
     GridAlignmentError,
     HydrogenResult,
-    IntegrationError,
     ResolutionError,
     Spectrum,
     cutoff_sweep,

@@ -35,7 +35,6 @@ from .eigensolver import (
     BracketError,
     ConvergenceError,
     Grid,
-    IntegrationError,
     check_resolution,
     cutoff_sweep,
     discretize,
@@ -605,7 +604,7 @@ def run(argv=None) -> int:
     except BracketError as exc:
         sys.stderr.write(f"error: code=bracket {exc}\n")
         return 3
-    except (ConvergenceError, IntegrationError, ExtrapolationError) as exc:
+    except (ConvergenceError, ExtrapolationError) as exc:
         sys.stderr.write(f"error: code=convergence {exc}\n")
         return 2
     except (ValueError, OSError) as exc:

@@ -98,9 +98,10 @@ class NumericCriticalMoment:
     """Critical moment recovered from window scans, in q*a_B.
 
     ``half_width`` is a rigorous propagation of the per-window bisection
-    half-widths through the linear extrapolation in 1/ln^2(L/delta); the bias
-    model itself is exact for this ODE, so the bar is dominated by bisection
-    tolerance (or by the float spacing, when that ended a bisection first).
+    half-widths through the linear extrapolation in 1/ln^2(L/delta); the
+    node count is exact, so the bias model is too, and the bar is the
+    bisection tolerance (or the float spacing, when that ended a bisection
+    first).
     """
 
     p_au: float

@@ -63,7 +63,6 @@ __all__ = [
     "GridAlignmentError",
     "ResolutionError",
     "ConvergenceError",
-    "IntegrationError",
     "BracketError",
     "discretize",
     "check_resolution",
@@ -106,10 +105,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
 
 
-class IntegrationError(RuntimeError):
-    """The ODE integration violated its conserved-quantity check."""
-
-
 class BracketError(RuntimeError):
     """A bisection predicate has the same truth value on both bracket ends."""
 
@@ -117,8 +112,6 @@ class BracketError(RuntimeError):
 _ALIGN_RTOL = 1e-9
 _HYDROGEN_TOL = 1e-11  # eigenvalue bracket width on every hydrogen rung
 _CUTOFF_TOL = 1e-10  # eigenvalue bracket width of every cut-off solve
-_DRIFT_TOL = 1e-6  # the largest relative drift of the RK4 conserved quadratic
-_STEPS_PER_UNIT = 128  # RK4 steps per unit of ln(L/delta), at least 256 in all
 _ALPHA_MAX = 2.0  # find_alpha_crit bisects alpha over [0, _ALPHA_MAX]
 
 
@@ -531,7 +524,9 @@ def hydrogen_spectrum(
     (1/2) psi_1'(0)^2 x_min = 2 lam^3 x_min hartree to first order, i.e.
     4 lam x_min relative to |E_1| = lam^2 / 2.  The Richardson estimates see
     only the spacing, not this shift, so a grid on which it exceeds 1e-3
-    relative is refused with ValueError before any solve.  So is a grid whose
+    relative is refused with ValueError before any solve.  So is a grid with
+    x_min < 0, which the pinned zero at the origin would split into two mirror
+    half-lines, each with its own Balmer series.  So is a grid whose
     outer wall cuts into the highest level n = ``n_states``: it needs
     lam x_max >= 2 n^2 + 6 n, the classical turning point 2 n^2 / lam plus six
     decay lengths n / lam, which keeps that level's wall error below 1e-3
@@ -548,6 +543,9 @@ def hydrogen_spectrum(
         raise ValueError("refine_levels must be >= 1")
     if grid is None:
         grid = hydrogen_grid(lam)
+    if grid.x_min < 0.0:
+        raise ValueError(f"x_min = {grid.x_min!r} < 0: the pinned zero at the origin "
+                         "would split the grid into two mirror half-lines")
     wall_shift = 4.0 * lam * grid.x_min
     if not wall_shift <= _WALL_SHIFT_MAX:
         raise ValueError(
@@ -752,72 +750,21 @@ def _log_span(delta: float, L: float) -> float:
 
 def zero_energy_node_count(alpha: float, delta: float, L: float) -> int:
     """Interior nodes on (delta, L) of the zero-energy solution with
-    psi(delta) = 0, psi'(delta) = 1, as fixed-step RK4 resolves it.
+    psi(delta) = 0, psi'(delta) = 1.
 
-    The log-coordinate form u'' = coef u (coef = 1/4 - alpha, u = e^(-s/2) psi,
-    s = ln y) is linear with constant coefficients, so K fixed RK4 steps of
-    size h (K = max(256, ceil(128 ln(L/delta))), h = ln(L/delta) / K) apply
-    one 2x2 propagator K times: the step map is R(hA) with
-    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the RK4 stability function
-    (Hairer and Wanner, Solving ODEs II, section IV.2).  Its powers give the
-    exact count and drift of the discrete solution without stepping.  With
-    c = coef h^2:
-
-    * the quadratic Q = u'^2 - coef u^2, conserved by the ODE, gains the
-      factor rho = R(z) R(-z) = 1 + c^3/72 + c^4/576 per step, so the drift
-      gate compares |rho^K - 1| / max(1, rho^K) with 1e-6 and raises
-      :class:`IntegrationError` above it or when it is not finite;
-    * for coef < 0 the iterates are u_k ~ |R|^k sin(k theta) with
-      theta = arg R(i sqrt(-c)), so the sign changes over k = 1..K number
-      ceil(K |theta| / pi) - 1 (an exact zero at k = K is not a change);
-    * for coef >= 0, R(z) > 0 for every real z keeps u_k > 0: no nodes.
-
-    For alpha > 1/4 this differs from the continuum count
-    floor(sqrt(alpha - 1/4) ln(L/delta) / pi) only through the O(h^4) RK4
-    phase error; below threshold it is 0.  The count depends on the window
-    only through L/delta.
+    For alpha > 1/4 that solution is sqrt(y delta) sin(nu ln(y/delta)) / nu,
+    nu = sqrt(alpha - 1/4), with zeros at ln(y/delta) = k pi / nu; the k with
+    0 < k pi / nu < ln(L/delta) number ceil(nu ln(L/delta) / pi) - 1.  For
+    alpha <= 1/4 it is sqrt(y delta) times ln(y/delta) or a sinh: no zero.
+    The count depends on the window only through L/delta, and in float it
+    never decreases as alpha grows, which ``find_alpha_crit`` rests on.
     """
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    nsteps, h = _rk4_steps(delta, L)
-    coef = 0.25 - alpha
-    if coef >= 0.0:
-        return 0
-    c = coef * h * h
-    # |rho^K - 1| / max(1, rho^K) from K ln(rho): rho^K itself overflows on
-    # a failed step, and a c^4 overflow leaves nan, which fails the gate
-    log_growth = nsteps * math.log1p(c * c * c / 72.0 + (c * c) * (c * c) / 576.0)
-    drift = -math.expm1(-abs(log_growth))
-    if not drift <= _DRIFT_TOL:
-        raise IntegrationError(
-            f"relative conserved-quantity drift {drift:.3e} exceeds {_DRIFT_TOL:.1e}; "
-            "reduce the step size"
-        )
-    return math.ceil(nsteps * abs(_rk4_phase(math.sqrt(-c))) / math.pi) - 1
-
-
-def _rk4_steps(delta: float, L: float) -> tuple[int, float]:
-    # (K, h): the number and size of zero_energy_node_count's RK4 steps
     span = _log_span(delta, L)
-    nsteps = max(256, int(math.ceil(span * _STEPS_PER_UNIT)))
-    return nsteps, span / nsteps
-
-
-def _rk4_phase(y: float) -> float:
-    # theta = arg R(iy), the phase one RK4 step turns at y = h sqrt(alpha - 1/4)
-    return math.atan2(y - y * y * y / 6.0, 1.0 - 0.5 * y * y + (y * y) * (y * y) / 24.0)
-
-
-def _onset_guess(delta: float, L: float) -> float:
-    # Where zero_energy_node_count(alpha, delta, L) >= 1 switches on:
-    # K |theta(y)| / pi = 1 solved for y by a Newton step on the same float
-    # theta from y = pi/K, with theta'(y) taken as 1 (theta = y + O(y^5) and
-    # y <= pi/256), then alpha = 1/4 + (y/h)^2.  On windows from 1e-3:10 to
-    # 1e-100:1e100 this lands within an ulp of the switch.
-    nsteps, h = _rk4_steps(delta, L)
-    target = math.pi / nsteps
-    y = target - (_rk4_phase(target) - target)
-    return 0.25 + (y / h) ** 2
+    if alpha <= 0.25:
+        return 0
+    return math.ceil(math.sqrt(alpha - 0.25) * span / math.pi) - 1
 
 
 def window_bias(delta: float, L: float) -> float:
@@ -856,15 +803,16 @@ def find_alpha_crit(
     ``half_width`` reports which.  Raises :class:`BracketError` when the
     window is too short to oscillate even at alpha = 2.
 
-    The bisection is seeded with the predicate's own switch, the closed-form
-    onset of the RK4 count (``_onset_guess``): the predicate is evaluated at
+    The bisection is seeded with the predicate's own switch: the count
+    reaches 1 where sqrt(alpha - 1/4) ln(L/delta) / pi passes 1, that is at
+    ``window_bias(delta, L)`` up to rounding.  The predicate is evaluated at
     alpha = 2 and at the two ends of the final bisection cell that holds the
     guess, and every other midpoint follows from those two by monotonicity.
     So a window costs 3 predicate calls instead of about 31 at
     ``tol_alpha = 1e-9``, and the result is the plain bisection's to the bit
     (see ``tridiag._narrow_bracket``).
     """
-    _log_span(delta, L)  # refuses a window without a finite ln(L/delta)
+    bias = window_bias(delta, L)  # refuses a window without a finite ln(L/delta)
     if not (math.isfinite(tol_alpha) and tol_alpha > 0.0):
         raise ValueError(f"tol_alpha must be finite and > 0, got {tol_alpha!r}")
 
@@ -875,12 +823,11 @@ def find_alpha_crit(
         raise BracketError(
             f"oscillation predicate does not change over alpha in [0.0, {_ALPHA_MAX!r}]"
         )
-    lo, hi = _narrow_bracket(oscillates, 0.0, _ALPHA_MAX, 2.0 * tol_alpha,
-                             _onset_guess(delta, L))
+    lo, hi = _narrow_bracket(oscillates, 0.0, _ALPHA_MAX, 2.0 * tol_alpha, bias)
     return AlphaCritEstimate(
         value=0.5 * (lo + hi),
         half_width=0.5 * (hi - lo),
         delta=delta,
         L=L,
-        predicted_threshold=window_bias(delta, L),
+        predicted_threshold=bias,
     )

@@ -427,6 +427,10 @@ def test_hydrogen_large_lambda_matches_balmer(tmp_path):
     (["hydrogen", "--states", "9", "--n", "64"], "outer wall"),
     # 2n^2 + 6n is compared as an exact int, so no n_states overflows it
     (["hydrogen", "--states", str(10**400), "--n", "64"], "outer wall"),
+    # a grid across the origin: the pinned zero there splits it into two mirror
+    # half-lines, and level 2 would repeat level 1
+    (["hydrogen", "--grid", "uniform", "--domain", "-20:20", "--n", "4001", "--states", "2",
+      "--refine-levels", "1"], "x_min = -20.0 < 0: the pinned zero"),
 ])
 def test_hydrogen_unresolved_grids_fail_closed(argv, message, capsys):
     assert run(argv) == 1

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dipole1d.critical as crit
 import dipole1d.eigensolver as eigensolver
@@ -22,7 +24,6 @@ from dipole1d.critical import (
 from dipole1d.eigensolver import (
     AlphaCritEstimate,
     Grid,
-    IntegrationError,
     discretize,
     find_alpha_crit,
     lowest_eigenvalues,
@@ -553,119 +554,13 @@ def test_a_configuration_only_the_bracket_top_refuses_is_still_refused(monkeypat
     assert passes == [True]
 
 
-# Reference copy of the stepped RK4 node count that the closed-form
-# propagator count replaced; its counts and gate decisions must agree.
-def _seed_rk4_node_count(coef, v0, span, nsteps):
-    # u'' = coef * u in s = ln y, with coef = 1/4 - alpha.  The quadratic
-    # Q = u'^2 - coef u^2 is exactly conserved; its drift flags step failure.
-    h = span / nsteps
-    u = 0.0
-    v = v0
-    q0 = v * v - coef * u * u
-    scale = abs(q0)
-    count = 0
-    last_sign = 0
-    for _ in range(nsteps):
-        k1u = v
-        k1v = coef * u
-        k2u = v + 0.5 * h * k1v
-        k2v = coef * (u + 0.5 * h * k1u)
-        k3u = v + 0.5 * h * k2v
-        k3v = coef * (u + 0.5 * h * k2u)
-        k4u = v + h * k3v
-        k4v = coef * (u + h * k3u)
-        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        mag = v * v + abs(coef) * u * u
-        if mag > scale:
-            scale = mag
-        s = 0
-        if u > 0.0:
-            s = 1
-        elif u < 0.0:
-            s = -1
-        if s != 0:
-            if last_sign != 0 and s != last_sign:
-                count += 1
-            last_sign = s
-    drift = abs((v * v - coef * u * u) - q0)
-    return count, drift, scale
-
-
-def _seed_node_count(alpha, delta, L, steps_per_unit=128, drift_tol=1e-6):
-    # None where the stepped gate refuses the run; a non-finite drift or
-    # scale counts as a refusal (the stepped gate itself let it through)
-    span = math.log(L / delta)
-    nsteps = max(256, int(math.ceil(span * steps_per_unit)))
-    count, drift, scale = _seed_rk4_node_count(0.25 - alpha, math.sqrt(delta), span, nsteps)
-    if not drift <= drift_tol * scale or not math.isfinite(scale):
-        return None
-    return count
-
-
-def _node_count(alpha, delta, L, steps_per_unit=128):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eigensolver, "_STEPS_PER_UNIT", steps_per_unit)
-        try:
-            return zero_energy_node_count(alpha, delta, L)
-        except IntegrationError:
-            return None
-
-
 # perfbench `threshold` windows at seed 0: ln(L/delta) = 8k ln 10
 THRESHOLD_WINDOWS = tuple((10.0 ** (-4 * k), 10.0 ** (4 * k)) for k in range(1, 5))
 
 
-def test_rk4_node_count_bit_identical_to_reference():
-    alphas = (-1.0, 0.0, 0.1, 0.2499, 0.25, 0.2501, 0.26, 0.3, 0.5, 1.0, 3.0)
-    windows = ((1e-3, 10.0), (1e-2, 1e2), (1e-4, 1e4), (1e-6, 1e6), (1e-8, 1e8), (1e-12, 1e12),
-               (1e-16, 1e16))
-    counts = set()
-    for alpha in alphas:
-        for delta, L in windows:
-            got = _node_count(alpha, delta, L)
-            assert got == _seed_node_count(alpha, delta, L)
-            counts.add(got)
-    assert len(counts) > 5  # zero and many-node solutions both covered
-
-    # K |theta| / pi evaluates to exactly 1.0 and 3.0 here: u_K = 0 ends the
-    # run without a sign change, and the stepped loop agrees
-    for alpha, delta, L, want in ((0.36634517718277004, 1e-3, 10.0, 0),
-                                  (0.31544416216527055, 1e-8, 1e8, 2)):
-        assert _node_count(alpha, delta, L) == _seed_node_count(alpha, delta, L) == want
-
-    # every bisection midpoint: bisection ends right at each window's
-    # threshold, where K theta / pi ~ 1
-    for delta, L in THRESHOLD_WINDOWS:
-        lo, hi = 0.0, 2.0
-        while hi - lo > 2.0 * 1e-9:
-            mid = 0.5 * (lo + hi)
-            want = _seed_node_count(mid, delta, L)
-            assert _node_count(mid, delta, L) == want
-            if want >= 1:
-                hi = mid
-            else:
-                lo = mid
-        assert find_alpha_crit(delta, L, tol_alpha=1e-9).value == 0.5 * (lo + hi)
-
-    # K = 256 steps over ln(L/delta) = 80 for steps_per_unit 1 and 3, so
-    # h y = 2 sqrt(2), the edge of RK4's imaginary-axis stability interval,
-    # sits at alpha = 1/4 + 8 / h^2; there |R| = 1 and theta < 0.
-    h = 80.0 / 256
-    edge = 0.25 + 8.0 / (h * h)
-    alphas = (0.2, 0.2501, 0.3, 1.0, 4.0, 20.0, 0.999 * edge, edge, 1.001 * edge)
-    refused = 0
-    for spu in (1, 3, 16, 128):
-        for alpha in alphas:
-            want = _seed_node_count(alpha, math.exp(-40.0), math.exp(40.0), spu)
-            assert _node_count(alpha, math.exp(-40.0), math.exp(40.0), spu) == want
-            refused += want is None
-    assert _node_count(edge, math.exp(-40.0), math.exp(40.0), 1) == 155
-    assert 0 < refused < 4 * len(alphas)
-
-
 # find_alpha_crit(delta, L, tol_alpha=1e-9) on THRESHOLD_WINDOWS, recorded
-# from the stepped RK4 loop: (value, half_width, predicted_threshold)
+# from a stepped RK4 count; the exact count gives the same bytes:
+# (value, half_width, predicted_threshold)
 STEPPED_THRESHOLDS = (
     (0.27908629458397627, 9.313225746154785e-10, 0.27908629429566806),
     (0.2572715738788247, 9.313225746154785e-10, 0.257271573573917),
@@ -682,8 +577,8 @@ def test_critical_scan_thresholds_byte_identical():
 
 @pytest.mark.parametrize("tol_alpha", [1e-4, 1e-9, 1e-15])
 def test_find_alpha_crit_certifies_each_window_in_three_predicate_calls(tol_alpha, monkeypatch):
-    # alpha = 2, then the two ends of the final bisection cell that holds the
-    # closed-form onset of the RK4 count; the result is the plain bisection's
+    # alpha = 2, then the two ends of the final bisection cell that holds
+    # window_bias, the exact count's switch; the result is the plain bisection's
     calls = []
     count = eigensolver.zero_energy_node_count
 
@@ -702,3 +597,37 @@ def test_find_alpha_crit_certifies_each_window_in_three_predicate_calls(tol_alph
             est = find_alpha_crit(delta, L, tol_alpha=tol_alpha)
         assert len(calls) <= 3
         assert (est.value, est.half_width) == (0.5 * (lo + hi), 0.5 * (hi - lo))
+
+
+@pytest.mark.parametrize("tol_alpha", [1e-4, 1e-9, 1e-12])
+def test_half_width_bounds_distance_to_window_bias(tol_alpha):
+    # the count is exact, so each window's threshold is window_bias up to
+    # rounding; short windows at tol_alpha = 1e-12 catch a count with a
+    # phase error (an RK4 one is 7e-11 at ln(L/delta) = 3)
+    for span in (3.0, 3.5, 4.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0, 40.0):
+        delta, L = math.exp(-0.5 * span), math.exp(0.5 * span)
+        est = find_alpha_crit(delta, L, tol_alpha=tol_alpha)
+        assert est.half_width <= tol_alpha
+        assert abs(est.value - window_bias(delta, L)) <= est.half_width + 1e-15, (span, est)
+
+
+@given(st.floats(-1.0, 1e6), st.floats(-1.0, 1e6), st.floats(1e-3, 700.0),
+       st.floats(-100.0, 0.0))
+def test_node_count_never_decreases_as_alpha_grows(a, b, span, exponent):
+    # _narrow_bracket's bit-for-bit claim for the seeded find_alpha_crit
+    # rests on this, for floats as evaluated, down to adjacent ones
+    delta = 10.0 ** exponent
+    L = delta * math.exp(span)
+    lo, hi = min(a, b), max(a, b)
+    assert zero_energy_node_count(lo, delta, L) <= zero_energy_node_count(hi, delta, L)
+    up = math.nextafter(lo, math.inf)
+    assert zero_energy_node_count(lo, delta, L) <= zero_energy_node_count(up, delta, L)
+    # the floats around the switch, where the count first reaches 1
+    x = window_bias(delta, L)
+    for _ in range(8):
+        x = math.nextafter(x, -math.inf)
+    counts = []
+    for _ in range(17):
+        counts.append(zero_energy_node_count(x, delta, L))
+        x = math.nextafter(x, math.inf)
+    assert counts == sorted(counts)
